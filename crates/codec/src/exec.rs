@@ -194,14 +194,57 @@ impl BatchSummary {
     }
 }
 
+/// Fields a per-frame table holds inline. Every suite spec fits, so a
+/// warm encode allocates nothing; larger specs spill to the heap.
+const INLINE_FIELDS: usize = 16;
+
+/// A per-field table of fixed length: inline for codecs of up to
+/// [`INLINE_FIELDS`] fields, on the heap beyond.
+#[derive(Debug, Clone)]
+enum Table<T> {
+    Inline([T; INLINE_FIELDS], usize),
+    Heap(Vec<T>),
+}
+
+impl<T: Copy> Table<T> {
+    fn filled(len: usize, fill: T) -> Self {
+        if len <= INLINE_FIELDS {
+            Table::Inline([fill; INLINE_FIELDS], len)
+        } else {
+            Table::Heap(vec![fill; len])
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Table<T> {
+    type Target = [T];
+
+    fn deref(&self) -> &[T] {
+        match self {
+            Table::Inline(items, len) => &items[..*len],
+            Table::Heap(items) => items,
+        }
+    }
+}
+
+impl<T> std::ops::DerefMut for Table<T> {
+    fn deref_mut(&mut self) -> &mut [T] {
+        match self {
+            Table::Inline(items, len) => &mut items[..*len],
+            Table::Heap(items) => items,
+        }
+    }
+}
+
 /// Indexed value table feeding [`CompiledCodec::encode_into`] — the
 /// compiled counterpart of [`PacketValue`], keyed by [`FieldIx`] so the
 /// encoder never hashes or compares a name. Byte fields borrow the
 /// caller's buffers. Obtain one via [`CompiledCodec::values`] and
-/// [`Values::clear`] it between frames.
+/// [`Values::clear`] it between frames; for specs of up to 16 fields it
+/// lives entirely inline.
 #[derive(Debug, Clone)]
 pub struct Values<'v> {
-    slots: Vec<Slot<'v>>,
+    slots: Table<Slot<'v>>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -214,7 +257,7 @@ enum Slot<'v> {
 impl<'v> Values<'v> {
     fn new(fields: usize) -> Self {
         Values {
-            slots: vec![Slot::Unset; fields],
+            slots: Table::filled(fields, Slot::Unset),
         }
     }
 
@@ -494,10 +537,11 @@ impl CompiledCodec {
     /// produced for accepted values are byte-identical to
     /// [`PacketSpec::encode`](netdsl_core::packet::PacketSpec::encode).
     pub fn encode_into(&self, values: &Values<'_>, out: &mut Vec<u8>) -> Result<(), DslError> {
-        // Pass 0: resolve every field's width and bit offset.
-        let mut spans: Vec<(u32, u32)> = Vec::with_capacity(self.ops.len());
+        // Pass 0: resolve every field's width and bit offset (op `i`
+        // encodes field `i`).
+        let mut spans = Table::filled(self.ops.len(), (0u32, 0u32));
         let mut off = 0usize;
-        for op in &self.ops {
+        for (span, op) in spans.iter_mut().zip(&self.ops) {
             let width = match *op {
                 Op::BytesFixed { field, len } => {
                     let name = &self.field_names[usize::from(field)];
@@ -544,7 +588,7 @@ impl CompiledCodec {
                 }
                 _ => op.fixed_bits().expect("non-byte ops are fixed-width"),
             };
-            spans.push((off as u32, width as u32));
+            *span = (off as u32, width as u32);
             off += width;
         }
         let frame_len = off / 8;

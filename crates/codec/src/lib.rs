@@ -300,6 +300,31 @@ mod tests {
     }
 
     #[test]
+    fn wide_specs_spill_their_tables_to_the_heap() {
+        // More fields than the inline tables hold: encode must still be
+        // byte-identical to the interpretive walker.
+        let mut builder = PacketSpec::builder("wide");
+        for i in 0..20 {
+            builder = builder.uint(&format!("f{i}"), 8);
+        }
+        let spec = builder
+            .checksum("chk", ChecksumKind::Arq, Coverage::Whole)
+            .bytes("payload", Len::Rest)
+            .build()
+            .unwrap();
+        let codec = lower(&spec).unwrap();
+        assert_eq!(codec.field_count(), 22);
+        let mut v = spec.value();
+        for i in 0..20u64 {
+            v.set(&format!("f{i}"), Value::Uint(i * 7));
+        }
+        v.set("payload", Value::Bytes(b"tail".to_vec()));
+        let wire = spec.encode(&v).unwrap();
+        assert_eq!(codec.encode_packet_value(&v).unwrap(), wire);
+        assert_eq!(codec.decode(&wire).unwrap().uint("f19"), Some(133));
+    }
+
+    #[test]
     fn sub_byte_coverage_matches_interpretive() {
         let spec = PacketSpec::builder("s")
             .uint("hi", 4)

@@ -77,10 +77,6 @@ pub struct PayloadArena {
     stats: ArenaStats,
 }
 
-/// Cap on buffers parked in the spare pool; beyond it they are dropped
-/// (an arena serving one simulator cycles through a handful at most).
-const SPARE_CAP: usize = 64;
-
 impl PayloadArena {
     /// An empty arena.
     pub fn new() -> Self {
@@ -148,10 +144,10 @@ impl PayloadArena {
         // The adopted buffer replaces the slot's recycled one; keep the
         // larger of the two capacities in play by sparing the old one.
         let old = std::mem::replace(&mut slot.buf, buf);
-        if old.capacity() > 0 && self.spare.len() < SPARE_CAP {
+        slot.refs = 1;
+        if old.capacity() > 0 && self.has_room_for_spare() {
             self.spare.push(old);
         }
-        slot.refs = 1;
         self.stats.payloads += 1;
         PayloadRef(ix)
     }
@@ -242,9 +238,18 @@ impl PayloadArena {
     /// Returns a buffer taken with [`detach`](PayloadArena::detach) to
     /// the spare pool so later allocations reuse its capacity.
     pub fn recycle(&mut self, buf: Vec<u8>) {
-        if buf.capacity() > 0 && self.spare.len() < SPARE_CAP {
+        if buf.capacity() > 0 && self.has_room_for_spare() {
             self.spare.push(buf);
         }
+    }
+
+    /// A spare only ever backs a slot whose buffer was detached, so the
+    /// pool keeps at most one per slot and drops the rest: a solo
+    /// simulator keeps a handful, while a multiplexed batch, which
+    /// detaches a frame per session in its first tick, keeps one per
+    /// session for the next batch.
+    fn has_room_for_spare(&self) -> bool {
+        self.spare.len() < self.slots.len()
     }
 
     /// Upper bounds on what [`reset`](PayloadArena::reset) keeps: one
@@ -275,6 +280,7 @@ impl PayloadArena {
         }
         self.spare
             .retain(|buf| buf.capacity() <= Self::RETAIN_BUF_BYTES);
+        self.spare.truncate(self.slots.len());
         self.free.clear();
         self.free.extend((0..self.slots.len() as u32).rev());
         self.hwm = 0;

@@ -45,7 +45,7 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Instant;
 
@@ -297,11 +297,27 @@ impl Campaign {
             Some((_, config)) => proto.clone().with_engine(*config),
             None => proto.clone(),
         };
+        // `campaign/protocol/engine/link/topology/traffic/seed`, built in
+        // one allocation of exact size.
+        let parts = [
+            self.name.as_str(),
+            proto_label,
+            engine_label,
+            link_label,
+            topo_label,
+            traffic_label,
+            seed_label,
+        ];
+        let mut name =
+            String::with_capacity(parts.iter().map(|p| p.len()).sum::<usize>() + parts.len() - 1);
+        for (k, part) in parts.into_iter().enumerate() {
+            if k > 0 {
+                name.push('/');
+            }
+            name.push_str(part);
+        }
         Scenario {
-            name: format!(
-                "{}/{proto_label}/{engine_label}/{link_label}/{topo_label}/{traffic_label}/{seed_label}",
-                self.name
-            ),
+            name,
             protocol,
             link: link.clone(),
             topology: *topo,
@@ -390,15 +406,20 @@ impl Campaign {
     /// counter), generate each chunk's scenarios on demand via
     /// [`Campaign::scenario_at`], hand the chunk to the
     /// [`BatchDriver`], and fold the outcomes into a per-chunk
-    /// [`StreamAggregate`] partial. After the workers join, partials
-    /// are merged **sequentially in chunk-index order**, so the report
-    /// is bit-identical across thread counts (f64 addition is folded
-    /// in one fixed order).
+    /// [`StreamAggregate`] partial. Partials are merged into the report
+    /// **strictly in chunk-index order**, as soon as the next expected
+    /// chunk is done, so the report is bit-identical across thread
+    /// counts and chunk sizes (f64 addition is folded in one fixed
+    /// order).
     ///
-    /// Peak memory is `O(threads × chunk + raw_cap)` — one chunk of
-    /// scenarios per worker plus the bounded sample reservoirs — so a
-    /// 10⁶-scenario sweep runs on all cores without holding 10⁶
-    /// results, names, or samples.
+    /// Peak memory is `O(threads × chunk + raw_cap)`: one chunk of
+    /// scenarios per worker, the report's bounded sample reservoirs, and
+    /// at most `2 × threads` finished chunks waiting for a slower
+    /// earlier one. Each partial's reservoirs are sized to the room the
+    /// report has left when its chunk starts, so once the report's
+    /// reservoirs are full a partial holds only counts. A 10⁶-scenario
+    /// sweep therefore runs on all cores without holding 10⁶ results,
+    /// names, or samples.
     pub fn run_streaming(
         &self,
         driver: &dyn BatchDriver,
@@ -427,7 +448,16 @@ impl Campaign {
         let chunk = opts.chunk.max(1);
         let chunks = n.div_ceil(chunk);
         let workers = threads.max(1).min(chunks.max(1));
-        let partials: Mutex<Vec<Option<StreamPartial>>> = Mutex::new(vec![None; chunks]);
+        let merger = Merger {
+            state: Mutex::new(Merge {
+                report: StreamingReport::empty(self.name.clone(), opts.raw_cap),
+                next: 0,
+                pending: BTreeMap::new(),
+                failed: false,
+            }),
+            merged: Condvar::new(),
+            lag: 2 * workers,
+        };
         let next = AtomicUsize::new(0);
         let chunks_done = AtomicUsize::new(0);
         let cells_done = AtomicUsize::new(0);
@@ -436,11 +466,11 @@ impl Campaign {
 
         thread::scope(|scope| {
             for w in 0..workers {
-                let (partials, next) = (&partials, &next);
+                let (merger, next) = (&merger, &next);
                 let (chunks_done, cells_done, shard_cells) =
                     (&chunks_done, &cells_done, &shard_cells);
                 scope.spawn(move || {
-                    let mut local: Vec<(usize, StreamPartial)> = Vec::new();
+                    let _fail = FailOnPanic(merger);
                     let mut batch: Vec<Scenario> = Vec::with_capacity(chunk);
                     loop {
                         let c = next.fetch_add(1, Ordering::SeqCst);
@@ -451,7 +481,11 @@ impl Campaign {
                         let hi = (lo + chunk).min(n);
                         batch.clear();
                         batch.extend((lo..hi).map(|i| self.scenario_at(i)));
-                        local.push((c, run_chunk(driver, &batch, opts.raw_cap)));
+                        let Some(mut partial) = merger.start(c) else {
+                            return;
+                        };
+                        run_chunk(driver, &batch, &mut partial);
+                        merger.finish(c, partial);
                         shard_cells[w].fetch_add((hi - lo) as u64, Ordering::Relaxed);
                         let done_cells =
                             cells_done.fetch_add(hi - lo, Ordering::SeqCst) + (hi - lo);
@@ -478,18 +512,17 @@ impl Campaign {
                             done: false,
                         });
                     }
-                    let mut partials = partials.lock().expect("no poisoned workers");
-                    for (c, partial) in local {
-                        partials[c] = Some(partial);
-                    }
                 });
             }
         });
 
-        let mut report = StreamingReport::empty(self.name.clone(), opts.raw_cap);
-        for partial in partials.into_inner().expect("workers joined") {
-            report.merge_partial(&partial.expect("every chunk filled"));
-        }
+        let Merge {
+            report,
+            next,
+            pending,
+            ..
+        } = merger.state.into_inner().expect("workers joined");
+        assert!(next == chunks && pending.is_empty(), "every chunk merged");
         let elapsed = started.elapsed().as_secs_f64();
         sink.progress(&ProgressUpdate {
             chunks_done: chunks,
@@ -513,42 +546,102 @@ impl Campaign {
     }
 }
 
-/// Runs one chunk through the batch driver and folds the outcomes. The
-/// unknown-protocol check mirrors [`Campaign::run`]: scenarios the
-/// driver does not support become `UnknownProtocol` errors in place, and
-/// only the supported remainder reaches [`BatchDriver::run_batch`].
-fn run_chunk(driver: &dyn BatchDriver, batch: &[Scenario], raw_cap: usize) -> StreamPartial {
-    let mut outcomes: Vec<Option<Result<ScenarioResult, ScenarioError>>> =
-        (0..batch.len()).map(|_| None).collect();
-    let supported: Vec<usize> = (0..batch.len())
-        .filter(|&i| driver.supports(&batch[i].protocol.name))
-        .collect();
-    for (i, slot) in outcomes.iter_mut().enumerate() {
-        if !supported.contains(&i) {
-            *slot = Some(Err(ScenarioError::UnknownProtocol(
-                batch[i].protocol.name.clone(),
-            )));
+/// The chunk-order merge the streaming workers share.
+struct Merger {
+    state: Mutex<Merge>,
+    merged: Condvar,
+    /// How many chunks a worker may run ahead of the oldest unmerged
+    /// one, which bounds the pending map.
+    lag: usize,
+}
+
+/// The report so far, the next chunk it expects, finished chunks that
+/// arrived ahead of it, and whether a worker has panicked.
+struct Merge {
+    report: StreamingReport,
+    next: usize,
+    pending: BTreeMap<usize, StreamPartial>,
+    failed: bool,
+}
+
+impl Merger {
+    fn lock(&self) -> MutexGuard<'_, Merge> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Waits until chunk `c` is within `lag` chunks of the merge and
+    /// returns an empty partial for it, or `None` once a worker has
+    /// panicked.
+    fn start(&self, c: usize) -> Option<StreamPartial> {
+        let mut m = self.lock();
+        while c >= m.next + self.lag && !m.failed {
+            m = self.merged.wait(m).unwrap_or_else(PoisonError::into_inner);
+        }
+        (!m.failed).then(|| m.report.partial())
+    }
+
+    /// Files chunk `c`'s partial and merges every chunk that is now next
+    /// in order.
+    fn finish(&self, c: usize, partial: StreamPartial) {
+        let mut guard = self.lock();
+        let m = &mut *guard;
+        if c != m.next {
+            m.pending.insert(c, partial);
+            return;
+        }
+        m.report.merge_partial(&partial);
+        m.next += 1;
+        while let Some(partial) = m.pending.remove(&m.next) {
+            m.report.merge_partial(&partial);
+            m.next += 1;
+        }
+        drop(guard);
+        self.merged.notify_all();
+    }
+}
+
+/// Stops the waiting workers if the worker holding it unwinds, so a
+/// panicking driver fails the run instead of stalling it.
+struct FailOnPanic<'a>(&'a Merger);
+
+impl Drop for FailOnPanic<'_> {
+    fn drop(&mut self) {
+        if thread::panicking() {
+            self.0.lock().failed = true;
+            self.0.merged.notify_all();
         }
     }
-    if supported.len() == batch.len() {
+}
+
+/// Runs one chunk through the batch driver and folds the outcomes into
+/// `partial`. The unknown-protocol check mirrors [`Campaign::run`]:
+/// scenarios the driver does not support become `UnknownProtocol`
+/// errors in place, and only the supported remainder reaches
+/// [`BatchDriver::run_batch`]. The common all-supported chunk goes to
+/// the driver as is.
+fn run_chunk(driver: &dyn BatchDriver, batch: &[Scenario], partial: &mut StreamPartial) {
+    let supported = |s: &Scenario| driver.supports(&s.protocol.name);
+    if batch.iter().all(supported) {
         let results = driver.run_batch(batch);
         assert_eq!(results.len(), batch.len(), "run_batch preserves arity");
-        for (slot, result) in outcomes.iter_mut().zip(results) {
-            *slot = Some(result);
+        for (scenario, outcome) in batch.iter().zip(&results) {
+            partial.absorb(scenario, outcome);
         }
-    } else if !supported.is_empty() {
-        let sub: Vec<Scenario> = supported.iter().map(|&i| batch[i].clone()).collect();
-        let results = driver.run_batch(&sub);
-        assert_eq!(results.len(), sub.len(), "run_batch preserves arity");
-        for (&i, result) in supported.iter().zip(results) {
-            outcomes[i] = Some(result);
-        }
+        return;
     }
-    let mut partial = StreamPartial::new(raw_cap);
-    for (scenario, outcome) in batch.iter().zip(outcomes) {
-        partial.absorb(scenario, &outcome.expect("every outcome filled"));
+    let sub: Vec<Scenario> = batch.iter().filter(|s| supported(s)).cloned().collect();
+    let mut results = driver.run_batch(&sub).into_iter();
+    assert_eq!(results.len(), sub.len(), "run_batch preserves arity");
+    for scenario in batch {
+        let outcome = if supported(scenario) {
+            results.next().expect("one result per supported scenario")
+        } else {
+            Err(ScenarioError::UnknownProtocol(
+                scenario.protocol.name.clone(),
+            ))
+        };
+        partial.absorb(scenario, &outcome);
     }
-    partial
 }
 
 /// A driver that executes a whole chunk of scenarios in one call — e.g.
@@ -703,7 +796,7 @@ impl StreamAggregate {
 const ERROR_SAMPLE_CAP: usize = 16;
 
 /// Per-chunk fold of outcomes; merged sequentially in chunk order.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct StreamPartial {
     executed: usize,
     succeeded: usize,
@@ -717,20 +810,6 @@ struct StreamPartial {
 }
 
 impl StreamPartial {
-    fn new(raw_cap: usize) -> Self {
-        StreamPartial {
-            executed: 0,
-            succeeded: 0,
-            failed: 0,
-            errors: 0,
-            goodput: StreamAggregate::new(raw_cap),
-            latency: StreamAggregate::new(raw_cap),
-            retransmits: StreamAggregate::new(raw_cap),
-            delivery: StreamAggregate::new(raw_cap),
-            error_sample: Vec::new(),
-        }
-    }
-
     /// Mirrors [`Summary::of`]: goodput/latency/retransmits cover
     /// successful runs only, delivery covers every executed run.
     fn absorb(&mut self, scenario: &Scenario, outcome: &Result<ScenarioResult, ScenarioError>) {
@@ -797,6 +876,26 @@ impl StreamingReport {
             latency: StreamAggregate::new(raw_cap),
             retransmits: StreamAggregate::new(raw_cap),
             delivery: StreamAggregate::new(raw_cap),
+            error_sample: Vec::new(),
+        }
+    }
+
+    /// An empty partial for the next chunk. Its reservoirs keep only as
+    /// many samples as this report can still take in: chunks merge in
+    /// order, so by the time this one merges the room can only have
+    /// shrunk, and the samples it keeps are exactly the leading ones the
+    /// merge would take.
+    fn partial(&self) -> StreamPartial {
+        let room = |agg: &StreamAggregate| StreamAggregate::new(agg.cap - agg.reservoir.len());
+        StreamPartial {
+            executed: 0,
+            succeeded: 0,
+            failed: 0,
+            errors: 0,
+            goodput: room(&self.goodput),
+            latency: room(&self.latency),
+            retransmits: room(&self.retransmits),
+            delivery: room(&self.delivery),
             error_sample: Vec::new(),
         }
     }
@@ -1119,6 +1218,62 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn streaming_merges_chunks_that_finish_out_of_order() {
+        // The first chunk is slow, so later chunks finish first, wait in
+        // the pending map (and workers that run too far ahead wait for
+        // the merge to catch up); the report must still fold in order.
+        struct SlowFirst;
+        impl BatchDriver for SlowFirst {
+            fn supports(&self, protocol: &str) -> bool {
+                Echo.supports(protocol)
+            }
+            fn run_batch(&self, batch: &[Scenario]) -> Vec<Result<ScenarioResult, ScenarioError>> {
+                if batch[0].name.ends_with("/clean/duplex/default/s0")
+                    && batch[0].labels.protocol == "p1"
+                {
+                    thread::sleep(std::time::Duration::from_millis(20));
+                }
+                SoloBatch(Echo).run_batch(batch)
+            }
+        }
+        let c = small_campaign();
+        let opts = StreamOptions {
+            chunk: 1,
+            raw_cap: 5,
+        };
+        let reference = c.run_streaming(&SoloBatch(Echo), 1, opts);
+        assert_eq!(reference, c.run_streaming(&SlowFirst, 4, opts));
+    }
+
+    #[test]
+    fn a_panicking_driver_fails_a_multi_threaded_stream_instead_of_stalling_it() {
+        // Workers that ran ahead wait for the merge; when the chunk they
+        // wait on panics they must give up, so the panic reaches the
+        // caller.
+        struct PanicFirst;
+        impl BatchDriver for PanicFirst {
+            fn supports(&self, protocol: &str) -> bool {
+                Echo.supports(protocol)
+            }
+            fn run_batch(&self, batch: &[Scenario]) -> Vec<Result<ScenarioResult, ScenarioError>> {
+                if batch[0].name == "t/p1/default/clean/duplex/default/s0" {
+                    thread::sleep(std::time::Duration::from_millis(20));
+                    panic!("driver failure");
+                }
+                SoloBatch(Echo).run_batch(batch)
+            }
+        }
+        let opts = StreamOptions {
+            chunk: 1,
+            ..StreamOptions::default()
+        };
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            small_campaign().run_streaming(&PanicFirst, 3, opts)
+        }));
+        assert!(run.is_err(), "the driver's panic propagates");
     }
 
     #[test]

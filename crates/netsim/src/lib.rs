@@ -57,7 +57,6 @@ pub mod scenario;
 pub mod sim;
 pub mod stats;
 pub mod topology;
-pub mod trace;
 mod wheel;
 
 pub use arena::{ArenaStats, PayloadArena, PayloadRef};
@@ -81,7 +80,6 @@ pub use scenario::{
 pub use sim::{Event, EventRef, LinkId, NodeId, SessionId, SimCore, Simulator, TimerToken};
 pub use stats::{Aggregate, LinkStats};
 pub use topology::Topology;
-pub use trace::{Trace, TraceEntry};
 
 /// Virtual time, in abstract ticks.
 pub type Tick = u64;

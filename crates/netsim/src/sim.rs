@@ -41,7 +41,6 @@ use crate::arena::{PayloadArena, PayloadRef};
 use crate::golden::{GoldenEvent, GoldenEventKind, Verdict};
 use crate::link::LinkConfig;
 use crate::stats::LinkStats;
-use crate::trace::{Trace, TraceEntry};
 use crate::wheel::TimerWheel;
 use crate::Tick;
 
@@ -184,6 +183,71 @@ struct Link {
     stats: LinkStats,
 }
 
+/// Struct-of-arrays session state. Session 0 always exists (seeded by
+/// the constructor), so a simulator that never calls
+/// [`Simulator::add_session`] behaves exactly as the single-session
+/// engine always did.
+///
+/// Pooled cores recycle the tables with the arena and the wheel: the
+/// outer vectors keep their capacity, and the emptied inner lists of
+/// `session_links` and `node_cancels` wait in the spare lists for the
+/// next owner's sessions and nodes.
+#[derive(Debug, Default)]
+struct Tables {
+    /// `rngs[s]`: session `s`'s impairment RNG stream.
+    rngs: Vec<ChaCha12Rng>,
+    /// `node_sessions[n]`: the owning session of node `n`.
+    node_sessions: Vec<SessionId>,
+    /// `session_links[s]`: session `s`'s connection table.
+    session_links: Vec<Vec<LinkId>>,
+    links: Vec<Link>,
+    /// Pending lazy timer cancellations, indexed by node so lookup cost
+    /// scales with one node's in-flight cancels (a handful) rather than
+    /// with every co-hosted session's — the difference between O(1) and
+    /// O(sessions) per timer pop in a multiplexed batch.
+    node_cancels: Vec<Vec<TimerToken>>,
+    spare_links: Vec<Vec<LinkId>>,
+    spare_cancels: Vec<Vec<TimerToken>>,
+}
+
+impl Tables {
+    /// Entries per table a recycled core keeps: two per session of the
+    /// default 512-session streaming chunk, with room to spare. Larger
+    /// tables shrink back, like the arena's slab.
+    const RETAIN: usize = 2048;
+
+    /// Opens the next session: its RNG stream and an empty link list.
+    fn open_session(&mut self, seed: u64) -> SessionId {
+        let id = SessionId(self.rngs.len());
+        self.rngs.push(ChaCha12Rng::seed_from_u64(seed));
+        let links = self.spare_links.pop().unwrap_or_default();
+        self.session_links.push(links);
+        id
+    }
+
+    /// Empties every table for the next owner. Costs O(this owner's
+    /// sessions and nodes), however large an earlier owner grew them.
+    fn reset(&mut self) {
+        fn park<T>(lists: &mut Vec<Vec<T>>, spares: &mut Vec<Vec<T>>) {
+            for mut list in lists.drain(..) {
+                if list.capacity() > 0 && spares.len() < Tables::RETAIN {
+                    list.clear();
+                    spares.push(list);
+                }
+            }
+            lists.shrink_to(Tables::RETAIN);
+        }
+        self.rngs.clear();
+        self.rngs.shrink_to(Self::RETAIN);
+        self.node_sessions.clear();
+        self.node_sessions.shrink_to(Self::RETAIN);
+        self.links.clear();
+        self.links.shrink_to(Self::RETAIN);
+        park(&mut self.session_links, &mut self.spare_links);
+        park(&mut self.node_cancels, &mut self.spare_cancels);
+    }
+}
+
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
 enum Pending {
     Frame {
@@ -248,11 +312,14 @@ impl Queue {
     }
 }
 
+/// What a pooled simulator takes from and returns to [`CORE_POOL`].
+type PooledCore = (PayloadArena, TimerWheel<Pending>, Tables);
+
 thread_local! {
-    /// Warm `(arena, wheel)` pairs recycled across pooled simulators on
-    /// this thread — how a campaign worker runs thousands of scenarios
-    /// without re-growing either structure. Capacities persist; all
-    /// contents are reset between owners.
+    /// Warm `(arena, wheel, tables)` cores recycled across pooled
+    /// simulators on this thread — how a campaign worker runs thousands
+    /// of scenarios without re-growing any of them. Capacities persist;
+    /// all contents are reset between owners.
     ///
     /// The pool is **shard-aware by construction**: checkout is a
     /// `pop` (exclusive ownership transfer), so any number of pooled
@@ -262,8 +329,7 @@ thread_local! {
     /// structures and never observe each other's state. There is a
     /// regression test for exactly this
     /// (`two_live_pooled_simulators_on_one_thread_stay_disjoint`).
-    static CORE_POOL: RefCell<Vec<(PayloadArena, TimerWheel<Pending>)>> =
-        const { RefCell::new(Vec::new()) };
+    static CORE_POOL: RefCell<Vec<PooledCore>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Warm cores retained **per thread**, however many simulators each
@@ -306,22 +372,7 @@ pub struct Simulator {
     queue: Queue,
     arena: PayloadArena,
     core: SimCore,
-    /// Struct-of-arrays session state: `rngs[s]` is session `s`'s
-    /// impairment RNG stream, `session_links[s]` its connection table,
-    /// `node_sessions[n]` the owning session of node `n`. Session 0
-    /// always exists (seeded by the constructor), so a simulator that
-    /// never calls [`Simulator::add_session`] behaves exactly as the
-    /// single-session engine always did.
-    rngs: Vec<ChaCha12Rng>,
-    node_sessions: Vec<SessionId>,
-    session_links: Vec<Vec<LinkId>>,
-    links: Vec<Link>,
-    trace: Trace,
-    /// Pending lazy timer cancellations, indexed by node so lookup cost
-    /// scales with one node's in-flight cancels (a handful) rather than
-    /// with every co-hosted session's — the difference between O(1) and
-    /// O(sessions) per timer pop in a multiplexed batch.
-    node_cancels: Vec<Vec<TimerToken>>,
+    tables: Tables,
     golden: Option<Box<GoldenLog>>,
     /// Flight recorder, boxed behind an `Option` like golden capture:
     /// the hot path pays one branch when no recorder is installed.
@@ -353,36 +404,33 @@ impl Simulator {
     }
 
     /// Creates a simulator on an explicit engine core. The pooled core
-    /// draws its arena and wheel from a thread-local recycling pool
-    /// (returned, reset, on drop); the legacy core allocates fresh so
-    /// baseline measurements stay honest.
+    /// draws its arena, wheel and session tables from a thread-local
+    /// recycling pool (returned, reset, on drop); the legacy core
+    /// allocates fresh so baseline measurements stay honest.
     pub fn with_core(seed: u64, core: SimCore) -> Self {
-        let (arena, queue) = match core {
+        let (arena, queue, mut tables) = match core {
             SimCore::Pooled => {
-                let (arena, wheel) = CORE_POOL
+                let (arena, wheel, tables) = CORE_POOL
                     .with(|pool| pool.borrow_mut().pop())
-                    .unwrap_or_else(|| (PayloadArena::new(), TimerWheel::new()));
-                (arena, Queue::Wheel(wheel))
+                    .unwrap_or_default();
+                (arena, Queue::Wheel(wheel), tables)
             }
             SimCore::Legacy => (
                 PayloadArena::new(),
                 // Pre-sized as the original engine was: window
                 // protocols keep dozens of frames and timers in flight.
                 Queue::Heap(BinaryHeap::with_capacity(256)),
+                Tables::default(),
             ),
         };
+        tables.open_session(seed);
         Simulator {
             time: 0,
             seq: 0,
             queue,
             arena,
             core,
-            rngs: vec![ChaCha12Rng::seed_from_u64(seed)],
-            node_sessions: Vec::new(),
-            session_links: vec![Vec::new()],
-            links: Vec::new(),
-            trace: Trace::new(),
-            node_cancels: Vec::new(),
+            tables,
             golden: None,
             flight: None,
             faulted: false,
@@ -488,10 +536,7 @@ impl Simulator {
     /// session's stream, so each session replays bit-identically to a
     /// standalone simulator seeded the same way.
     pub fn add_session(&mut self, seed: u64) -> SessionId {
-        let id = SessionId(self.rngs.len());
-        self.rngs.push(ChaCha12Rng::seed_from_u64(seed));
-        self.session_links.push(Vec::new());
-        id
+        self.tables.open_session(seed)
     }
 
     /// Session 0: the one the constructor seeds, which every
@@ -502,7 +547,7 @@ impl Simulator {
 
     /// Number of sessions (always ≥ 1).
     pub fn session_count(&self) -> usize {
-        self.rngs.len()
+        self.tables.rngs.len()
     }
 
     /// Adds a node owned by the default session and returns its id.
@@ -517,44 +562,44 @@ impl Simulator {
     /// Panics if `session` was not created by this simulator.
     pub fn add_node_for(&mut self, session: SessionId) -> NodeId {
         assert!(
-            session.0 < self.rngs.len(),
+            session.0 < self.tables.rngs.len(),
             "session {} does not exist ({} sessions)",
             session.0,
-            self.rngs.len()
+            self.tables.rngs.len()
         );
-        let id = NodeId(self.node_sessions.len());
-        self.node_sessions.push(session);
+        let id = NodeId(self.tables.node_sessions.len());
+        self.tables.node_sessions.push(session);
         id
     }
 
     /// Number of nodes created so far.
     pub fn node_count(&self) -> usize {
-        self.node_sessions.len()
+        self.tables.node_sessions.len()
     }
 
     /// The session a node belongs to.
     pub fn node_session(&self, node: NodeId) -> SessionId {
-        self.node_sessions[node.0]
+        self.tables.node_sessions[node.0]
     }
 
     /// The session a link belongs to (that of its endpoints).
     pub fn link_session(&self, link: LinkId) -> SessionId {
-        self.links[link.0].session
+        self.tables.links[link.0].session
     }
 
     /// The connection table of one session: its links, in creation
     /// order.
     pub fn session_links(&self, session: SessionId) -> &[LinkId] {
-        &self.session_links[session.0]
+        &self.tables.session_links[session.0]
     }
 
     /// Counters of one session's links folded into one [`LinkStats`] —
     /// what the multiplexed driver records per scenario.
     pub fn session_stats(&self, session: SessionId) -> LinkStats {
-        self.session_links[session.0]
+        self.tables.session_links[session.0]
             .iter()
             .fold(LinkStats::default(), |acc, l| {
-                acc.merge(self.links[l.0].stats)
+                acc.merge(self.tables.links[l.0].stats)
             })
     }
 
@@ -569,20 +614,20 @@ impl Simulator {
     /// configuration bugs, not runtime conditions.
     pub fn add_link(&mut self, from: NodeId, to: NodeId, config: LinkConfig) -> LinkId {
         assert!(config.is_valid(), "link probabilities must lie in [0, 1]");
-        let session = self.node_sessions[from.0];
+        let session = self.tables.node_sessions[from.0];
         assert_eq!(
-            session, self.node_sessions[to.0],
+            session, self.tables.node_sessions[to.0],
             "links cannot cross sessions"
         );
-        let id = LinkId(self.links.len());
-        self.links.push(Link {
+        let id = LinkId(self.tables.links.len());
+        self.tables.links.push(Link {
             from,
             to,
             session,
             config,
             stats: LinkStats::default(),
         });
-        self.session_links[session.0].push(id);
+        self.tables.session_links[session.0].push(id);
         id
     }
 
@@ -596,13 +641,13 @@ impl Simulator {
 
     /// Endpoints of a link as `(from, to)`.
     pub fn link_endpoints(&self, link: LinkId) -> (NodeId, NodeId) {
-        let l = &self.links[link.0];
+        let l = &self.tables.links[link.0];
         (l.from, l.to)
     }
 
     /// Per-link delivery statistics.
     pub fn link_stats(&self, link: LinkId) -> &LinkStats {
-        &self.links[link.0].stats
+        &self.tables.links[link.0].stats
     }
 
     /// Counters of every link folded into one [`LinkStats`] — what the
@@ -618,7 +663,8 @@ impl Simulator {
     /// assert_eq!(sim.total_stats().sent, 2);
     /// ```
     pub fn total_stats(&self) -> LinkStats {
-        self.links
+        self.tables
+            .links
             .iter()
             .fold(LinkStats::default(), |acc, l| acc.merge(l.stats))
     }
@@ -631,20 +677,7 @@ impl Simulator {
     /// Panics if `config` is invalid (see [`Simulator::add_link`]).
     pub fn reconfigure_link(&mut self, link: LinkId, config: LinkConfig) {
         assert!(config.is_valid(), "link probabilities must lie in [0, 1]");
-        self.links[link.0].config = config;
-    }
-
-    /// The event trace recorded so far.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Replaces the trace with an empty one retaining at most
-    /// `capacity` entries (call during setup; any already-recorded
-    /// history is discarded). See [`crate::trace`] for the ring
-    /// semantics.
-    pub fn set_trace_capacity(&mut self, capacity: usize) {
-        self.trace = Trace::with_capacity(capacity);
+        self.tables.links[link.0].config = config;
     }
 
     // ------------------------------------------------------------------
@@ -742,7 +775,7 @@ impl Simulator {
     /// Returns `true` if at least one copy was scheduled for delivery.
     pub fn send_ref(&mut self, link: LinkId, payload: PayloadRef) -> bool {
         let (loss, duplicate, corrupt, delay, jitter, to, session) = {
-            let l = &self.links[link.0];
+            let l = &self.tables.links[link.0];
             (
                 l.config.loss,
                 l.config.duplicate,
@@ -754,12 +787,7 @@ impl Simulator {
             )
         };
         let len = self.arena.get(&payload).len();
-        self.links[link.0].stats.sent += 1;
-        self.trace.record(TraceEntry::Sent {
-            at: self.time,
-            link,
-            bytes: len,
-        });
+        self.tables.links[link.0].stats.sent += 1;
         FRAMES_SENT.incr();
         FRAME_BYTES.observe(len as u64);
         self.flight_record(FlightKind::Send, link.index() as u64, len as u64);
@@ -768,12 +796,8 @@ impl Simulator {
             self.push_golden(GoldenEventKind::Sent, link, wire);
         }
 
-        if self.rngs[session.0].random_bool(loss) {
-            self.links[link.0].stats.lost += 1;
-            self.trace.record(TraceEntry::Lost {
-                at: self.time,
-                link,
-            });
+        if self.tables.rngs[session.0].random_bool(loss) {
+            self.tables.links[link.0].stats.lost += 1;
             FRAMES_DROPPED.incr();
             self.flight_record(FlightKind::Drop, link.index() as u64, 0);
             if self.golden.is_some() {
@@ -788,8 +812,8 @@ impl Simulator {
         // engine cloned here). The copy is scheduled first, exactly as
         // the original engine did, so RNG draw order and event seq
         // assignment — and therefore whole transcripts — are unchanged.
-        if self.rngs[session.0].random_bool(duplicate) {
-            self.links[link.0].stats.duplicated += 1;
+        if self.tables.rngs[session.0].random_bool(duplicate) {
+            self.tables.links[link.0].stats.duplicated += 1;
             let copy = self.arena.retain(&payload);
             self.schedule_delivery(link, to, corrupt, delay, jitter, copy);
         }
@@ -808,21 +832,17 @@ impl Simulator {
         jitter: Tick,
         frame: PayloadRef,
     ) {
-        let session = self.links[link.0].session;
+        let session = self.tables.links[link.0].session;
         let len = self.arena.get(&frame).len();
         let mut frame = frame;
-        if len > 0 && self.rngs[session.0].random_bool(corrupt) {
-            let byte = self.rngs[session.0].random_range(0..len);
-            let bit = self.rngs[session.0].random_range(0..8u8);
+        if len > 0 && self.tables.rngs[session.0].random_bool(corrupt) {
+            let byte = self.tables.rngs[session.0].random_range(0..len);
+            let bit = self.tables.rngs[session.0].random_range(0..8u8);
             // Copy-on-write: corrupting one duplicate must not touch
             // the other copy's bytes.
             frame = self.arena.make_unique(frame);
             self.arena.get_mut(&frame)[byte] ^= 1 << bit;
-            self.links[link.0].stats.corrupted += 1;
-            self.trace.record(TraceEntry::Corrupted {
-                at: self.time,
-                link,
-            });
+            self.tables.links[link.0].stats.corrupted += 1;
             FRAMES_CORRUPTED.incr();
             self.flight_record(FlightKind::Corrupt, link.index() as u64, 0);
             if self.golden.is_some() {
@@ -830,7 +850,7 @@ impl Simulator {
             }
         }
         let extra = if jitter > 0 {
-            self.rngs[session.0].random_range(0..=jitter)
+            self.tables.rngs[session.0].random_range(0..=jitter)
         } else {
             0
         };
@@ -873,12 +893,19 @@ impl Simulator {
     /// simulator co-hosts.
     pub fn cancel_timer(&mut self, node: NodeId, token: TimerToken) {
         let ix = node.index();
-        if self.node_cancels.len() <= ix {
-            self.node_cancels.resize_with(ix + 1, Vec::new);
+        let tables = &mut self.tables;
+        if tables.node_cancels.len() <= ix {
+            tables.node_cancels.resize_with(ix + 1, Vec::new);
         }
+        let list = &mut tables.node_cancels[ix];
+        if list.capacity() == 0 {
+            if let Some(spare) = tables.spare_cancels.pop() {
+                *list = spare;
+            }
+        }
+        list.push(token);
         TIMERS_CANCELLED.incr();
         self.flight_record(FlightKind::TimerCancel, ix as u64, token);
-        self.node_cancels[ix].push(token);
     }
 
     /// Removes one pending lazy cancellation for `(node, token)` and
@@ -890,7 +917,7 @@ impl Simulator {
     /// dropping the timer event) exactly restores the lazy-cancel
     /// semantics of [`Simulator::step_ref`].
     pub fn consume_cancellation(&mut self, node: NodeId, token: TimerToken) -> bool {
-        let Some(list) = self.node_cancels.get_mut(node.index()) else {
+        let Some(list) = self.tables.node_cancels.get_mut(node.index()) else {
             return false;
         };
         if let Some(idx) = list.iter().position(|&t| t == token) {
@@ -902,15 +929,10 @@ impl Simulator {
     }
 
     /// Shared delivery bookkeeping of [`Simulator::step_ref`] and
-    /// [`Simulator::drain_tick`]: counters, trace, golden capture.
-    fn note_frame_delivery(&mut self, at: Tick, link: LinkId, payload: &PayloadRef) {
+    /// [`Simulator::drain_tick`]: counters, telemetry, golden capture.
+    fn note_frame_delivery(&mut self, link: LinkId, payload: &PayloadRef) {
         let len = self.arena.get(payload).len();
-        self.links[link.0].stats.delivered += 1;
-        self.trace.record(TraceEntry::Delivered {
-            at,
-            link,
-            bytes: len,
-        });
+        self.tables.links[link.0].stats.delivered += 1;
         FRAMES_DELIVERED.incr();
         self.flight_record(FlightKind::Deliver, link.index() as u64, len as u64);
         if self.golden.is_some() {
@@ -925,11 +947,11 @@ impl Simulator {
     /// had already stopped earlier in the same tick (done, or past its
     /// deadline): a standalone run would never have popped them, so the
     /// retraction keeps per-session [`LinkStats`] identical to
-    /// standalone. The trace entry is not retracted — the trace is
-    /// observational and documents what the shared engine actually
-    /// popped.
+    /// standalone. The `sim.frames_delivered` counter and the flight
+    /// event are not retracted — telemetry is observational and
+    /// documents what the shared engine actually popped.
     pub fn skip_delivery(&mut self, link: LinkId) {
-        let stats = &mut self.links[link.0].stats;
+        let stats = &mut self.tables.links[link.0].stats;
         debug_assert!(stats.delivered > 0, "no delivery to retract");
         stats.delivered -= 1;
     }
@@ -1020,14 +1042,10 @@ impl Simulator {
     }
 
     /// Loss bookkeeping for a frame killed by a node crash — mirrors
-    /// the loss path of [`Simulator::send_ref`] (stats, trace, metrics,
+    /// the loss path of [`Simulator::send_ref`] (stats, metrics,
     /// flight, golden) and releases the payload.
     fn note_crash_drop(&mut self, link: LinkId, payload: PayloadRef) {
-        self.links[link.0].stats.lost += 1;
-        self.trace.record(TraceEntry::Lost {
-            at: self.time,
-            link,
-        });
+        self.tables.links[link.0].stats.lost += 1;
         FRAMES_DROPPED.incr();
         self.flight_record(FlightKind::Drop, link.index() as u64, 0);
         if self.golden.is_some() {
@@ -1059,7 +1077,7 @@ impl Simulator {
                         self.note_crash_drop(link, payload);
                         continue;
                     }
-                    self.note_frame_delivery(at, link, &payload);
+                    self.note_frame_delivery(link, &payload);
                     return Some(EventRef::Frame {
                         node: to,
                         link,
@@ -1118,7 +1136,7 @@ impl Simulator {
                         self.note_crash_drop(link, payload);
                         continue;
                     }
-                    self.note_frame_delivery(at, link, &payload);
+                    self.note_frame_delivery(link, &payload);
                     out.push(EventRef::Frame {
                         node: to,
                         link,
@@ -1205,18 +1223,19 @@ impl Drop for Simulator {
         if self.core != SimCore::Pooled {
             return;
         }
-        let arena = std::mem::take(&mut self.arena);
         let queue = std::mem::replace(&mut self.queue, Queue::Heap(BinaryHeap::new()));
-        let Queue::Wheel(wheel) = queue else {
+        let Queue::Wheel(mut wheel) = queue else {
             return;
         };
         CORE_POOL.with(|pool| {
             let mut pool = pool.borrow_mut();
             if pool.len() < CORE_POOL_CAP {
-                let (mut arena, mut wheel) = (arena, wheel);
+                let mut arena = std::mem::take(&mut self.arena);
+                let mut tables = std::mem::take(&mut self.tables);
                 arena.reset();
                 wheel.reset();
-                pool.push((arena, wheel));
+                tables.reset();
+                pool.push((arena, wheel, tables));
             }
         });
     }
@@ -1495,12 +1514,19 @@ mod tests {
         let a = sim.add_node();
         let b = sim.add_node();
         let ab = sim.add_link(a, b, LinkConfig::reliable(1));
+        // The frame event trace is the flight recorder; the link
+        // counters keep the totals.
+        sim.set_obs(ObsConfig::off().with_flight());
         sim.send(ab, vec![0; 16]);
         sim.step();
-        let kinds: Vec<_> = sim.trace().iter().collect();
-        assert_eq!(kinds.len(), 2);
-        assert!(matches!(kinds[0], TraceEntry::Sent { bytes: 16, .. }));
-        assert!(matches!(kinds[1], TraceEntry::Delivered { bytes: 16, .. }));
+        let rec = sim.take_flight().expect("recorder installed");
+        let events: Vec<_> = rec.events.iter().map(|e| (e.kind, e.detail)).collect();
+        assert_eq!(
+            events,
+            vec![(FlightKind::Send, 16), (FlightKind::Deliver, 16)]
+        );
+        let stats = sim.link_stats(ab);
+        assert_eq!((stats.sent, stats.delivered), (1, 1));
     }
 
     #[test]
@@ -1845,6 +1871,38 @@ mod tests {
         assert_eq!(payload, vec![2; 64]);
         assert!(s1.step().is_none());
         assert!(s2.step().is_none());
+    }
+
+    #[test]
+    fn recycled_session_tables_carry_no_state_between_owners() {
+        // A multi-session owner leaves links, nodes and pending lazy
+        // cancels behind; the next owner of the recycled core must see
+        // none of them.
+        {
+            let mut sim = Simulator::new(1);
+            for seed in 2..6 {
+                let s = sim.add_session(seed);
+                let (a, b) = (sim.add_node_for(s), sim.add_node_for(s));
+                sim.add_duplex(a, b, LinkConfig::reliable(1));
+            }
+            for n in 0..8 {
+                sim.cancel_timer(NodeId(n), 7);
+            }
+        }
+        let mut sim = Simulator::new(1);
+        assert_eq!((sim.session_count(), sim.node_count()), (1, 0));
+        assert!(sim.session_links(sim.default_session()).is_empty());
+        let a = sim.add_node();
+        let b = sim.add_node();
+        let ab = sim.add_link(a, b, LinkConfig::reliable(1));
+        assert_eq!(ab.index(), 0, "link ids restart from zero");
+        sim.set_timer(a, 3, 7);
+        assert_eq!(
+            sim.step(),
+            Some(Event::Timer { node: a, token: 7 }),
+            "no stale cancellation survives the recycle"
+        );
+        assert_eq!(sim.total_stats(), LinkStats::default());
     }
 
     #[test]

@@ -76,6 +76,7 @@ impl<E> Default for TimerWheel<E> {
 }
 
 impl<E> TimerWheel<E> {
+    #[cfg(test)]
     pub(crate) fn new() -> Self {
         TimerWheel::default()
     }

@@ -4,15 +4,20 @@
 //! perform **zero** heap allocations per frame. Demonstrated at the
 //! allocator shim level: a counting `#[global_allocator]` wraps the
 //! system allocator and the steady-state loop is required to leave the
-//! counter untouched.
+//! counter untouched. The same allocator tracks live heap bytes, which
+//! pins the streaming campaign's memory bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use netdsl_netsim::{EventRef, LinkConfig, SimCore, Simulator};
+use netdsl_netsim::scenario::{ProtocolSpec, Scenario, ScenarioDriver, ScenarioError};
+use netdsl_netsim::{
+    Campaign, EventRef, LinkConfig, LinkStats, ScenarioResult, SimCore, Simulator, SoloBatch,
+    StreamOptions, Sweep,
+};
 
-/// The allocation counter is process-global, so the two tests in this
+/// The allocation counter is process-global, so the tests in this
 /// binary must not run concurrently — the default parallel harness
 /// would let the owned-buffer test's allocations land inside the
 /// zero-allocation measurement window. Each test holds this lock for
@@ -20,29 +25,49 @@ use netdsl_netsim::{EventRef, LinkConfig, SimCore, Simulator};
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// System allocator wrapper that counts every allocation entry point
-/// (alloc, alloc_zeroed, realloc). Deallocations are not counted — the
-/// property under test is "no new memory", not "no frees".
+/// (alloc, alloc_zeroed, realloc) and tracks the bytes currently live
+/// plus their high-water mark. Deallocations are not counted — the
+/// zero-allocation property is "no new memory", not "no frees".
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static LIVE: AtomicU64 = AtomicU64::new(0);
+static PEAK: AtomicU64 = AtomicU64::new(0);
+
+fn grew(bytes: usize) {
+    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
+
+fn shrank(bytes: usize) {
+    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        grew(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCS.fetch_add(1, Ordering::Relaxed);
+        if new_size >= layout.size() {
+            grew(new_size - layout.size());
+        } else {
+            shrank(layout.size() - new_size);
+        }
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrank(layout.size());
         unsafe { System.dealloc(ptr, layout) }
     }
 }
@@ -52,6 +77,14 @@ static COUNTER: CountingAlloc = CountingAlloc;
 
 fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// The most heap `f` held live at once, above what was live before it.
+fn peak_live_bytes(f: impl FnOnce()) -> u64 {
+    let base = LIVE.load(Ordering::Relaxed);
+    PEAK.store(base, Ordering::Relaxed);
+    f();
+    PEAK.load(Ordering::Relaxed) - base
 }
 
 /// Pumps `frames` frames (with per-frame retransmission timers, like a
@@ -84,15 +117,12 @@ fn frame_hot_path_is_allocation_free_once_warm() {
         .lock()
         .expect("counter tests never panic while locked");
     let mut sim = Simulator::with_core(3, SimCore::Pooled);
-    // Small trace ring so it saturates during warm-up; after that,
-    // recording overwrites in place.
-    sim.set_trace_capacity(64);
     let a = sim.add_node();
     let b = sim.add_node();
     let ab = sim.add_link(a, b, LinkConfig::reliable(5));
 
-    // Warm-up: grows the arena slot, the wheel's touched slots, the
-    // trace ring and the scratch buffers to their steady-state sizes.
+    // Warm-up: grows the arena slot, the wheel's touched slots and the
+    // cancel list to their steady-state sizes.
     pump(&mut sim, ab, a, 200);
 
     let before = allocations();
@@ -120,7 +150,6 @@ fn frame_hot_path_stays_allocation_free_with_metrics_enabled() {
         .expect("counter tests never panic while locked");
     netdsl_obs::set_metrics_enabled(true);
     let mut sim = Simulator::with_core(3, SimCore::Pooled);
-    sim.set_trace_capacity(64);
     let a = sim.add_node();
     let b = sim.add_node();
     let ab = sim.add_link(a, b, LinkConfig::reliable(5));
@@ -150,7 +179,6 @@ fn legacy_core_allocates_per_frame_for_contrast() {
         .lock()
         .expect("counter tests never panic while locked");
     let mut sim = Simulator::with_core(3, SimCore::Legacy);
-    sim.set_trace_capacity(64);
     let a = sim.add_node();
     let b = sim.add_node();
     let ab = sim.add_link(a, b, LinkConfig::reliable(5));
@@ -166,5 +194,57 @@ fn legacy_core_allocates_per_frame_for_contrast() {
     assert!(
         allocations() - before >= 64,
         "owned-buffer path must allocate at least once per frame"
+    );
+}
+
+#[test]
+fn streaming_memory_stays_flat_as_the_chunk_count_grows() {
+    // Run::run_streaming promises O(threads x chunk + raw_cap) memory:
+    // ten times the chunks on one thread must not raise the live-heap
+    // high-water mark. (Keeping every chunk's partial until the end made
+    // it grow with the chunk count.)
+    let _serial = SERIAL
+        .lock()
+        .expect("counter tests never panic while locked");
+    struct Echo;
+    impl ScenarioDriver for Echo {
+        fn supports(&self, _protocol: &str) -> bool {
+            true
+        }
+        fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, ScenarioError> {
+            Ok(ScenarioResult {
+                success: true,
+                elapsed: scenario.seed % 1000,
+                messages_offered: 1,
+                messages_delivered: 1,
+                payload_bytes: 8,
+                frames_sent: 1,
+                retransmissions: 0,
+                link: LinkStats::default(),
+            })
+        }
+    }
+    let campaign = |chunks: u64| {
+        Campaign::new("memory", 1)
+            .protocols(Sweep::single("p", ProtocolSpec::new("p")))
+            .links(Sweep::single("l", LinkConfig::reliable(1)))
+            .seeds(Sweep::seeds(64 * chunks))
+    };
+    let opts = StreamOptions {
+        chunk: 64,
+        raw_cap: 256,
+    };
+    let (few, many) = (campaign(20), campaign(200));
+    let run = |c: &Campaign| {
+        let report = c.run_streaming(&SoloBatch(Echo), 1, opts);
+        assert_eq!(report.errors, 0);
+        assert_eq!(report.delivery.samples().len(), 256);
+    };
+    run(&few); // warm-up
+    let few_peak = peak_live_bytes(|| run(&few));
+    let many_peak = peak_live_bytes(|| run(&many));
+    assert!(
+        many_peak <= few_peak + few_peak / 4,
+        "10x the chunks raised peak live heap from {few_peak} to {many_peak} bytes"
     );
 }

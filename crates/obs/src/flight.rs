@@ -3,8 +3,9 @@
 //!
 //! A [`FlightRecorder`] answers "what was the engine doing just now"
 //! without unbounded memory: the ring is allocated once at install time
-//! and recording overwrites the oldest entry past capacity (counting
-//! what it evicted, mirroring the bounded frame [`Trace`]). Events are
+//! and recording overwrites the oldest entry past capacity, counting
+//! what it evicted. It is the simulator's only per-event trace: frame
+//! totals live in the link counters and the `sim.*` metrics. Events are
 //! [`Copy`] and carry no heap data — recording a [`FlightEvent`] is a
 //! couple of stores, so a recorder on the simulator hot path does not
 //! disturb the `alloc_zero` invariant; with no recorder installed the
@@ -14,8 +15,6 @@
 //! serializable dump (`netdsl-flight/1`) that `tools/obs_report`
 //! renders and the flight-parity suite replays against the golden
 //! corpus.
-//!
-//! [`Trace`]: https://docs.rs/netdsl-netsim
 
 use std::fmt;
 

@@ -184,40 +184,47 @@ impl ArqFrame {
     ///
     /// As for [`ArqFrame::decode`].
     pub fn decode_via(path: FramePath, frame: &[u8]) -> Result<ArqFrame, DslError> {
-        match path {
-            FramePath::Interpreted => {
-                let spec = arq_spec();
-                let checked = spec.decode(frame)?;
-                let seq = checked.uint("seq")? as u8;
-                match checked.uint("kind")? {
-                    KIND_DATA => Ok(ArqFrame::Data {
-                        seq,
-                        payload: checked.bytes("payload")?.to_vec(),
-                    }),
-                    KIND_ACK => Ok(ArqFrame::Ack { seq }),
-                    other => Err(DslError::Wire(netdsl_wire::WireError::InvalidValue {
-                        field: "kind",
-                        value: other,
-                    })),
-                }
-            }
-            FramePath::Compiled => {
-                let (kind, seq, payload) = crate::codec::compiled_decode(arq_codec(), frame)?;
+        ArqFrame::decode_with(path, frame, |decoded| {
+            decoded.map(|f| match f {
+                ArqRef::Data { seq, payload } => ArqFrame::Data {
+                    seq,
+                    payload: payload.to_vec(),
+                },
+                ArqRef::Ack { seq } => ArqFrame::Ack { seq },
+            })
+        })
+    }
+
+    /// Decodes like [`ArqFrame::decode_via`] but hands `f` the frame
+    /// with its payload still borrowed, so a receiver copies it only
+    /// when it keeps it.
+    pub(crate) fn decode_with<R>(
+        path: FramePath,
+        frame: &[u8],
+        f: impl FnOnce(Result<ArqRef<'_>, DslError>) -> R,
+    ) -> R {
+        crate::codec::decode_with(path, arq_spec, arq_codec, frame, |fields| {
+            f(fields.and_then(|(kind, seq, payload)| {
                 let seq = seq as u8;
                 match kind {
-                    KIND_DATA => Ok(ArqFrame::Data {
-                        seq,
-                        payload: payload.to_vec(),
-                    }),
-                    KIND_ACK => Ok(ArqFrame::Ack { seq }),
+                    KIND_DATA => Ok(ArqRef::Data { seq, payload }),
+                    KIND_ACK => Ok(ArqRef::Ack { seq }),
                     other => Err(DslError::Wire(netdsl_wire::WireError::InvalidValue {
                         field: "kind",
                         value: other,
                     })),
                 }
-            }
-        }
+            }))
+        })
     }
+}
+
+/// A validated [`ArqFrame`] whose payload is still borrowed from the
+/// decoder.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum ArqRef<'p> {
+    Data { seq: u8, payload: &'p [u8] },
+    Ack { seq: u8 },
 }
 
 /// Transmits an ARQ data frame, honouring the engine core (pooled:

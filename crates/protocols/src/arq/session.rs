@@ -15,7 +15,7 @@ use netdsl_obs::Counter;
 use crate::driver::{Endpoint, Io};
 
 use super::typestate::{new_sender, Finish, Ok_, Retry, Send, Sender, Timeout, ValidAck};
-use super::{send_ack, send_data, typestate, ArqFrame};
+use super::{send_ack, send_data, typestate, ArqFrame, ArqRef};
 
 /// ARQ-level metrics (`netdsl-obs`): inert until the registry is
 /// enabled, one sharded relaxed add each otherwise.
@@ -288,11 +288,12 @@ impl Endpoint for SwReceiver {
     fn start(&mut self, _io: &mut Io<'_>) {}
 
     fn on_frame(&mut self, frame: &[u8], io: &mut Io<'_>) {
-        match ArqFrame::decode_via(self.path, frame) {
-            Ok(ArqFrame::Data { seq, payload }) => {
+        ArqFrame::decode_with(self.path, frame, |decoded| match decoded {
+            Ok(ArqRef::Data { seq, payload }) => {
                 if seq == self.expected {
-                    // In-order: deliver exactly once, ack, advance.
-                    self.delivered.push(payload);
+                    // In-order: deliver exactly once (the only payload
+                    // copy a receiver makes), ack, advance.
+                    self.delivered.push(payload.to_vec());
                     send_ack(io, self.path, seq);
                     self.acks_sent += 1;
                     self.expected = self.expected.wrapping_add(1);
@@ -308,7 +309,7 @@ impl Endpoint for SwReceiver {
                     ARQ_FRAMES_REJECTED.incr();
                 }
             }
-            Ok(ArqFrame::Ack { .. }) => {
+            Ok(ArqRef::Ack { .. }) => {
                 self.rejected += 1; // acks don't belong at the receiver
                 ARQ_FRAMES_REJECTED.incr();
             }
@@ -320,7 +321,7 @@ impl Endpoint for SwReceiver {
                 ARQ_FRAMES_REJECTED.incr();
                 io.flight_event(FlightKind::CodecReject, frame.len() as u64);
             }
-        }
+        });
     }
 
     fn on_timer(&mut self, _token: TimerToken, _io: &mut Io<'_>) {}

@@ -5,23 +5,25 @@
 //! `netdsl-codec` into a [`SuiteCodec`] — the compiled program plus the
 //! pre-resolved field indices the endpoints read — and cached for the
 //! process. Endpoints select between the interpretive and compiled
-//! paths per scenario through
-//! [`FramePath`](netdsl_netsim::scenario::FramePath) (see
+//! paths per scenario through [`FramePath`] (see
 //! [`ProtocolSpec::with_frame_path`]); the two paths are behaviourally
 //! equivalent, which the tests here and the differential suite in
 //! `netdsl-codec` pin down.
 //!
 //! [`ProtocolSpec::with_frame_path`]: netdsl_netsim::scenario::ProtocolSpec::with_frame_path
 //!
-//! Decoding borrows a thread-local scratch [`FieldView`], so the
-//! compiled hot path performs no steady-state allocation beyond the
-//! payload copy into the frame enum.
+//! Decoding borrows a thread-local scratch [`FieldView`] and hands the
+//! payload to the endpoint as a slice of the frame, and encoding keeps
+//! its tables inline, so the compiled hot path performs no steady-state
+//! allocation: a receiver copies a payload only when it keeps it.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
 
 use netdsl_codec::{lower, CompiledCodec, FieldIx, FieldView};
-use netdsl_core::packet::PacketSpec;
+use netdsl_core::packet::{PacketSpec, PacketValue};
+use netdsl_core::DslError;
+use netdsl_netsim::scenario::FramePath;
 
 /// A compiled suite wire format: the program plus the field indices the
 /// endpoints touch (`kind`, `seq`, `payload`), resolved once.
@@ -79,7 +81,7 @@ thread_local! {
 
 /// Runs `f` with the thread's scratch [`FieldView`] (zero-allocation
 /// steady state for compiled decodes).
-pub(crate) fn with_scratch_view<R>(f: impl FnOnce(&mut FieldView) -> R) -> R {
+fn with_scratch_view<R>(f: impl FnOnce(&mut FieldView) -> R) -> R {
     SCRATCH.with(|view| f(&mut view.borrow_mut()))
 }
 
@@ -95,8 +97,7 @@ pub(crate) fn compiled_encode(suite: &SuiteCodec, kind: u64, seq: u64, payload: 
 
 /// Compiled encode of one suite frame into a caller-reused buffer
 /// (cleared first) — the body behind the pooled transmit path, where
-/// `out` is an arena buffer and the only remaining per-frame
-/// allocation is the codec's small indexed-values table.
+/// `out` is an arena buffer and a warm encode allocates nothing.
 pub(crate) fn compiled_encode_into(
     suite: &SuiteCodec,
     kind: u64,
@@ -115,27 +116,38 @@ pub(crate) fn compiled_encode_into(
         .expect("well-typed frame always encodes");
 }
 
-/// Compiled zero-copy decode of one suite frame, returning
-/// `(kind, seq, payload)` with the payload borrowed from `frame` — the
-/// shared body behind `ArqFrame::decode_via` and
-/// `WindowFrame::decode_via` (callers map the tuple onto their frame
-/// enum and copy the payload only for data frames).
-///
-/// # Errors
-///
-/// As for [`netdsl_codec::CompiledCodec::decode_into`].
-pub(crate) fn compiled_decode<'f>(
-    suite: &SuiteCodec,
-    frame: &'f [u8],
-) -> Result<(u64, u64, &'f [u8]), netdsl_core::DslError> {
-    with_scratch_view(|view| {
-        suite.codec().decode_into(frame, view)?;
-        Ok((
-            view.uint(suite.kind),
-            view.uint(suite.seq),
-            view.bytes(frame, suite.payload),
-        ))
-    })
+/// Decodes and validates one suite frame through `path` and hands `f`
+/// its `(kind, seq, payload)` — the shared body behind the `ArqFrame`
+/// and `WindowFrame` decoders. The payload is borrowed: from `frame` on
+/// the compiled path (zero-copy, through the scratch view), from the
+/// walker's decoded value on the interpreted one.
+pub(crate) fn decode_with<R>(
+    path: FramePath,
+    spec: fn() -> PacketSpec,
+    suite: fn() -> &'static SuiteCodec,
+    frame: &[u8],
+    f: impl FnOnce(Result<(u64, u64, &[u8]), DslError>) -> R,
+) -> R {
+    fn walked(v: &PacketValue) -> Result<(u64, u64, &[u8]), DslError> {
+        Ok((v.uint("kind")?, v.uint("seq")?, v.bytes("payload")?))
+    }
+    match path {
+        FramePath::Interpreted => match spec().decode(frame) {
+            Ok(checked) => f(walked(&checked)),
+            Err(e) => f(Err(e)),
+        },
+        FramePath::Compiled => {
+            let suite = suite();
+            f(with_scratch_view(|view| {
+                suite.codec().decode_into(frame, view)?;
+                Ok((
+                    view.uint(suite.kind),
+                    view.uint(suite.seq),
+                    view.bytes(frame, suite.payload),
+                ))
+            }))
+        }
+    }
 }
 
 #[cfg(test)]

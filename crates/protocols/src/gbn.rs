@@ -18,7 +18,7 @@ use netdsl_netsim::scenario::FramePath;
 use netdsl_netsim::{LinkConfig, RetransmitPolicy, Tick, TimerToken};
 
 use crate::driver::{Duplex, Endpoint, Io};
-use crate::window::{send_ack, send_data, WindowFrame, WindowOutcome, WindowStats};
+use crate::window::{send_ack, send_data, WindowFrame, WindowOutcome, WindowRef, WindowStats};
 
 /// Go-Back-N sending endpoint.
 #[derive(Debug)]
@@ -253,21 +253,23 @@ impl Endpoint for GbnReceiver {
     fn start(&mut self, _io: &mut Io<'_>) {}
 
     fn on_frame(&mut self, frame: &[u8], io: &mut Io<'_>) {
-        let Ok(WindowFrame::Data { seq, payload }) = WindowFrame::decode_via(self.path, frame)
-        else {
-            return; // corrupt frames never reach protocol logic
-        };
-        if seq == self.expected {
-            self.delivered.push(payload);
-            self.expected += 1;
-            send_ack(io, self.path, seq);
-        } else {
-            self.out_of_order += 1;
-            // Re-ack the last in-order packet so the sender advances.
-            if self.expected > 0 {
-                send_ack(io, self.path, self.expected - 1);
+        WindowFrame::decode_with(self.path, frame, |decoded| {
+            let Ok(WindowRef::Data { seq, payload }) = decoded else {
+                return; // corrupt frames never reach protocol logic
+            };
+            if seq == self.expected {
+                self.delivered.push(payload.to_vec());
+                self.expected += 1;
+                send_ack(io, self.path, seq);
+            } else {
+                // Dropped without copying its payload.
+                self.out_of_order += 1;
+                // Re-ack the last in-order packet so the sender advances.
+                if self.expected > 0 {
+                    send_ack(io, self.path, self.expected - 1);
+                }
             }
-        }
+        });
     }
 
     fn on_timer(&mut self, _token: TimerToken, _io: &mut Io<'_>) {}

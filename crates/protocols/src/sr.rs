@@ -6,6 +6,7 @@
 //! the contiguous prefix — exactly-once, in-order delivery to the
 //! application is preserved (property-tested in `tests/`).
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use netdsl_adapt::PolicyRto;
@@ -13,7 +14,7 @@ use netdsl_netsim::scenario::FramePath;
 use netdsl_netsim::{LinkConfig, RetransmitPolicy, Tick, TimerToken};
 
 use crate::driver::{Duplex, Endpoint, Io};
-use crate::window::{send_ack, send_data, WindowFrame, WindowOutcome, WindowStats};
+use crate::window::{send_ack, send_data, WindowFrame, WindowOutcome, WindowRef, WindowStats};
 
 /// Selective Repeat sending endpoint.
 #[derive(Debug)]
@@ -234,26 +235,41 @@ impl Endpoint for SrReceiver {
     fn start(&mut self, _io: &mut Io<'_>) {}
 
     fn on_frame(&mut self, frame: &[u8], io: &mut Io<'_>) {
-        let Ok(WindowFrame::Data { seq, payload }) = WindowFrame::decode_via(self.path, frame)
-        else {
-            return;
-        };
-        if seq >= self.expected && seq < self.expected + self.window {
-            if seq != self.expected && !self.buffer.contains_key(&seq) {
-                self.buffered_count += 1;
+        WindowFrame::decode_with(self.path, frame, |decoded| {
+            let Ok(WindowRef::Data { seq, payload }) = decoded else {
+                return;
+            };
+            if seq >= self.expected && seq < self.expected + self.window {
+                if seq == self.expected {
+                    // Deliver it, then the contiguous prefix it unblocked.
+                    self.delivered.push(payload.to_vec());
+                    self.expected += 1;
+                    while let Some(p) = self.buffer.remove(&self.expected) {
+                        self.delivered.push(p);
+                        self.expected += 1;
+                    }
+                } else {
+                    match self.buffer.entry(seq) {
+                        Entry::Vacant(slot) => {
+                            self.buffered_count += 1;
+                            slot.insert(payload.to_vec());
+                        }
+                        // A duplicate refreshes the buffered copy in place.
+                        Entry::Occupied(mut slot) => {
+                            let kept = slot.get_mut();
+                            kept.clear();
+                            kept.extend_from_slice(payload);
+                        }
+                    }
+                }
+                send_ack(io, self.path, seq);
+            } else if seq < self.expected {
+                // Already delivered: the ack must have been lost; re-ack
+                // (no payload copy).
+                send_ack(io, self.path, seq);
             }
-            self.buffer.insert(seq, payload);
-            send_ack(io, self.path, seq);
-            // Deliver the contiguous prefix.
-            while let Some(p) = self.buffer.remove(&self.expected) {
-                self.delivered.push(p);
-                self.expected += 1;
-            }
-        } else if seq < self.expected {
-            // Already delivered: the ack must have been lost; re-ack.
-            send_ack(io, self.path, seq);
-        }
-        // Beyond the window: drop silently (sender cannot legally be there).
+            // Beyond the window: drop silently (sender cannot legally be there).
+        });
     }
 
     fn on_timer(&mut self, _token: TimerToken, _io: &mut Io<'_>) {}

@@ -154,40 +154,47 @@ impl WindowFrame {
     ///
     /// As for [`WindowFrame::decode`].
     pub fn decode_via(path: FramePath, frame: &[u8]) -> Result<WindowFrame, DslError> {
-        match path {
-            FramePath::Interpreted => {
-                let spec = window_spec();
-                let checked = spec.decode(frame)?;
-                let seq = checked.uint("seq")? as u32;
-                match checked.uint("kind")? {
-                    KIND_DATA => Ok(WindowFrame::Data {
-                        seq,
-                        payload: checked.bytes("payload")?.to_vec(),
-                    }),
-                    KIND_ACK => Ok(WindowFrame::Ack { seq }),
-                    other => Err(DslError::Wire(netdsl_wire::WireError::InvalidValue {
-                        field: "kind",
-                        value: other,
-                    })),
-                }
-            }
-            FramePath::Compiled => {
-                let (kind, seq, payload) = crate::codec::compiled_decode(window_codec(), frame)?;
+        WindowFrame::decode_with(path, frame, |decoded| {
+            decoded.map(|f| match f {
+                WindowRef::Data { seq, payload } => WindowFrame::Data {
+                    seq,
+                    payload: payload.to_vec(),
+                },
+                WindowRef::Ack { seq } => WindowFrame::Ack { seq },
+            })
+        })
+    }
+
+    /// Decodes like [`WindowFrame::decode_via`] but hands `f` the frame
+    /// with its payload still borrowed, so a receiver copies it only
+    /// when it delivers or buffers it.
+    pub(crate) fn decode_with<R>(
+        path: FramePath,
+        frame: &[u8],
+        f: impl FnOnce(Result<WindowRef<'_>, DslError>) -> R,
+    ) -> R {
+        crate::codec::decode_with(path, window_spec, window_codec, frame, |fields| {
+            f(fields.and_then(|(kind, seq, payload)| {
                 let seq = seq as u32;
                 match kind {
-                    KIND_DATA => Ok(WindowFrame::Data {
-                        seq,
-                        payload: payload.to_vec(),
-                    }),
-                    KIND_ACK => Ok(WindowFrame::Ack { seq }),
+                    KIND_DATA => Ok(WindowRef::Data { seq, payload }),
+                    KIND_ACK => Ok(WindowRef::Ack { seq }),
                     other => Err(DslError::Wire(netdsl_wire::WireError::InvalidValue {
                         field: "kind",
                         value: other,
                     })),
                 }
-            }
-        }
+            }))
+        })
     }
+}
+
+/// A validated [`WindowFrame`] whose payload is still borrowed from the
+/// decoder.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum WindowRef<'p> {
+    Data { seq: u32, payload: &'p [u8] },
+    Ack { seq: u32 },
 }
 
 /// Transmits a data frame for `payload`, honouring the engine core:
