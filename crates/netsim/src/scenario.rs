@@ -715,9 +715,9 @@ pub struct PlannedFault {
 /// The fully-expanded, time-sorted fault schedule of one scenario.
 ///
 /// Compound kinds (flaps, bursts) are unrolled into primitive
-/// [`FaultAction`]s here — **once**, from scenario data alone — so the
-/// standalone pump, the stepped session pump and the multiplexed batch
-/// pump all iterate the identical action sequence. Expansion is a pure
+/// [`FaultAction`]s here — **once**, from scenario data alone — so
+/// solo, multiplexed and recorded runs all iterate the identical action
+/// sequence. Expansion is a pure
 /// function of the scenario (restores revert to `scenario.link`), and
 /// the sort is stable: actions at the same tick apply in scenario
 /// declaration order.
@@ -875,8 +875,7 @@ impl FaultWorld {
 }
 
 /// Applies one primitive fault to the simulator — the **single**
-/// application path shared by the standalone pump, the stepped session
-/// pump and the multiplexed batch pump, which is what pins solo ≡
+/// application path of every driver, which is what pins solo ≡
 /// multiplexed fault behaviour. Emits a `fault.injected` count and a
 /// [`FlightKind::Fault`](netdsl_obs::FlightKind) event per simulator
 /// mutation.
@@ -1054,7 +1053,9 @@ impl Scenario {
 pub struct ScenarioResult {
     /// Did the whole workload complete correctly?
     pub success: bool,
-    /// Virtual time consumed.
+    /// Virtual time consumed. The suite drivers report the tick of the
+    /// session's last dispatched event (0 if none), never that of a
+    /// cancelled timer the simulator skipped after it.
     pub elapsed: Tick,
     /// Messages offered by the traffic pattern.
     pub messages_offered: u64,

@@ -56,9 +56,6 @@ pub enum FlightKind {
     Retransmit,
     /// A received frame failed codec validation (`subject` = node).
     CodecReject,
-    /// One tick's batch of due events was drained in the multiplexed
-    /// pump (`subject` = frames, `detail` = timers in the batch).
-    DrainBatch,
     /// A scheduled fault was applied to the world (`subject` = node or
     /// link index, `detail` = fault-action discriminant: 1 link
     /// reconfiguration, 2 crash, 3 restart, 4 clock skew).
@@ -79,13 +76,12 @@ impl FlightKind {
             FlightKind::ArqTimeout => "arq_timeout",
             FlightKind::Retransmit => "retransmit",
             FlightKind::CodecReject => "codec_reject",
-            FlightKind::DrainBatch => "drain_batch",
             FlightKind::Fault => "fault",
         }
     }
 
     /// Every kind, in serialization order (for report tables).
-    pub const ALL: [FlightKind; 12] = [
+    pub const ALL: [FlightKind; 11] = [
         FlightKind::Send,
         FlightKind::Deliver,
         FlightKind::Drop,
@@ -96,7 +92,6 @@ impl FlightKind {
         FlightKind::ArqTimeout,
         FlightKind::Retransmit,
         FlightKind::CodecReject,
-        FlightKind::DrainBatch,
         FlightKind::Fault,
     ];
 
@@ -120,7 +115,7 @@ pub struct FlightEvent {
     pub at: u64,
     /// What happened.
     pub kind: FlightKind,
-    /// Kind-specific: the link, node, or batch frame count involved.
+    /// Kind-specific: the link or node involved.
     pub subject: u64,
     /// Kind-specific: payload bytes, timer token, or counts.
     pub detail: u64,
@@ -410,6 +405,6 @@ mod tests {
         assert_eq!(counts.len(), FlightKind::ALL.len());
         assert!(counts.contains(&(FlightKind::Send, 2)));
         assert!(counts.contains(&(FlightKind::CodecReject, 1)));
-        assert!(counts.contains(&(FlightKind::DrainBatch, 0)));
+        assert!(counts.contains(&(FlightKind::Fault, 0)));
     }
 }

@@ -2,12 +2,19 @@
 //!
 //! An [`Endpoint`] is a mailbox-style protocol participant: it reacts to
 //! delivered frames and timer expiries through an [`Io`] handle that lets
-//! it transmit, arm timers and read the virtual clock. [`Duplex`] wires
-//! two endpoints across a configurable duplex link and pumps the
-//! simulation — the standard harness for every pairwise protocol in this
-//! crate.
+//! it transmit, arm timers and read the virtual clock. Two endpoints
+//! joined by a duplex link form a session ([`SessionEndpoints`]), and
+//! every session in this crate runs through **one** event loop, the
+//! crate-private pump: [`Duplex`] (one session of any two endpoints),
+//! the suite's solo driver and golden recorder, and the multiplexed
+//! batch driver all call it. A solo run is a batch of one session.
 
-use netdsl_netsim::{EventRef, LinkConfig, LinkId, NodeId, SimCore, Simulator, Tick, TimerToken};
+use netdsl_netsim::scenario::{
+    apply_fault, FaultNode, FaultPlan, FaultWorld, PlannedFault, Scenario,
+};
+use netdsl_netsim::{
+    EventRef, LinkConfig, LinkId, NodeId, SessionId, SimCore, Simulator, Tick, TimerToken, Verdict,
+};
 
 /// I/O capabilities handed to an endpoint during a callback.
 #[derive(Debug)]
@@ -19,8 +26,7 @@ pub struct Io<'a> {
 
 impl<'a> Io<'a> {
     /// Builds the handle for one endpoint callback. Crate-internal: the
-    /// pump loops ([`Duplex`], [`crate::multiplex`]) wrap every dispatch
-    /// in one of these.
+    /// pump wraps every dispatch in one of these.
     pub(crate) fn new(sim: &'a mut Simulator, node: NodeId, out_link: LinkId) -> Io<'a> {
         Io {
             sim,
@@ -67,12 +73,12 @@ impl Io<'_> {
     }
 
     /// Attaches a validation verdict and endpoint state digest to the
-    /// frame currently being dispatched (a no-op unless the simulator
-    /// has golden-trace capture on — see
+    /// frame currently being dispatched. `annotation` runs only while
+    /// the simulator has golden-trace capture on (see
     /// [`Simulator::record_golden`](netdsl_netsim::Simulator::record_golden)
-    /// and [`crate::golden`]).
-    pub fn annotate_golden(&mut self, verdict: netdsl_netsim::Verdict, digest: u64) {
-        self.sim.annotate_delivery(verdict, digest);
+    /// and [`crate::golden`]), so the call costs one branch otherwise.
+    pub fn annotate_golden(&mut self, annotation: impl FnOnce() -> (Verdict, u64)) {
+        self.sim.annotate_delivery(annotation);
     }
 
     /// Records a protocol-level flight event (ARQ timeout, retransmit,
@@ -111,16 +117,306 @@ pub trait Endpoint {
     fn reset(&mut self) {}
 }
 
-/// Two endpoints joined by a duplex link, plus the pump loop.
+/// One session's pair of endpoints, as the pump dispatches to them —
+/// object-safe, so a batch can mix protocols. `a` is the sender side
+/// (transmits on the session's A→B link), `b` the receiver side.
+pub trait SessionEndpoints {
+    /// Kicks off the A endpoint (called once, before any event).
+    fn start_a(&mut self, io: &mut Io<'_>);
+    /// Kicks off the B endpoint.
+    fn start_b(&mut self, io: &mut Io<'_>);
+    /// A frame arrived at the A endpoint.
+    fn frame_a(&mut self, frame: &[u8], io: &mut Io<'_>);
+    /// A frame arrived at the B endpoint.
+    fn frame_b(&mut self, frame: &[u8], io: &mut Io<'_>);
+    /// A timer fired on the A endpoint's node.
+    fn timer_a(&mut self, token: TimerToken, io: &mut Io<'_>);
+    /// A timer fired on the B endpoint's node.
+    fn timer_b(&mut self, token: TimerToken, io: &mut Io<'_>);
+    /// Total state loss on the A endpoint (a crash-restart fault). The
+    /// pump calls `start_a` again afterwards.
+    fn reset_a(&mut self);
+    /// Total state loss on the B endpoint.
+    fn reset_b(&mut self);
+    /// `true` once both endpoints need no more events.
+    fn done(&self) -> bool;
+}
+
+/// Any two endpoints, dispatched as they are (what [`Duplex`] runs).
+impl<A: Endpoint, B: Endpoint> SessionEndpoints for (A, B) {
+    fn start_a(&mut self, io: &mut Io<'_>) {
+        self.0.start(io);
+    }
+    fn start_b(&mut self, io: &mut Io<'_>) {
+        self.1.start(io);
+    }
+    fn frame_a(&mut self, frame: &[u8], io: &mut Io<'_>) {
+        self.0.on_frame(frame, io);
+    }
+    fn frame_b(&mut self, frame: &[u8], io: &mut Io<'_>) {
+        self.1.on_frame(frame, io);
+    }
+    fn timer_a(&mut self, token: TimerToken, io: &mut Io<'_>) {
+        self.0.on_timer(token, io);
+    }
+    fn timer_b(&mut self, token: TimerToken, io: &mut Io<'_>) {
+        self.1.on_timer(token, io);
+    }
+    fn reset_a(&mut self) {
+        self.0.reset();
+    }
+    fn reset_b(&mut self) {
+        self.1.reset();
+    }
+    fn done(&self) -> bool {
+        self.0.done() && self.1.done()
+    }
+}
+
+/// A boxed session (the batch's type-erased slots) dispatches through
+/// its box.
+impl<S: SessionEndpoints + ?Sized> SessionEndpoints for Box<S> {
+    fn start_a(&mut self, io: &mut Io<'_>) {
+        (**self).start_a(io);
+    }
+    fn start_b(&mut self, io: &mut Io<'_>) {
+        (**self).start_b(io);
+    }
+    fn frame_a(&mut self, frame: &[u8], io: &mut Io<'_>) {
+        (**self).frame_a(frame, io);
+    }
+    fn frame_b(&mut self, frame: &[u8], io: &mut Io<'_>) {
+        (**self).frame_b(frame, io);
+    }
+    fn timer_a(&mut self, token: TimerToken, io: &mut Io<'_>) {
+        (**self).timer_a(token, io);
+    }
+    fn timer_b(&mut self, token: TimerToken, io: &mut Io<'_>) {
+        (**self).timer_b(token, io);
+    }
+    fn reset_a(&mut self) {
+        (**self).reset_a();
+    }
+    fn reset_b(&mut self) {
+        (**self).reset_b();
+    }
+    fn done(&self) -> bool {
+        (**self).done()
+    }
+}
+
+/// One session inside the pump: its endpoints, where they sit in the
+/// simulator, its deadline and fault schedule, and its clock.
+#[derive(Debug)]
+pub(crate) struct Slot<S> {
+    pub(crate) ends: S,
+    pub(crate) world: FaultWorld,
+    deadline: Tick,
+    /// The expanded primitive fault schedule, sorted and cut to
+    /// `at < deadline` (a later fault could only land after the
+    /// session's closing event).
+    faults: Vec<PlannedFault>,
+    next_fault: usize,
+    /// The tick of the session's last dispatched event: its `elapsed`.
+    /// Cancelled timers and dead events the simulator skips are not
+    /// events of the session and never move it.
+    pub(crate) now: Tick,
+    open: bool,
+}
+
+impl<S: SessionEndpoints> Slot<S> {
+    /// Wires `ends` into `sim` as `session`'s two new nodes joined by a
+    /// duplex `link`, with no deadline and no faults.
+    pub(crate) fn wire(sim: &mut Simulator, session: SessionId, link: LinkConfig, ends: S) -> Self {
+        let node_a = sim.add_node_for(session);
+        let node_b = sim.add_node_for(session);
+        let (link_ab, link_ba) = sim.add_duplex(node_a, node_b, link);
+        Slot {
+            ends,
+            world: FaultWorld {
+                node_a,
+                node_b,
+                link_ab,
+                link_ba,
+            },
+            deadline: Tick::MAX,
+            faults: Vec::new(),
+            next_fault: 0,
+            now: 0,
+            open: false,
+        }
+    }
+
+    /// Takes `scenario`'s deadline and expanded fault plan.
+    pub(crate) fn schedule(mut self, scenario: &Scenario) -> Self {
+        let deadline = scenario.deadline;
+        self.deadline = deadline;
+        self.faults = FaultPlan::from_scenario(scenario).actions;
+        self.faults.retain(|f| f.at < deadline);
+        self
+    }
+
+    /// The world `scenario` runs in alone: a simulator on its seed,
+    /// engine core and observability request, with the scenario's one
+    /// session wired in and scheduled.
+    pub(crate) fn alone(scenario: &Scenario, ends: S) -> (Simulator, Self) {
+        let mut sim = Simulator::with_core(scenario.seed, scenario.protocol.sim_core);
+        sim.set_obs(scenario.protocol.obs);
+        let session = sim.default_session();
+        let slot = Slot::wire(&mut sim, session, scenario.link.clone(), ends).schedule(scenario);
+        (sim, slot)
+    }
+
+    /// Starts both endpoints, A first, before any event is popped.
+    pub(crate) fn start(&mut self, sim: &mut Simulator) {
+        let w = self.world;
+        self.ends.start_a(&mut Io::new(sim, w.node_a, w.link_ab));
+        self.ends.start_b(&mut Io::new(sim, w.node_b, w.link_ba));
+    }
+
+    /// The N = 1 entry: pumps this session alone until it closes and
+    /// returns its clock. No result table, no node map: the pump runs
+    /// over this one slot.
+    pub(crate) fn pump_alone(&mut self, sim: &mut Simulator) -> Tick {
+        pump(sim, std::slice::from_mut(self), |_, _, _| {});
+        self.now
+    }
+
+    /// Whether the session still takes events: some endpoint is not
+    /// done, and its last event did not pass the deadline.
+    fn live(&self) -> bool {
+        !self.ends.done() && self.now <= self.deadline
+    }
+
+    /// Bookkeeping after each dispatched event: the session clock moves
+    /// to the event's tick; every fault strictly before that tick lands
+    /// (the one-event overshoot of `docs/FAULTS.md`: a fault applies
+    /// after the first event past it), a restart resetting and
+    /// re-starting its endpoint; and the session closes once both
+    /// endpoints are done or the event passed the deadline.
+    fn settle(&mut self, sim: &mut Simulator) {
+        self.now = sim.now();
+        while let Some(fault) = self.faults.get(self.next_fault) {
+            if fault.at >= self.now {
+                break;
+            }
+            self.next_fault += 1;
+            let w = self.world;
+            match apply_fault(sim, &w, fault) {
+                Some(FaultNode::A) => {
+                    self.ends.reset_a();
+                    self.ends.start_a(&mut Io::new(sim, w.node_a, w.link_ab));
+                }
+                Some(FaultNode::B) => {
+                    self.ends.reset_b();
+                    self.ends.start_b(&mut Io::new(sim, w.node_b, w.link_ba));
+                }
+                None => {}
+            }
+        }
+        self.open = self.live();
+    }
+}
+
+/// The one event loop. Pops one event at a time with
+/// [`Simulator::step_ref`] and dispatches it to the session owning its
+/// node — slot `k` owns nodes `2k` and `2k + 1`, as every caller wires
+/// them — then settles that session. `close` runs once per slot, at
+/// the moment the session closes (at entry for one that is already
+/// done), with the simulator as it stands then: that is when drivers
+/// fold the session's result. Events popped for a closed session while
+/// its neighbours keep running are dropped and cannot touch it.
+/// Returns once every session has closed; any still open when the
+/// queue drains close then.
+pub(crate) fn pump<S: SessionEndpoints>(
+    sim: &mut Simulator,
+    slots: &mut [Slot<S>],
+    mut close: impl FnMut(&Simulator, usize, &Slot<S>),
+) {
+    // A legacy-core run is a measurement baseline: it reconstructs the
+    // whole pre-simcore hot path, including the byte-at-a-time checksum
+    // engine and the per-frame buffer free. Checksum values are
+    // identical either way, so results never depend on the mode.
+    let legacy = sim.core() == SimCore::Legacy;
+    let restore_fast_path = legacy && !netdsl_wire::checksum::set_reference_mode(true);
+    let mut open = 0;
+    for (k, slot) in slots.iter_mut().enumerate() {
+        slot.open = slot.live();
+        if slot.open {
+            open += 1;
+        } else {
+            close(sim, k, slot);
+        }
+    }
+    while open > 0 {
+        let Some(event) = sim.step_ref() else {
+            break;
+        };
+        let (EventRef::Frame { node, .. } | EventRef::Timer { node, .. }) = event;
+        let k = node.index() / 2;
+        let slot = &mut slots[k];
+        let w = slot.world;
+        debug_assert!(
+            node == w.node_a || node == w.node_b,
+            "node {node:?} outside slot {k}"
+        );
+        match event {
+            EventRef::Frame { payload, .. } => {
+                if !slot.open {
+                    sim.release_payload(payload);
+                    continue;
+                }
+                // The payload buffer is detached from the arena (a move,
+                // not a copy), handed over by reference and recycled
+                // afterwards: no allocation in steady state.
+                let frame = sim.detach_payload(payload);
+                if node == w.node_a {
+                    slot.ends
+                        .frame_a(&frame, &mut Io::new(sim, w.node_a, w.link_ab));
+                } else {
+                    slot.ends
+                        .frame_b(&frame, &mut Io::new(sim, w.node_b, w.link_ba));
+                }
+                if !legacy {
+                    sim.recycle_payload(frame);
+                }
+            }
+            EventRef::Timer { token, .. } => {
+                if !slot.open {
+                    continue;
+                }
+                if node == w.node_a {
+                    slot.ends
+                        .timer_a(token, &mut Io::new(sim, w.node_a, w.link_ab));
+                } else {
+                    slot.ends
+                        .timer_b(token, &mut Io::new(sim, w.node_b, w.link_ba));
+                }
+            }
+        }
+        slot.settle(sim);
+        if !slot.open {
+            open -= 1;
+            close(sim, k, slot);
+        }
+    }
+    for (k, slot) in slots.iter_mut().enumerate() {
+        if slot.open {
+            slot.open = false;
+            close(sim, k, slot);
+        }
+    }
+    if restore_fast_path {
+        netdsl_wire::checksum::set_reference_mode(false);
+    }
+}
+
+/// Two endpoints joined by a duplex link: one session on its own
+/// simulator, run through the pump.
 #[derive(Debug)]
 pub struct Duplex<A, B> {
     sim: Simulator,
-    a: A,
-    b: B,
-    node_a: NodeId,
-    node_b: NodeId,
-    link_ab: LinkId,
-    link_ba: LinkId,
+    slot: Slot<(A, B)>,
 }
 
 impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
@@ -135,50 +431,35 @@ impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
     /// measurement baseline).
     pub fn with_core(seed: u64, config: LinkConfig, core: SimCore, a: A, b: B) -> Self {
         let mut sim = Simulator::with_core(seed, core);
-        let node_a = sim.add_node();
-        let node_b = sim.add_node();
-        let (link_ab, link_ba) = sim.add_duplex(node_a, node_b, config);
-        Duplex {
-            sim,
-            a,
-            b,
-            node_a,
-            node_b,
-            link_ab,
-            link_ba,
-        }
+        let session = sim.default_session();
+        let slot = Slot::wire(&mut sim, session, config, (a, b));
+        Duplex { sim, slot }
     }
 
-    /// Runs until both endpoints report done, the simulation quiesces, or
-    /// `deadline` ticks elapse. Returns the tick at which pumping stopped.
+    /// The world `scenario` runs in: its seed, engine core, link,
+    /// observability request, deadline and fault plan.
+    pub(crate) fn for_scenario(scenario: &Scenario, a: A, b: B) -> Self {
+        let (sim, slot) = Slot::alone(scenario, (a, b));
+        Duplex { sim, slot }
+    }
+
+    /// Starts both endpoints and runs until both report done, the
+    /// simulation quiesces, or an event passes `deadline` (that event
+    /// is still dispatched). Returns the tick of the last dispatched
+    /// event (0 if none).
     pub fn run(&mut self, deadline: Tick) -> Tick {
-        {
-            let mut io = Io {
-                sim: &mut self.sim,
-                node: self.node_a,
-                out_link: self.link_ab,
-            };
-            self.a.start(&mut io);
-        }
-        {
-            let mut io = Io {
-                sim: &mut self.sim,
-                node: self.node_b,
-                out_link: self.link_ba,
-            };
-            self.b.start(&mut io);
-        }
+        self.slot.start(&mut self.sim);
         self.resume(deadline)
     }
 
     /// The left endpoint.
     pub fn a(&self) -> &A {
-        &self.a
+        &self.slot.ends.0
     }
 
     /// The right endpoint.
     pub fn b(&self) -> &B {
-        &self.b
+        &self.slot.ends.1
     }
 
     /// The simulator (for link statistics after a run).
@@ -196,113 +477,51 @@ impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
     /// callers can move results (e.g. a receiver's delivered payloads)
     /// out instead of copying them.
     pub fn into_parts(self) -> (A, B, Simulator) {
-        (self.a, self.b, self.sim)
+        let (a, b) = self.slot.ends;
+        (a, b, self.sim)
     }
 
     /// Continues pumping without re-running `start` (for staged runs
     /// around a mid-session reconfiguration). Semantics otherwise match
     /// [`Duplex::run`].
     pub fn resume(&mut self, deadline: Tick) -> Tick {
-        // Frames are pumped through the handle path: the payload buffer
-        // is detached from the arena (a move, not a copy), handed to
-        // the endpoint by reference, and recycled afterwards — zero
-        // allocation in steady state on the pooled core. The legacy
-        // core drops the buffer instead, reproducing the pre-arena
-        // engine's per-frame free.
-        let recycle = self.sim.core() == SimCore::Pooled;
-        while !(self.a.done() && self.b.done()) {
-            if self.sim.now() > deadline {
-                break;
-            }
-            let Some(event) = self.sim.step_ref() else {
-                break;
-            };
-            match event {
-                EventRef::Frame { node, payload, .. } => {
-                    let frame = self.sim.detach_payload(payload);
-                    if node == self.node_a {
-                        let mut io = Io {
-                            sim: &mut self.sim,
-                            node: self.node_a,
-                            out_link: self.link_ab,
-                        };
-                        self.a.on_frame(&frame, &mut io);
-                    } else {
-                        let mut io = Io {
-                            sim: &mut self.sim,
-                            node: self.node_b,
-                            out_link: self.link_ba,
-                        };
-                        self.b.on_frame(&frame, &mut io);
-                    }
-                    if recycle {
-                        self.sim.recycle_payload(frame);
-                    }
-                }
-                EventRef::Timer { node, token } => {
-                    if node == self.node_a {
-                        let mut io = Io {
-                            sim: &mut self.sim,
-                            node: self.node_a,
-                            out_link: self.link_ab,
-                        };
-                        self.a.on_timer(token, &mut io);
-                    } else {
-                        let mut io = Io {
-                            sim: &mut self.sim,
-                            node: self.node_b,
-                            out_link: self.link_ba,
-                        };
-                        self.b.on_timer(token, &mut io);
-                    }
-                }
-            }
-        }
-        self.sim.now()
+        self.slot.deadline = deadline;
+        self.slot.pump_alone(&mut self.sim)
     }
 
     /// The duplex world's fault coordinates, for
     /// [`netdsl_netsim::apply_fault`].
-    pub fn fault_world(&self) -> netdsl_netsim::FaultWorld {
-        netdsl_netsim::FaultWorld {
-            node_a: self.node_a,
-            node_b: self.node_b,
-            link_ab: self.link_ab,
-            link_ba: self.link_ba,
-        }
+    pub fn fault_world(&self) -> FaultWorld {
+        self.slot.world
     }
 
     /// Restarts endpoint A after a crash: total protocol state loss
     /// ([`Endpoint::reset`]) followed by a fresh [`Endpoint::start`].
     pub fn restart_a(&mut self) {
-        self.a.reset();
-        let mut io = Io {
-            sim: &mut self.sim,
-            node: self.node_a,
-            out_link: self.link_ab,
-        };
-        self.a.start(&mut io);
+        self.slot.ends.reset_a();
+        let w = self.slot.world;
+        self.slot
+            .ends
+            .start_a(&mut Io::new(&mut self.sim, w.node_a, w.link_ab));
     }
 
     /// Restarts endpoint B after a crash (see [`Duplex::restart_a`]).
     pub fn restart_b(&mut self) {
-        self.b.reset();
-        let mut io = Io {
-            sim: &mut self.sim,
-            node: self.node_b,
-            out_link: self.link_ba,
-        };
-        self.b.start(&mut io);
+        self.slot.ends.reset_b();
+        let w = self.slot.world;
+        self.slot
+            .ends
+            .start_b(&mut Io::new(&mut self.sim, w.node_b, w.link_ba));
     }
 
     /// The A→B link id (for stats lookups).
     pub fn link_ab(&self) -> LinkId {
-        self.link_ab
+        self.slot.world.link_ab
     }
 
     /// The B→A link id.
     pub fn link_ba(&self) -> LinkId {
-        self.link_ba
+        self.slot.world.link_ba
     }
 }
 

@@ -1,105 +1,75 @@
 //! Golden-trace recorder for the pairwise protocol suite, plus the
 //! committed fixture corpus.
 //!
-//! [`record`] executes a scenario exactly as
-//! [`SuiteDriver`](crate::scenario::SuiteDriver) would, but with the
-//! simulator's golden capture on and each endpoint wrapped in an
-//! [`Observed`] shim that attaches a frame-validation [`Verdict`] and an
-//! FNV digest of the receiving endpoint's observable state to every
-//! delivery. The resulting [`GoldenTrace`] serializes deterministically
-//! and — because verdicts are computed with the reference interpreted
-//! codec and digests cover only engine-independent state — every
-//! supported `SimCore` × `FramePath` × `FsmPath` combination of the same
-//! scenario must produce the **byte-identical** transcript
-//! (`tests/golden_parity.rs`). Unsupported combinations refuse loudly
-//! with the same [`ScenarioError::Unsupported`] the driver raises.
+//! [`record`] runs a scenario exactly as
+//! [`SuiteDriver`](crate::scenario::SuiteDriver) does — the same
+//! [`suite_session`](crate::scenario::suite_session) endpoints through
+//! the same pump — with the simulator's golden capture on. Every suite
+//! endpoint is [`Observable`], so each delivery gets a frame-validation
+//! [`Verdict`] and an FNV digest of the receiving endpoint's observable
+//! state attached. The resulting [`GoldenTrace`] serializes
+//! deterministically and — because verdicts are computed with the
+//! reference interpreted codec and digests cover only
+//! engine-independent state — every supported `SimCore` × `FramePath` ×
+//! `FsmPath` combination of the same scenario must produce the
+//! **byte-identical** transcript (`tests/golden_parity.rs`).
+//! Unsupported combinations refuse loudly with the same
+//! [`ScenarioError::Unsupported`] the driver raises.
 //!
 //! [`corpus`] defines the committed fixture set under `tests/golden/`
 //! (regenerated by the `tools/golden` binary; `--check` gates CI).
 
 use netdsl_netsim::golden::Digest;
 use netdsl_netsim::scenario::{
-    EngineConfig, FsmPath, ProtocolSpec, Scenario, ScenarioError, TopologySpec, TrafficPattern,
+    EngineConfig, ProtocolSpec, Scenario, ScenarioError, TrafficPattern,
 };
 use netdsl_netsim::{
-    FlightRecording, GoldenResult, GoldenScenario, GoldenTrace, LinkConfig, TimerToken, Verdict,
+    FlightRecording, GoldenResult, GoldenScenario, GoldenTrace, LinkConfig, Simulator, Verdict,
 };
 
 use crate::arq::compiled::FsmSender;
 use crate::arq::session::{SwReceiver, SwSender};
 use crate::arq::ArqFrame;
 use crate::baseline::{self, CReceiver, CSender};
-use crate::driver::{Duplex, Endpoint, Io};
-use crate::multiplex::{run_session_stepped, Pair, SessionEndpoints};
-use crate::scenario::{
-    pump_with_faults, validate_engine, BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT,
-};
+use crate::driver::Endpoint;
+use crate::gbn::{GbnReceiver, GbnSender};
+use crate::scenario::{run_alone, BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
+use crate::sr::{SrReceiver, SrSender};
 use crate::window::WindowFrame;
 
-/// Wraps an endpoint so every frame it is handed gets a validation
-/// verdict and a post-dispatch state digest attached to the golden log.
+/// A suite endpoint as the golden recorder sees it at each delivery.
 ///
-/// Plain function pointers keep the wrapper monomorphic per endpoint
-/// type: the validator sees only wire bytes, the digest only the inner
-/// endpoint's public observable state — nothing engine-specific.
-pub struct Observed<E> {
-    inner: E,
-    validate: fn(&[u8]) -> bool,
-    digest: fn(&E) -> u64,
-}
+/// The validator sees only wire bytes and the digest only the
+/// endpoint's public observable state — nothing engine-specific, which
+/// is what lets one fixture be the oracle for every engine combination.
+pub trait Observable: Endpoint {
+    /// Whether the reference interpreted codec accepts `frame`.
+    fn frame_ok(frame: &[u8]) -> bool;
 
-impl<E> Observed<E> {
-    /// Wraps `inner` with a frame validator and a state digest.
-    pub fn new(inner: E, validate: fn(&[u8]) -> bool, digest: fn(&E) -> u64) -> Self {
-        Observed {
-            inner,
-            validate,
-            digest,
-        }
-    }
+    /// FNV digest of the endpoint's observable state.
+    fn digest(&self) -> u64;
 
-    /// The wrapped endpoint.
-    pub fn inner(&self) -> &E {
-        &self.inner
-    }
-}
-
-impl<E: Endpoint> Endpoint for Observed<E> {
-    fn start(&mut self, io: &mut Io<'_>) {
-        self.inner.start(io);
-    }
-
-    fn on_frame(&mut self, frame: &[u8], io: &mut Io<'_>) {
-        let verdict = if (self.validate)(frame) {
+    /// The annotation of a frame this endpoint has just handled: the
+    /// validator's verdict on it and the post-dispatch state digest.
+    fn annotation(&self, frame: &[u8]) -> (Verdict, u64) {
+        let verdict = if Self::frame_ok(frame) {
             Verdict::Valid
         } else {
             Verdict::Corrupt
         };
-        self.inner.on_frame(frame, io);
-        // The annotation lands on the Delivered event popped just before
-        // this dispatch — any frames the handler itself sent were
-        // appended after it and are not touched.
-        io.annotate_golden(verdict, (self.digest)(&self.inner));
-    }
-
-    fn on_timer(&mut self, token: TimerToken, io: &mut Io<'_>) {
-        self.inner.on_timer(token, io);
-    }
-
-    fn reset(&mut self) {
-        // The validator and digest functions are stateless; only the
-        // wrapped endpoint loses state on a crash-restart.
-        self.inner.reset();
-    }
-
-    fn done(&self) -> bool {
-        self.inner.done()
+        (verdict, self.digest())
     }
 }
 
 // ---------------------------------------------------------------------
 // Frame validators (reference interpreted codec, so verdicts are
-// engine-independent by construction)
+// engine-independent by construction) and state digests. Senders fold
+// their counters and outcome flags; receivers additionally fold every
+// delivered payload, so a single mis-delivered byte anywhere in the run
+// shifts all subsequent digests. The typestate and compiled
+// stop-and-wait senders fold the same fields in the same order — their
+// behavioural equivalence is what makes one fixture the oracle for
+// both.
 // ---------------------------------------------------------------------
 
 fn arq_frame_ok(frame: &[u8]) -> bool {
@@ -110,20 +80,6 @@ fn window_frame_ok(frame: &[u8]) -> bool {
     WindowFrame::decode(frame).is_ok()
 }
 
-fn baseline_frame_ok(frame: &[u8]) -> bool {
-    let (mut kind, mut seq, mut payload) = (0u8, 0u8, Vec::new());
-    baseline::parse_frame(frame, &mut kind, &mut seq, &mut payload) == baseline::E_OK
-}
-
-// ---------------------------------------------------------------------
-// Endpoint state digests. Senders fold their counters and outcome
-// flags; receivers additionally fold every delivered payload, so a
-// single mis-delivered byte anywhere in the run shifts all subsequent
-// digests. The typestate and compiled stop-and-wait senders fold the
-// same fields in the same order — their behavioural equivalence is what
-// makes one fixture the oracle for both.
-// ---------------------------------------------------------------------
-
 fn fold_messages(mut d: Digest, messages: &[Vec<u8>]) -> Digest {
     d = d.u64(messages.len() as u64);
     for m in messages {
@@ -132,414 +88,186 @@ fn fold_messages(mut d: Digest, messages: &[Vec<u8>]) -> Digest {
     d
 }
 
-fn digest_sw_sender(e: &SwSender) -> u64 {
-    let s = e.stats();
+/// The counters and outcome flags every counting sender folds first.
+fn sender_digest(sent: u64, retransmitted: u64, delivered: u64, ok: bool, failed: bool) -> Digest {
     Digest::new()
-        .u64(s.frames_sent)
-        .u64(s.retransmissions)
-        .u64(s.delivered)
-        .u64(e.succeeded() as u64)
-        .u64(e.failed() as u64)
-        .u64(e.final_seq().map_or(0, |seq| seq as u64 + 1))
+        .u64(sent)
+        .u64(retransmitted)
+        .u64(delivered)
+        .u64(ok as u64)
+        .u64(failed as u64)
+}
+
+impl Observable for SwSender {
+    fn frame_ok(frame: &[u8]) -> bool {
+        arq_frame_ok(frame)
+    }
+    fn digest(&self) -> u64 {
+        let s = self.stats();
+        sender_digest(
+            s.frames_sent,
+            s.retransmissions,
+            s.delivered,
+            self.succeeded(),
+            self.failed(),
+        )
+        .u64(self.final_seq().map_or(0, |seq| seq as u64 + 1))
         .finish()
+    }
 }
 
-fn digest_fsm_sender(e: &FsmSender) -> u64 {
-    let s = e.stats();
-    Digest::new()
-        .u64(s.frames_sent)
-        .u64(s.retransmissions)
-        .u64(s.delivered)
-        .u64(e.succeeded() as u64)
-        .u64(e.failed() as u64)
-        .u64(e.final_seq().map_or(0, |seq| seq as u64 + 1))
+impl Observable for FsmSender {
+    fn frame_ok(frame: &[u8]) -> bool {
+        arq_frame_ok(frame)
+    }
+    fn digest(&self) -> u64 {
+        let s = self.stats();
+        sender_digest(
+            s.frames_sent,
+            s.retransmissions,
+            s.delivered,
+            self.succeeded(),
+            self.failed(),
+        )
+        .u64(self.final_seq().map_or(0, |seq| seq as u64 + 1))
         .finish()
+    }
 }
 
-fn digest_sw_receiver(e: &SwReceiver) -> u64 {
-    fold_messages(
-        Digest::new().u64(e.rejected()).u64(e.acks_sent()),
-        e.delivered(),
-    )
-    .finish()
+impl Observable for SwReceiver {
+    fn frame_ok(frame: &[u8]) -> bool {
+        arq_frame_ok(frame)
+    }
+    fn digest(&self) -> u64 {
+        let d = Digest::new().u64(self.rejected()).u64(self.acks_sent());
+        fold_messages(d, self.delivered()).finish()
+    }
 }
 
-fn digest_gbn_sender(e: &GbnSenderT) -> u64 {
-    let s = e.stats();
-    Digest::new()
-        .u64(s.frames_sent)
-        .u64(s.retransmissions)
-        .u64(s.delivered)
-        .u64(e.succeeded() as u64)
-        .u64(e.failed() as u64)
+impl Observable for GbnSender {
+    fn frame_ok(frame: &[u8]) -> bool {
+        window_frame_ok(frame)
+    }
+    fn digest(&self) -> u64 {
+        let s = self.stats();
+        sender_digest(
+            s.frames_sent,
+            s.retransmissions,
+            s.delivered,
+            self.succeeded(),
+            self.failed(),
+        )
         .finish()
+    }
 }
 
-fn digest_gbn_receiver(e: &crate::gbn::GbnReceiver) -> u64 {
-    fold_messages(Digest::new().u64(e.out_of_order()), e.delivered()).finish()
+impl Observable for GbnReceiver {
+    fn frame_ok(frame: &[u8]) -> bool {
+        window_frame_ok(frame)
+    }
+    fn digest(&self) -> u64 {
+        fold_messages(Digest::new().u64(self.out_of_order()), self.delivered()).finish()
+    }
 }
 
-fn digest_sr_sender(e: &crate::sr::SrSender) -> u64 {
-    let s = e.stats();
-    Digest::new()
-        .u64(s.frames_sent)
-        .u64(s.retransmissions)
-        .u64(s.delivered)
-        .u64(e.succeeded() as u64)
-        .u64(e.failed() as u64)
+impl Observable for SrSender {
+    fn frame_ok(frame: &[u8]) -> bool {
+        window_frame_ok(frame)
+    }
+    fn digest(&self) -> u64 {
+        let s = self.stats();
+        sender_digest(
+            s.frames_sent,
+            s.retransmissions,
+            s.delivered,
+            self.succeeded(),
+            self.failed(),
+        )
         .finish()
+    }
 }
 
-fn digest_sr_receiver(e: &crate::sr::SrReceiver) -> u64 {
-    fold_messages(Digest::new().u64(e.buffered_count()), e.delivered()).finish()
+impl Observable for SrReceiver {
+    fn frame_ok(frame: &[u8]) -> bool {
+        window_frame_ok(frame)
+    }
+    fn digest(&self) -> u64 {
+        fold_messages(Digest::new().u64(self.buffered_count()), self.delivered()).finish()
+    }
 }
 
-fn digest_c_sender(e: &CSender) -> u64 {
-    // The baseline sender keeps no counters (that is its point) — the
-    // digest covers what little it observably exposes.
-    Digest::new()
-        .u64(e.succeeded() as u64)
-        .u64(e.messages().len() as u64)
-        .finish()
+impl Observable for CSender {
+    fn frame_ok(frame: &[u8]) -> bool {
+        baseline_frame_ok(frame)
+    }
+    fn digest(&self) -> u64 {
+        // The baseline sender keeps no counters (that is its point) —
+        // the digest covers what little it observably exposes.
+        Digest::new()
+            .u64(self.succeeded() as u64)
+            .u64(self.messages().len() as u64)
+            .finish()
+    }
 }
 
-fn digest_c_receiver(e: &CReceiver) -> u64 {
-    fold_messages(Digest::new(), e.delivered()).finish()
+impl Observable for CReceiver {
+    fn frame_ok(frame: &[u8]) -> bool {
+        baseline_frame_ok(frame)
+    }
+    fn digest(&self) -> u64 {
+        fold_messages(Digest::new(), self.delivered()).finish()
+    }
 }
 
-type GbnSenderT = crate::gbn::GbnSender;
+fn baseline_frame_ok(frame: &[u8]) -> bool {
+    let (mut kind, mut seq, mut payload) = (0u8, 0u8, Vec::new());
+    baseline::parse_frame(frame, &mut kind, &mut seq, &mut payload) == baseline::E_OK
+}
 
 // ---------------------------------------------------------------------
-// Recording driver
+// Recording
 // ---------------------------------------------------------------------
 
-/// Runs the duplex world exactly as `drive_duplex` does, with golden
-/// capture on, and folds the transcript + outcome into a trace.
-fn record_run<A: Endpoint, B: Endpoint>(
-    scenario: &Scenario,
-    a: Observed<A>,
-    b: Observed<B>,
-    stats_of: impl FnOnce(&Duplex<Observed<A>, Observed<B>>) -> (bool, u64, u64),
-    offered_of: impl Fn(&A) -> &[Vec<u8>],
-    delivered_of: impl Fn(&B) -> &[Vec<u8>],
-) -> GoldenTrace {
-    let mut duplex = Duplex::with_core(
-        scenario.seed,
-        scenario.link.clone(),
-        scenario.protocol.sim_core,
-        a,
-        b,
-    );
-    duplex.sim_mut().record_golden(true);
-    let elapsed = pump_with_faults(
-        &mut duplex,
-        &netdsl_netsim::scenario::FaultPlan::from_scenario(scenario),
-        scenario.deadline,
-    );
-    let (sender_succeeded, frames_sent, retransmissions) = stats_of(&duplex);
-    let result = {
-        let offered = offered_of(duplex.a().inner());
-        let delivered = delivered_of(duplex.b().inner());
-        GoldenResult {
-            success: sender_succeeded && delivered == offered,
-            elapsed,
-            messages_offered: offered.len() as u64,
-            messages_delivered: delivered.len() as u64,
-            payload_bytes: delivered.iter().map(|m| m.len() as u64).sum(),
-            frames_sent,
-            retransmissions,
-            link: duplex.sim().total_stats(),
-        }
-    };
-    GoldenTrace {
+/// Runs the scenario alone with golden capture on and folds the
+/// transcript and result into a trace; the simulator comes back for
+/// whatever else it recorded.
+fn capture(scenario: &Scenario) -> Result<(GoldenTrace, Simulator), ScenarioError> {
+    let (result, mut sim) = run_alone(scenario, true)?;
+    let trace = GoldenTrace {
         name: scenario.name.clone(),
         scenario: GoldenScenario::from_scenario(scenario),
-        events: duplex.sim_mut().take_golden_events(),
-        result,
-    }
+        events: sim.take_golden_events(),
+        result: GoldenResult::from_result(&result),
+    };
+    Ok((trace, sim))
 }
 
 /// Records the canonical transcript of one scenario.
 ///
-/// Mirrors [`SuiteDriver`](crate::scenario::SuiteDriver) exactly —
-/// same endpoints, same fault pump, same refusals (non-duplex
-/// topologies; [`FsmPath::Compiled`] outside stop-and-wait) — so a
-/// recorded trace describes precisely what the driver would have done.
+/// This is [`SuiteDriver`](crate::scenario::SuiteDriver)'s own run —
+/// same endpoints, same pump, same refusals (non-duplex topologies;
+/// [`FsmPath::Compiled`](netdsl_netsim::scenario::FsmPath) outside
+/// stop-and-wait) — with capture on, so a recorded trace describes
+/// precisely what the driver does.
 pub fn record(scenario: &Scenario) -> Result<GoldenTrace, ScenarioError> {
-    if scenario.topology != TopologySpec::Duplex {
-        return Err(ScenarioError::UnsupportedTopology(format!(
-            "golden recording covers duplex topologies only, got {:?}",
-            scenario.topology
-        )));
-    }
-    let spec = &scenario.protocol;
-    validate_engine(spec)?;
-    let messages = scenario.traffic.generate();
-    let n = messages.len();
-
-    match spec.name.as_str() {
-        STOP_AND_WAIT => match spec.fsm_path {
-            FsmPath::Typestate => Ok(record_run(
-                scenario,
-                Observed::new(
-                    SwSender::new(messages, spec.timeout, spec.max_retries)
-                        .with_frame_path(spec.frame_path),
-                    arq_frame_ok,
-                    digest_sw_sender,
-                ),
-                Observed::new(
-                    SwReceiver::new(n).with_frame_path(spec.frame_path),
-                    arq_frame_ok,
-                    digest_sw_receiver,
-                ),
-                |d| {
-                    let s = d.a().inner().stats();
-                    (d.a().inner().succeeded(), s.frames_sent, s.retransmissions)
-                },
-                SwSender::messages,
-                SwReceiver::delivered,
-            )),
-            FsmPath::Compiled => Ok(record_run(
-                scenario,
-                Observed::new(
-                    FsmSender::new(messages, spec.timeout, spec.max_retries)
-                        .with_frame_path(spec.frame_path),
-                    arq_frame_ok,
-                    digest_fsm_sender,
-                ),
-                Observed::new(
-                    SwReceiver::new(n).with_frame_path(spec.frame_path),
-                    arq_frame_ok,
-                    digest_sw_receiver,
-                ),
-                |d| {
-                    let s = d.a().inner().stats();
-                    (d.a().inner().succeeded(), s.frames_sent, s.retransmissions)
-                },
-                FsmSender::messages,
-                SwReceiver::delivered,
-            )),
-        },
-        GO_BACK_N => Ok(record_run(
-            scenario,
-            Observed::new(
-                GbnSenderT::new(messages, spec.window, spec.timeout, spec.max_retries)
-                    .with_frame_path(spec.frame_path),
-                window_frame_ok,
-                digest_gbn_sender,
-            ),
-            Observed::new(
-                crate::gbn::GbnReceiver::new(n).with_frame_path(spec.frame_path),
-                window_frame_ok,
-                digest_gbn_receiver,
-            ),
-            |d| {
-                let s = d.a().inner().stats();
-                (d.a().inner().succeeded(), s.frames_sent, s.retransmissions)
-            },
-            GbnSenderT::messages,
-            crate::gbn::GbnReceiver::delivered,
-        )),
-        SELECTIVE_REPEAT => Ok(record_run(
-            scenario,
-            Observed::new(
-                crate::sr::SrSender::new(messages, spec.window, spec.timeout, spec.max_retries)
-                    .with_frame_path(spec.frame_path),
-                window_frame_ok,
-                digest_sr_sender,
-            ),
-            Observed::new(
-                crate::sr::SrReceiver::new(n, spec.window).with_frame_path(spec.frame_path),
-                window_frame_ok,
-                digest_sr_receiver,
-            ),
-            |d| {
-                let s = d.a().inner().stats();
-                (d.a().inner().succeeded(), s.frames_sent, s.retransmissions)
-            },
-            crate::sr::SrSender::messages,
-            crate::sr::SrReceiver::delivered,
-        )),
-        BASELINE => Ok(record_run(
-            scenario,
-            Observed::new(
-                CSender::new(messages, spec.timeout, spec.max_retries),
-                baseline_frame_ok,
-                digest_c_sender,
-            ),
-            Observed::new(CReceiver::new(n), baseline_frame_ok, digest_c_receiver),
-            |d| {
-                let frames_sent = d.sim().link_stats(d.link_ab()).sent;
-                let retransmissions =
-                    frames_sent.saturating_sub(d.b().inner().delivered().len() as u64);
-                (d.a().inner().succeeded(), frames_sent, retransmissions)
-            },
-            CSender::messages,
-            CReceiver::delivered,
-        )),
-        other => Err(ScenarioError::UnknownProtocol(other.to_string())),
-    }
+    capture(scenario).map(|(trace, _)| trace)
 }
 
-/// Builds the [`Observed`]-wrapped endpoint pair for one scenario —
-/// the type-erased twin of the `record` match below, for the
-/// multiplexed recording path.
-fn observed_session(scenario: &Scenario) -> Result<Box<dyn SessionEndpoints>, ScenarioError> {
-    let spec = &scenario.protocol;
-    validate_engine(spec)?;
-    let messages = scenario.traffic.generate();
-    let n = messages.len();
-    match spec.name.as_str() {
-        STOP_AND_WAIT => match spec.fsm_path {
-            FsmPath::Typestate => Ok(Box::new(Pair::new(
-                Observed::new(
-                    SwSender::new(messages, spec.timeout, spec.max_retries)
-                        .with_frame_path(spec.frame_path),
-                    arq_frame_ok,
-                    digest_sw_sender,
-                ),
-                Observed::new(
-                    SwReceiver::new(n).with_frame_path(spec.frame_path),
-                    arq_frame_ok,
-                    digest_sw_receiver,
-                ),
-                |a, _, _| {
-                    let s = a.inner().stats();
-                    (a.inner().succeeded(), s.frames_sent, s.retransmissions)
-                },
-                |a| a.inner().messages(),
-                |b| b.inner().delivered(),
-            ))),
-            FsmPath::Compiled => Ok(Box::new(Pair::new(
-                Observed::new(
-                    FsmSender::new(messages, spec.timeout, spec.max_retries)
-                        .with_frame_path(spec.frame_path),
-                    arq_frame_ok,
-                    digest_fsm_sender,
-                ),
-                Observed::new(
-                    SwReceiver::new(n).with_frame_path(spec.frame_path),
-                    arq_frame_ok,
-                    digest_sw_receiver,
-                ),
-                |a, _, _| {
-                    let s = a.inner().stats();
-                    (a.inner().succeeded(), s.frames_sent, s.retransmissions)
-                },
-                |a| a.inner().messages(),
-                |b| b.inner().delivered(),
-            ))),
-        },
-        GO_BACK_N => Ok(Box::new(Pair::new(
-            Observed::new(
-                GbnSenderT::new(messages, spec.window, spec.timeout, spec.max_retries)
-                    .with_frame_path(spec.frame_path),
-                window_frame_ok,
-                digest_gbn_sender,
-            ),
-            Observed::new(
-                crate::gbn::GbnReceiver::new(n).with_frame_path(spec.frame_path),
-                window_frame_ok,
-                digest_gbn_receiver,
-            ),
-            |a, _, _| {
-                let s = a.inner().stats();
-                (a.inner().succeeded(), s.frames_sent, s.retransmissions)
-            },
-            |a| a.inner().messages(),
-            |b| b.inner().delivered(),
-        ))),
-        SELECTIVE_REPEAT => Ok(Box::new(Pair::new(
-            Observed::new(
-                crate::sr::SrSender::new(messages, spec.window, spec.timeout, spec.max_retries)
-                    .with_frame_path(spec.frame_path),
-                window_frame_ok,
-                digest_sr_sender,
-            ),
-            Observed::new(
-                crate::sr::SrReceiver::new(n, spec.window).with_frame_path(spec.frame_path),
-                window_frame_ok,
-                digest_sr_receiver,
-            ),
-            |a, _, _| {
-                let s = a.inner().stats();
-                (a.inner().succeeded(), s.frames_sent, s.retransmissions)
-            },
-            |a| a.inner().messages(),
-            |b| b.inner().delivered(),
-        ))),
-        BASELINE => Ok(Box::new(Pair::new(
-            Observed::new(
-                CSender::new(messages, spec.timeout, spec.max_retries),
-                baseline_frame_ok,
-                digest_c_sender,
-            ),
-            Observed::new(CReceiver::new(n), baseline_frame_ok, digest_c_receiver),
-            |a, b, ab_sent| {
-                (
-                    a.inner().succeeded(),
-                    ab_sent,
-                    ab_sent.saturating_sub(b.inner().delivered().len() as u64),
-                )
-            },
-            |a| a.inner().messages(),
-            |b| b.inner().delivered(),
-        ))),
-        other => Err(ScenarioError::UnknownProtocol(other.to_string())),
-    }
-}
-
-/// Records one scenario through the **multiplexed** path: the session
-/// table, session-owned nodes/links and stepped session pump of
-/// [`crate::multiplex`] instead of [`Duplex`]. The returned trace must
-/// be byte-identical to [`record`]'s — `tests/golden_parity.rs` replays
-/// every committed fixture through both and diffs them — which is what
-/// pins the multiplexed world-building to standalone semantics.
-pub fn record_multiplexed(scenario: &Scenario) -> Result<GoldenTrace, ScenarioError> {
-    if scenario.topology != TopologySpec::Duplex {
-        return Err(ScenarioError::UnsupportedTopology(format!(
-            "golden recording covers duplex topologies only, got {:?}",
-            scenario.topology
-        )));
-    }
-    let mut pair = observed_session(scenario)?;
-    let (result, mut sim) = run_session_stepped(scenario, pair.as_mut(), true);
-    Ok(GoldenTrace {
-        name: scenario.name.clone(),
-        scenario: GoldenScenario::from_scenario(scenario),
-        events: sim.take_golden_events(),
-        result: GoldenResult::from_result(&result),
-    })
-}
-
-/// [`record_multiplexed`] with a flight recorder riding along: the run
-/// also captures the [`FlightRecording`] of engine-level events. The
-/// golden transcript must be unaffected by the recorder (telemetry is
-/// not a parity axis), and the flight `Send`/`Deliver`/`Drop`/`Corrupt`
+/// [`record`] with a flight recorder riding along: the run also
+/// captures the [`FlightRecording`] of engine-level events. The golden
+/// transcript must be unaffected by the recorder (telemetry is not a
+/// parity axis), and the flight `Send`/`Deliver`/`Drop`/`Corrupt`
 /// subsequence must mirror the golden `Sent`/`Delivered`/`Lost`/
 /// `Corrupted` events one-for-one — `tests/flight_parity.rs` pins both.
-pub fn record_multiplexed_with_flight(
+pub fn record_with_flight(
     scenario: &Scenario,
 ) -> Result<(GoldenTrace, FlightRecording), ScenarioError> {
     let mut scenario = scenario.clone();
     scenario.protocol.obs = scenario.protocol.obs.with_flight();
-    if scenario.topology != TopologySpec::Duplex {
-        return Err(ScenarioError::UnsupportedTopology(format!(
-            "golden recording covers duplex topologies only, got {:?}",
-            scenario.topology
-        )));
-    }
-    let mut pair = observed_session(&scenario)?;
-    let (result, mut sim) = run_session_stepped(&scenario, pair.as_mut(), true);
+    let (trace, mut sim) = capture(&scenario)?;
     let flight = sim
         .take_flight()
-        .expect("run_session_stepped installs the recorder requested above");
-    let trace = GoldenTrace {
-        name: scenario.name.clone(),
-        scenario: GoldenScenario::from_scenario(&scenario),
-        events: sim.take_golden_events(),
-        result: GoldenResult::from_result(&result),
-    };
+        .expect("the scenario asks for a flight recorder");
     Ok((trace, flight))
 }
 
@@ -708,7 +436,7 @@ pub fn corpus() -> Vec<Scenario> {
 mod tests {
     use super::*;
     use crate::scenario::SuiteDriver;
-    use netdsl_netsim::scenario::ScenarioDriver;
+    use netdsl_netsim::scenario::{FsmPath, ScenarioDriver, TopologySpec};
 
     #[test]
     fn corpus_is_large_and_uniquely_named() {
@@ -735,6 +463,49 @@ mod tests {
                 scenario.name
             );
             assert!(!trace.events.is_empty(), "{}", scenario.name);
+        }
+    }
+
+    #[test]
+    fn recording_honours_the_retransmit_policy() {
+        // Adaptive retransmission under a forward-path flap: the
+        // recorder builds the driver's own endpoints, so it runs the
+        // adaptive timers too rather than a fixed-timeout twin.
+        use netdsl_netsim::scenario::{Fault, FaultDirection, RetransmitPolicy};
+        let adaptive = RetransmitPolicy::AdaptiveRto {
+            min_rto: 4,
+            max_rto: 2_000,
+        };
+        for (protocol, window, timeout) in [
+            (STOP_AND_WAIT, 1, 80),
+            (GO_BACK_N, 4, 120),
+            (SELECTIVE_REPEAT, 4, 120),
+        ] {
+            let scenario = Scenario::new(
+                ProtocolSpec::new(protocol)
+                    .with_window(window)
+                    .with_timeout(timeout)
+                    .with_retries(300)
+                    .with_retransmit(adaptive),
+                LinkConfig::reliable(3),
+            )
+            .with_traffic(TrafficPattern::messages(32, 16))
+            .with_fault(Fault::flap(
+                30,
+                FaultDirection::Forward,
+                LinkConfig::lossy(1, 1.0),
+                150,
+                250,
+                2,
+            ))
+            .with_seed(7)
+            .with_deadline(1_000_000);
+            let driven = SuiteDriver::new().run(&scenario).unwrap();
+            assert_eq!(
+                record(&scenario).unwrap().result,
+                GoldenResult::from_result(&driven),
+                "{protocol}: recorder and driver disagree"
+            );
         }
     }
 
@@ -799,18 +570,6 @@ mod tests {
             record(&line),
             Err(ScenarioError::UnsupportedTopology(_))
         ));
-    }
-
-    #[test]
-    fn multiplexed_recording_replays_every_fixture_byte_identically() {
-        // The multiplexed world-building path (session table, session-
-        // owned nodes and links, stepped session pump) must reproduce
-        // the exact transcript of the Duplex recorder.
-        for scenario in corpus() {
-            let duplex = record(&scenario).unwrap();
-            let multiplexed = record_multiplexed(&scenario).unwrap();
-            assert_eq!(duplex, multiplexed, "{}: paths diverge", scenario.name);
-        }
     }
 
     #[test]

@@ -4,12 +4,15 @@
 //! declarative scenario layer of
 //! [`netdsl_netsim::scenario`]: a [`Scenario`] names one of
 //! [`STOP_AND_WAIT`], [`GO_BACK_N`], [`SELECTIVE_REPEAT`] or
-//! [`BASELINE`], and the driver builds the matching [`Duplex`] world,
-//! applies any scheduled [`Fault`]s mid-run (expanded to a primitive
+//! [`BASELINE`]; [`suite_session`] — the one place a [`ProtocolSpec`]
+//! turns into endpoints — builds the matching pair, and the driver runs
+//! it alone through the crate's one pump (see [`crate::driver`]),
+//! applying any scheduled [`Fault`]s mid-run (expanded to a primitive
 //! [`FaultPlan`]), and reports a protocol-independent
 //! [`ScenarioResult`].
 //!
 //! [`Fault`]: netdsl_netsim::scenario::Fault
+//! [`FaultPlan`]: netdsl_netsim::scenario::FaultPlan
 //!
 //! ```
 //! use netdsl_netsim::scenario::{ProtocolSpec, Scenario, ScenarioDriver, TrafficPattern};
@@ -29,16 +32,17 @@
 //! ```
 
 use netdsl_netsim::scenario::{
-    apply_fault, EngineConfigError, FaultNode, FaultPlan, FsmPath, ProtocolSpec, RetransmitPolicy,
-    Scenario, ScenarioDriver, ScenarioError, ScenarioResult, TopologySpec,
+    EngineConfigError, FaultWorld, FsmPath, ProtocolSpec, RetransmitPolicy, Scenario,
+    ScenarioDriver, ScenarioError, ScenarioResult, TopologySpec,
 };
-use netdsl_netsim::Tick;
+use netdsl_netsim::{Simulator, Tick, TimerToken};
 
 use crate::arq::compiled::FsmSender;
 use crate::arq::session::{SwReceiver, SwSender};
 use crate::baseline::{CReceiver, CSender};
-use crate::driver::{Duplex, Endpoint};
+use crate::driver::{Duplex, Endpoint, Io, SessionEndpoints, Slot};
 use crate::gbn::{GbnReceiver, GbnSender};
+use crate::golden::Observable;
 use crate::sr::{SrReceiver, SrSender};
 
 /// Protocol key for the §3.4 typestate stop-and-wait ARQ.
@@ -51,53 +55,6 @@ pub const GO_BACK_N: &str = "go-back-n";
 pub const SELECTIVE_REPEAT: &str = "selective-repeat";
 /// Protocol key for the hand-rolled C-style baseline ARQ.
 pub const BASELINE: &str = "baseline";
-
-/// Runs a [`Duplex`] world to completion, applying the primitive
-/// actions of a [`FaultPlan`] (already sorted by activation time) at
-/// their scheduled ticks. Returns the tick at which pumping stopped.
-///
-/// Fault boundaries are approximate by one event: the pump hands over at
-/// the first event *past* the boundary, which is deterministic and
-/// indistinguishable from the fault landing a tick later. A
-/// [`FaultNode`] returned by [`apply_fault`] (a restart) re-launches the
-/// corresponding endpoint from scratch via [`Duplex::restart_a`] /
-/// [`Duplex::restart_b`].
-///
-/// A fault scheduled after the session's last event never lands: when
-/// the pump stops without crossing a fault's boundary (both endpoints
-/// done, or the event queue drained), that fault and every later one
-/// are discarded — the same rule the multiplexed driver's slot applies
-/// when it closes a finished session with faults still pending.
-pub fn pump_with_faults<A: Endpoint, B: Endpoint>(
-    duplex: &mut Duplex<A, B>,
-    plan: &FaultPlan,
-    deadline: Tick,
-) -> Tick {
-    let world = duplex.fault_world();
-    let mut started = false;
-    for fault in plan.actions.iter().filter(|f| f.at < deadline) {
-        let now = if started {
-            duplex.resume(fault.at)
-        } else {
-            duplex.run(fault.at)
-        };
-        started = true;
-        if now <= fault.at {
-            // Stopped early — no event ever crossed this boundary.
-            return now;
-        }
-        match apply_fault(duplex.sim_mut(), &world, fault) {
-            Some(FaultNode::A) => duplex.restart_a(),
-            Some(FaultNode::B) => duplex.restart_b(),
-            None => {}
-        }
-    }
-    if started {
-        duplex.resume(deadline)
-    } else {
-        duplex.run(deadline)
-    }
-}
 
 /// [`ScenarioDriver`] over this crate's pairwise protocols
 /// ([`STOP_AND_WAIT`], [`GO_BACK_N`], [`SELECTIVE_REPEAT`],
@@ -112,13 +69,14 @@ impl SuiteDriver {
     }
 }
 
-/// Builds the duplex world (on the scenario's engine core), pumps it
-/// through the fault schedule, and folds the outcome into the
-/// driver-independent result shape. `stats_of` extracts
+/// Runs `a` and `b` as `scenario`'s one session — its seed, engine
+/// core, link, observability request, deadline and fault plan —
+/// through the pump, and folds the outcome into the driver-independent
+/// result shape. `stats_of` extracts
 /// `(sender_succeeded, frames_sent, retransmissions)`; `offered_of` /
 /// `delivered_of` borrow the offered and delivered message slices from
 /// the endpoints, so the result is computed without copying a single
-/// transfer (the pre-arena driver cloned both sides per scenario).
+/// transfer.
 pub fn drive_duplex<A: Endpoint, B: Endpoint>(
     scenario: &Scenario,
     a: A,
@@ -127,45 +85,30 @@ pub fn drive_duplex<A: Endpoint, B: Endpoint>(
     offered_of: impl Fn(&A) -> &[Vec<u8>],
     delivered_of: impl Fn(&B) -> &[Vec<u8>],
 ) -> ScenarioResult {
-    let mut duplex = Duplex::with_core(
-        scenario.seed,
-        scenario.link.clone(),
-        scenario.protocol.sim_core,
-        a,
-        b,
-    );
-    duplex.sim_mut().set_obs(scenario.protocol.obs);
-    // A legacy-core scenario is a measurement baseline: it reconstructs
-    // the whole pre-simcore hot path, including the byte-at-a-time
-    // checksum engine the optimised one is property-tested against.
-    // Checksum values are identical either way, so results never
-    // depend on the mode.
-    let legacy = scenario.protocol.sim_core == netdsl_netsim::SimCore::Legacy;
-    let restore_fast_path = legacy && !netdsl_wire::checksum::set_reference_mode(true);
-    let elapsed = pump_with_faults(
-        &mut duplex,
-        &FaultPlan::from_scenario(scenario),
-        scenario.deadline,
-    );
-    if restore_fast_path {
-        netdsl_wire::checksum::set_reference_mode(false);
-    }
-    let (sender_succeeded, frames_sent, retransmissions) = stats_of(&duplex);
-    // The legacy core is the measurement baseline for the whole
-    // pre-simcore path, which cloned the offered and delivered message
-    // lists once per scenario; reproduce those copies so E13 compares
-    // like against like. The pooled path compares borrowed slices.
-    let legacy_copies = match scenario.protocol.sim_core {
-        netdsl_netsim::SimCore::Legacy => Some((
-            offered_of(duplex.a()).to_vec(),
-            delivered_of(duplex.b()).to_vec(),
-        )),
-        netdsl_netsim::SimCore::Pooled => None,
-    };
-    let (offered, delivered) = match &legacy_copies {
-        Some((offered, delivered)) => (&offered[..], &delivered[..]),
-        None => (offered_of(duplex.a()), delivered_of(duplex.b())),
-    };
+    let mut duplex = Duplex::for_scenario(scenario, a, b);
+    let elapsed = duplex.run(scenario.deadline);
+    fold(
+        duplex.sim(),
+        &duplex.fault_world(),
+        elapsed,
+        stats_of(&duplex),
+        offered_of(duplex.a()),
+        delivered_of(duplex.b()),
+    )
+}
+
+/// The one [`ScenarioResult`] fold, taken when a session closes.
+/// `outcome` is `(sender_succeeded, frames_sent, retransmissions)`; the
+/// link counters are the session's own.
+fn fold(
+    sim: &Simulator,
+    world: &FaultWorld,
+    elapsed: Tick,
+    outcome: (bool, u64, u64),
+    offered: &[Vec<u8>],
+    delivered: &[Vec<u8>],
+) -> ScenarioResult {
+    let (sender_succeeded, frames_sent, retransmissions) = outcome;
     ScenarioResult {
         success: sender_succeeded && delivered == offered,
         elapsed,
@@ -174,13 +117,45 @@ pub fn drive_duplex<A: Endpoint, B: Endpoint>(
         payload_bytes: delivered.iter().map(|m| m.len() as u64).sum(),
         frames_sent,
         retransmissions,
-        link: duplex.sim().total_stats(),
+        link: sim.session_stats(sim.node_session(world.node_a)),
     }
 }
 
+/// A suite session's result, read off its slot.
+pub(crate) fn session_result(
+    sim: &Simulator,
+    slot: &Slot<Box<dyn SuiteSession>>,
+) -> ScenarioResult {
+    let ends = &slot.ends;
+    let ab_sent = sim.link_stats(slot.world.link_ab).sent;
+    fold(
+        sim,
+        &slot.world,
+        slot.now,
+        ends.outcome(ab_sent),
+        ends.offered(),
+        ends.delivered(),
+    )
+}
+
+/// Runs one suite scenario alone — a batch of one session, without the
+/// batch's tables — and returns its result and simulator. The solo
+/// driver runs it with `golden` off; the golden recorder runs it with
+/// capture on and takes the transcript from the simulator.
+pub(crate) fn run_alone(
+    scenario: &Scenario,
+    golden: bool,
+) -> Result<(ScenarioResult, Simulator), ScenarioError> {
+    let (mut sim, mut slot) = Slot::alone(scenario, suite_session(scenario)?);
+    sim.record_golden(golden);
+    slot.start(&mut sim);
+    slot.pump_alone(&mut sim);
+    Ok((session_result(&sim, &slot), sim))
+}
+
 /// Validates a protocol spec's engine configuration — the **single**
-/// refusal path for unsupported axis combinations, shared by the suite
-/// driver, the golden recorder, and the multiplexed driver.
+/// refusal path for unsupported axis combinations, through
+/// [`suite_session`].
 ///
 /// The invalid combinations are the ones that would silently measure
 /// something other than what the sweep cell claims:
@@ -222,6 +197,191 @@ pub fn validate_engine(spec: &ProtocolSpec) -> Result<(), EngineConfigError> {
     Ok(())
 }
 
+/// A suite session: its endpoints plus what the result fold reads off
+/// them.
+pub trait SuiteSession: SessionEndpoints {
+    /// `(sender_succeeded, frames_sent, retransmissions)`. `ab_sent` is
+    /// the session's A→B link send counter, for endpoints (the baseline)
+    /// that keep no counters of their own.
+    fn outcome(&self, ab_sent: u64) -> (bool, u64, u64);
+    /// The messages the sender offered.
+    fn offered(&self) -> &[Vec<u8>];
+    /// The messages the receiver delivered, in order.
+    fn delivered(&self) -> &[Vec<u8>];
+}
+
+/// The one [`SuiteSession`] implementation: two suite endpoints plus
+/// plain-function extractors (monomorphic per endpoint pair, no
+/// captures). Every frame it hands over is annotated for the golden
+/// recorder through [`Io::annotate_golden`], which costs one branch
+/// when capture is off.
+pub struct Pair<A, B> {
+    a: A,
+    b: B,
+    stats: fn(&A, &B, u64) -> (bool, u64, u64),
+    offered: fn(&A) -> &[Vec<u8>],
+    delivered: fn(&B) -> &[Vec<u8>],
+}
+
+impl<A: Observable, B: Observable> Pair<A, B> {
+    /// Bundles two endpoints with their outcome extractors.
+    pub fn new(
+        a: A,
+        b: B,
+        stats: fn(&A, &B, u64) -> (bool, u64, u64),
+        offered: fn(&A) -> &[Vec<u8>],
+        delivered: fn(&B) -> &[Vec<u8>],
+    ) -> Self {
+        Pair {
+            a,
+            b,
+            stats,
+            offered,
+            delivered,
+        }
+    }
+}
+
+impl<A: Observable, B: Observable> SessionEndpoints for Pair<A, B> {
+    fn start_a(&mut self, io: &mut Io<'_>) {
+        self.a.start(io);
+    }
+    fn start_b(&mut self, io: &mut Io<'_>) {
+        self.b.start(io);
+    }
+    fn frame_a(&mut self, frame: &[u8], io: &mut Io<'_>) {
+        self.a.on_frame(frame, io);
+        let a = &self.a;
+        io.annotate_golden(|| a.annotation(frame));
+    }
+    fn frame_b(&mut self, frame: &[u8], io: &mut Io<'_>) {
+        self.b.on_frame(frame, io);
+        let b = &self.b;
+        io.annotate_golden(|| b.annotation(frame));
+    }
+    fn timer_a(&mut self, token: TimerToken, io: &mut Io<'_>) {
+        self.a.on_timer(token, io);
+    }
+    fn timer_b(&mut self, token: TimerToken, io: &mut Io<'_>) {
+        self.b.on_timer(token, io);
+    }
+    fn reset_a(&mut self) {
+        self.a.reset();
+    }
+    fn reset_b(&mut self) {
+        self.b.reset();
+    }
+    fn done(&self) -> bool {
+        self.a.done() && self.b.done()
+    }
+}
+
+impl<A: Observable, B: Observable> SuiteSession for Pair<A, B> {
+    fn outcome(&self, ab_sent: u64) -> (bool, u64, u64) {
+        (self.stats)(&self.a, &self.b, ab_sent)
+    }
+    fn offered(&self) -> &[Vec<u8>] {
+        (self.offered)(&self.a)
+    }
+    fn delivered(&self) -> &[Vec<u8>] {
+        (self.delivered)(&self.b)
+    }
+}
+
+/// Builds the endpoints of one suite scenario — the **only** place a
+/// [`ProtocolSpec`] turns into endpoints, shared by the solo driver,
+/// the multiplexed driver and the golden recorder. Refuses non-duplex
+/// topologies, unknown protocols and the engine combinations
+/// [`validate_engine`] rejects.
+pub fn suite_session(scenario: &Scenario) -> Result<Box<dyn SuiteSession>, ScenarioError> {
+    if scenario.topology != TopologySpec::Duplex {
+        return Err(ScenarioError::UnsupportedTopology(format!(
+            "{} runs duplex topologies only, got {:?}",
+            scenario.protocol.name, scenario.topology
+        )));
+    }
+    let spec = &scenario.protocol;
+    validate_engine(spec)?;
+    // Generated once and moved into the sender, which serves as the
+    // offered-message store for the result comparison — no
+    // per-scenario clone of the whole transfer.
+    let messages = scenario.traffic.generate();
+    let n = messages.len();
+    Ok(match spec.name.as_str() {
+        // Stop-and-wait is the one protocol with a reified control
+        // spec, so it honours the FsmPath axis: the same scenario runs
+        // on the typestate engine or the compiled transition-table
+        // engine, transcript-identically.
+        STOP_AND_WAIT => match spec.fsm_path {
+            FsmPath::Typestate => Box::new(Pair::new(
+                SwSender::new(messages, spec.timeout, spec.max_retries)
+                    .with_frame_path(spec.frame_path)
+                    .with_retransmit(spec.retransmit),
+                SwReceiver::new(n).with_frame_path(spec.frame_path),
+                |a, _, _| {
+                    let s = a.stats();
+                    (a.succeeded(), s.frames_sent, s.retransmissions)
+                },
+                SwSender::messages,
+                SwReceiver::delivered,
+            )),
+            FsmPath::Compiled => Box::new(Pair::new(
+                FsmSender::new(messages, spec.timeout, spec.max_retries)
+                    .with_frame_path(spec.frame_path),
+                SwReceiver::new(n).with_frame_path(spec.frame_path),
+                |a, _, _| {
+                    let s = a.stats();
+                    (a.succeeded(), s.frames_sent, s.retransmissions)
+                },
+                FsmSender::messages,
+                SwReceiver::delivered,
+            )),
+        },
+        GO_BACK_N => Box::new(Pair::new(
+            GbnSender::new(messages, spec.window, spec.timeout, spec.max_retries)
+                .with_frame_path(spec.frame_path)
+                .with_retransmit(spec.retransmit),
+            GbnReceiver::new(n).with_frame_path(spec.frame_path),
+            |a, _, _| {
+                let s = a.stats();
+                (a.succeeded(), s.frames_sent, s.retransmissions)
+            },
+            GbnSender::messages,
+            GbnReceiver::delivered,
+        )),
+        SELECTIVE_REPEAT => Box::new(Pair::new(
+            SrSender::new(messages, spec.window, spec.timeout, spec.max_retries)
+                .with_frame_path(spec.frame_path)
+                .with_retransmit(spec.retransmit),
+            SrReceiver::new(n, spec.window).with_frame_path(spec.frame_path),
+            |a, _, _| {
+                let s = a.stats();
+                (a.succeeded(), s.frames_sent, s.retransmissions)
+            },
+            SrSender::messages,
+            SrReceiver::delivered,
+        )),
+        BASELINE => Box::new(Pair::new(
+            CSender::new(messages, spec.timeout, spec.max_retries),
+            CReceiver::new(n),
+            // The baseline keeps no counters (that is its point); every
+            // `sent` on the data-direction link is a data frame, and
+            // anything beyond one per delivered message was a
+            // retransmission.
+            |a, b, ab_sent| {
+                (
+                    a.succeeded(),
+                    ab_sent,
+                    ab_sent.saturating_sub(b.delivered().len() as u64),
+                )
+            },
+            CSender::messages,
+            CReceiver::delivered,
+        )),
+        other => return Err(ScenarioError::UnknownProtocol(other.to_string())),
+    })
+}
+
 impl ScenarioDriver for SuiteDriver {
     fn supports(&self, protocol: &str) -> bool {
         matches!(
@@ -231,98 +391,7 @@ impl ScenarioDriver for SuiteDriver {
     }
 
     fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, ScenarioError> {
-        if scenario.topology != TopologySpec::Duplex {
-            return Err(ScenarioError::UnsupportedTopology(format!(
-                "{} runs duplex topologies only, got {:?}",
-                scenario.protocol.name, scenario.topology
-            )));
-        }
-        let spec = &scenario.protocol;
-        validate_engine(spec)?;
-        // Generated once and moved into the sender, which serves as the
-        // offered-message store for the result comparison — no
-        // per-scenario clone of the whole transfer.
-        let messages = scenario.traffic.generate();
-        let n = messages.len();
-
-        match spec.name.as_str() {
-            // Stop-and-wait is the one protocol with a reified control
-            // spec, so it honours the FsmPath axis: the same scenario
-            // runs on the typestate engine or the compiled
-            // transition-table engine, transcript-identically.
-            STOP_AND_WAIT => match spec.fsm_path {
-                FsmPath::Typestate => Ok(drive_duplex(
-                    scenario,
-                    SwSender::new(messages, spec.timeout, spec.max_retries)
-                        .with_frame_path(spec.frame_path)
-                        .with_retransmit(spec.retransmit),
-                    SwReceiver::new(n).with_frame_path(spec.frame_path),
-                    |d| {
-                        let s = d.a().stats();
-                        (d.a().succeeded(), s.frames_sent, s.retransmissions)
-                    },
-                    SwSender::messages,
-                    SwReceiver::delivered,
-                )),
-                FsmPath::Compiled => Ok(drive_duplex(
-                    scenario,
-                    FsmSender::new(messages, spec.timeout, spec.max_retries)
-                        .with_frame_path(spec.frame_path),
-                    SwReceiver::new(n).with_frame_path(spec.frame_path),
-                    |d| {
-                        let s = d.a().stats();
-                        (d.a().succeeded(), s.frames_sent, s.retransmissions)
-                    },
-                    FsmSender::messages,
-                    SwReceiver::delivered,
-                )),
-            },
-            GO_BACK_N => Ok(drive_duplex(
-                scenario,
-                GbnSender::new(messages, spec.window, spec.timeout, spec.max_retries)
-                    .with_frame_path(spec.frame_path)
-                    .with_retransmit(spec.retransmit),
-                GbnReceiver::new(n).with_frame_path(spec.frame_path),
-                |d| {
-                    let s = d.a().stats();
-                    (d.a().succeeded(), s.frames_sent, s.retransmissions)
-                },
-                GbnSender::messages,
-                GbnReceiver::delivered,
-            )),
-            SELECTIVE_REPEAT => Ok(drive_duplex(
-                scenario,
-                SrSender::new(messages, spec.window, spec.timeout, spec.max_retries)
-                    .with_frame_path(spec.frame_path)
-                    .with_retransmit(spec.retransmit),
-                SrReceiver::new(n, spec.window).with_frame_path(spec.frame_path),
-                |d| {
-                    let s = d.a().stats();
-                    (d.a().succeeded(), s.frames_sent, s.retransmissions)
-                },
-                SrSender::messages,
-                SrReceiver::delivered,
-            )),
-            BASELINE => Ok(drive_duplex(
-                scenario,
-                CSender::new(messages, spec.timeout, spec.max_retries),
-                CReceiver::new(n),
-                |d| {
-                    // The baseline sender keeps no counters (that is
-                    // its point); recover frame counts from the
-                    // data-direction link: every `sent` there is a
-                    // data frame, and anything beyond one per
-                    // delivered message was a retransmission.
-                    let frames_sent = d.sim().link_stats(d.link_ab()).sent;
-                    let retransmissions =
-                        frames_sent.saturating_sub(d.b().delivered().len() as u64);
-                    (d.a().succeeded(), frames_sent, retransmissions)
-                },
-                CSender::messages,
-                CReceiver::delivered,
-            )),
-            other => Err(ScenarioError::UnknownProtocol(other.to_string())),
-        }
+        run_alone(scenario, false).map(|(result, _)| result)
     }
 }
 

@@ -13,7 +13,7 @@
 use netdsl::netsim::LinkConfig;
 use netdsl::netsim::ObsConfig;
 use netdsl::obs::{reset_all, snapshot, FlightKind};
-use netdsl::protocols::golden::record_multiplexed_with_flight;
+use netdsl::protocols::golden::record_with_flight;
 use netdsl::protocols::scenario::{SuiteDriver, STOP_AND_WAIT};
 use netdsl::scenario::{ProtocolSpec, Scenario, ScenarioDriver, TrafficPattern};
 
@@ -69,7 +69,7 @@ fn main() {
 
     // The flight recorder: a bounded ring of tick-stamped engine and
     // protocol events, captured per simulator.
-    let (_, flight) = record_multiplexed_with_flight(&scenario(ObsConfig::off())).unwrap();
+    let (_, flight) = record_with_flight(&scenario(ObsConfig::off())).unwrap();
     println!(
         "\nflight recording: {} events (capacity {}, dropped {}):",
         flight.events.len(),

@@ -1,8 +1,9 @@
 //! Adaptive retransmission (RFC 6298 SRTT/RTTVAR + Karn + backoff) and
 //! the fault engine, end to end: the `RetransmitPolicy` axis must be
-//! deterministic across every driver, the fault kinds must land
-//! identically solo and multiplexed, and the invariant monitor must
-//! hold over the whole grid.
+//! deterministic across both drivers, the fault kinds must land
+//! identically solo and multiplexed — each grid runs as one batch whose
+//! sessions share a simulator — and the invariant monitor must hold
+//! over the whole grid.
 //!
 //! Estimator-level properties (bound clamping, Karn's discard, backoff
 //! reset on a clean sample) are unit-tested in `netdsl-adapt`; this
@@ -11,7 +12,7 @@
 use netdsl::netsim::campaign::BatchDriver;
 use netdsl::netsim::check_result;
 use netdsl::netsim::LinkConfig;
-use netdsl::protocols::multiplex::{run_session_stepped, suite_session, MultiSessionDriver};
+use netdsl::protocols::multiplex::MultiSessionDriver;
 use netdsl::protocols::scenario::{SuiteDriver, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
 use netdsl::scenario::{
     Fault, FaultDirection, FaultNode, FsmPath, ProtocolSpec, RetransmitPolicy, Scenario,
@@ -38,29 +39,65 @@ fn scenario(protocol: &str, policy: RetransmitPolicy) -> Scenario {
     .with_deadline(1_000_000)
 }
 
-/// Runs one scenario through all three engines: the standalone duplex
-/// pump, the batched multiplexer, and the stepped multiplexer.
-fn run_everywhere(s: &Scenario) -> [ScenarioResult; 3] {
-    let solo = SuiteDriver::new().run(s).expect("valid scenario");
-    let mux = MultiSessionDriver::new()
-        .run_batch(std::slice::from_ref(s))
-        .remove(0)
-        .expect("valid scenario");
-    let mut pair = suite_session(s).expect("valid scenario");
-    let (stepped, _) = run_session_stepped(s, pair.as_mut(), false);
-    [solo, mux, stepped]
+/// Runs every scenario of `grid` solo and the whole grid as **one**
+/// multiplexed batch, whose sessions share a simulator; asserts the two
+/// agree scenario by scenario and returns the results.
+fn solo_and_batched(grid: &[Scenario]) -> Vec<ScenarioResult> {
+    let batched = MultiSessionDriver::new().run_batch(grid);
+    grid.iter()
+        .zip(batched)
+        .map(|(s, mux)| {
+            let solo = SuiteDriver::new().run(s).expect("valid scenario");
+            assert_eq!(
+                solo,
+                mux.expect("valid scenario"),
+                "{}: solo vs batched",
+                s.name
+            );
+            solo
+        })
+        .collect()
 }
 
 #[test]
 fn adaptive_runs_are_bit_identical_across_drivers() {
-    for protocol in [STOP_AND_WAIT, GO_BACK_N, SELECTIVE_REPEAT] {
-        let s = scenario(protocol, ADAPTIVE);
-        let [solo, mux, stepped] = run_everywhere(&s);
-        assert_eq!(solo, mux, "{protocol}: solo vs batched");
-        assert_eq!(solo, stepped, "{protocol}: solo vs stepped");
-        assert!(solo.success, "{protocol}: {solo:?}");
-        check_result(&s, &solo).assert_ok(&s.name);
+    let grid: Vec<Scenario> = [STOP_AND_WAIT, GO_BACK_N, SELECTIVE_REPEAT]
+        .into_iter()
+        .map(|protocol| scenario(protocol, ADAPTIVE))
+        .collect();
+    for (s, r) in grid.iter().zip(solo_and_batched(&grid)) {
+        assert!(r.success, "{}: {r:?}", s.name);
+        check_result(s, &r).assert_ok(&s.name);
     }
+}
+
+#[test]
+fn failed_sessions_report_their_last_event_solo_and_batched() {
+    // Sessions that can never finish (the sender gave up, the receiver
+    // is still waiting) leave cancelled timers queued after their last
+    // event. Those are not events of the session: `elapsed` is the tick
+    // of its last dispatched event, solo and batched alike.
+    let probe = |protocol: &str, policy, seed| {
+        Scenario::new(
+            ProtocolSpec::new(protocol)
+                .with_window(4)
+                .with_timeout(40)
+                .with_retries(3)
+                .with_retransmit(policy),
+            LinkConfig::lossy(3, 0.3),
+        )
+        .with_name(format!("elapsed/{protocol}/{seed}"))
+        .with_traffic(TrafficPattern::messages(8, 8))
+        .with_seed(seed)
+    };
+    let grid = [
+        probe(STOP_AND_WAIT, ADAPTIVE, 5),
+        probe(SELECTIVE_REPEAT, RetransmitPolicy::Fixed, 16),
+        scenario(GO_BACK_N, RetransmitPolicy::Fixed),
+    ];
+    let results = solo_and_batched(&grid);
+    assert!(!results[0].success && !results[1].success);
+    assert_eq!((results[0].elapsed, results[1].elapsed), (1188, 172));
 }
 
 #[test]
@@ -165,6 +202,7 @@ fn every_fault_kind_lands_identically_solo_and_multiplexed() {
             )],
         ),
     ];
+    let mut grid = Vec::new();
     for (label, faults) in plans {
         for protocol in [STOP_AND_WAIT, GO_BACK_N, SELECTIVE_REPEAT] {
             for policy in [RetransmitPolicy::Fixed, ADAPTIVE] {
@@ -176,28 +214,29 @@ fn every_fault_kind_lands_identically_solo_and_multiplexed() {
                         .with_retransmit(policy),
                     LinkConfig::reliable(3),
                 )
-                .with_name(format!("fault-parity/{label}/{protocol}"))
+                .with_name(format!("fault-parity/{label}/{protocol}/{policy:?}"))
                 .with_traffic(TrafficPattern::messages(24, 16))
                 .with_seed(0xFA17)
                 .with_deadline(1_000_000);
                 for fault in &faults {
                     s = s.with_fault(fault.clone());
                 }
-                let [solo, mux, stepped] = run_everywhere(&s);
-                assert_eq!(solo, mux, "{}: solo vs batched", s.name);
-                assert_eq!(solo, stepped, "{}: solo vs stepped", s.name);
-                check_result(&s, &solo).assert_ok(&s.name);
+                grid.push(s);
             }
         }
+    }
+    for (s, r) in grid.iter().zip(solo_and_batched(&grid)) {
+        check_result(s, &r).assert_ok(&s.name);
     }
 }
 
 #[test]
 fn a_fault_scheduled_after_the_last_event_never_lands() {
     // The transfer finishes long before the crash boundary; with no
-    // event left to cross it, the fault is discarded by every driver
-    // (the multiplexer closes the slot, the solo pump stops) instead of
-    // resurrecting a finished session.
+    // event left to cross it, the fault is discarded (the session closes
+    // once both endpoints are done) instead of resurrecting a finished
+    // session — also when a neighbour in the batch keeps the simulator
+    // running past the boundary.
     let mut base = scenario(GO_BACK_N, RetransmitPolicy::Fixed);
     base.link = LinkConfig::reliable(3);
     let quiet = SuiteDriver::new().run(&base).unwrap();
@@ -205,10 +244,14 @@ fn a_fault_scheduled_after_the_last_event_never_lands() {
         .clone()
         .with_fault(Fault::crash(quiet.elapsed + 1_000, FaultNode::B))
         .with_fault(Fault::restart(quiet.elapsed + 2_000, FaultNode::B));
-    let [solo, mux, stepped] = run_everywhere(&s);
-    assert_eq!(solo, quiet, "late fault must not change the run");
-    assert_eq!(solo, mux);
-    assert_eq!(solo, stepped);
+    let mut neighbour = base.clone().with_traffic(TrafficPattern::messages(400, 16));
+    neighbour.link = LinkConfig::lossy(3, 0.2);
+    let results = solo_and_batched(&[s, neighbour]);
+    assert_eq!(results[0], quiet, "late fault must not change the run");
+    assert!(
+        results[1].elapsed > quiet.elapsed + 2_000,
+        "the neighbour runs past both fault boundaries"
+    );
 }
 
 #[test]
