@@ -1,24 +1,25 @@
-//! E15 — the multiplexed session engine, measured.
+//! E15 — the batch session engine, measured.
 //!
-//! One simulator co-hosts a whole chunk of scenarios as sessions — one
-//! payload arena, one timer wheel, one `(at, seq)` event order — and
-//! campaigns stream over it instead of materialising per-scenario runs
-//! (`docs/SESSIONS.md`). Two claims are pinned here:
+//! `MultiSessionDriver` runs a whole chunk of scenarios back to back on
+//! one simulator, reset in place between sessions, and campaigns
+//! stream over it instead of materialising per-scenario runs
+//! (`docs/SESSIONS.md`). The arm and metric names still say
+//! "multiplexed" and "mux", after the driver's module. Two claims are
+//! pinned here:
 //!
 //! * **Throughput:** aggregate sessions/s at 10 000 tiny sessions, the
-//!   multiplexed engine against *N independent simulators* — the
-//!   legacy core, which builds a fresh arena and event queue per
-//!   scenario with no cross-scenario reuse (the same independent
-//!   baseline E13 gates its pooled-core speedup against). The gated
-//!   `mux_speedup` metric is that ratio; CI asserts the committed
-//!   full-depth mean via `tools/check_bench_json --min-metric`. The
-//!   warm recycled solo path (`SoloBatch(SuiteDriver)`, thread-local
-//!   core pool) is also timed and reported as `warm_solo_ratio`,
-//!   ungated: against an already-warm engine the multiplexed path is
-//!   throughput-parity, because per-session work (frames, endpoint
-//!   logic, verification) dwarfs per-simulator fixed cost and is paid
-//!   identically in both arms. The honest win of multiplexing is the
-//!   next bullet, not a hot-loop multiple.
+//!   batch driver against *N independent simulators* — the legacy
+//!   core, which builds a fresh arena and event queue per scenario
+//!   with no cross-scenario reuse (the same independent baseline E13
+//!   gates its pooled-core speedup against). The gated `mux_speedup`
+//!   metric is that ratio; CI asserts the committed full-depth mean
+//!   via `tools/check_bench_json --min-metric`. The warm recycled solo
+//!   path (`SoloBatch(SuiteDriver)`, which checks a core out of the
+//!   thread-local pool per session) is also timed and reported as
+//!   `warm_solo_ratio`, ungated: per-session work (frames, endpoint
+//!   logic, verification) is paid identically in both arms, so the
+//!   ratio shows only what resetting one simulator in place saves over
+//!   the pool checkout, the drop and the per-session result fold.
 //! * **Memory-bounded scale:** a 1 048 576-session sweep through
 //!   [`Campaign::run_streaming`] completes with the raw-sample
 //!   reservoir capped (asserted ≤ `raw_cap` on every aggregate) — the
@@ -26,8 +27,8 @@
 //!   O(sessions), where the materialising `Campaign::run` would hold a
 //!   million `ScenarioRun`s.
 //!
-//! Equivalence is asserted before anything is timed: the multiplexed
-//! batch must reproduce the solo results bit-for-bit across the whole
+//! Equivalence is asserted before anything is timed: the batched
+//! sessions must reproduce the solo results bit-for-bit across the whole
 //! grid (the same guarantee `tests/golden_parity.rs` pins
 //! fixture-by-fixture), and the independent-baseline arm must agree
 //! cell-for-cell too (engine cores change speed, never results). Speed
@@ -46,7 +47,7 @@ use netdsl_protocols::scenario::{
     SuiteDriver, BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT,
 };
 
-/// Scenarios co-hosted per simulator in the timed multiplexed runs.
+/// Scenarios per `run_batch` call in the timed multiplexed runs.
 const CHUNK: usize = 512;
 
 /// Sessions in the head-to-head comparison (both modes: the claim is
@@ -147,7 +148,7 @@ fn main() {
     let reps = if quick { 3 } else { 7 };
     let threads = std::thread::available_parallelism().map_or(4, |n| n.get());
 
-    println!("E15: multiplexed sessions (one simulator per chunk) vs independent simulators\n");
+    println!("E15: batched sessions (one reset simulator per chunk) vs independent simulators\n");
 
     let head = head_campaign();
     let scenarios = head.scenarios();
@@ -156,7 +157,7 @@ fn main() {
     let mux = MultiSessionDriver::new();
     let solo = SoloBatch(SuiteDriver::new());
 
-    // Equivalence first: the multiplexed engine must reproduce the solo
+    // Equivalence first: the batch driver must reproduce the solo
     // path bit-for-bit across the whole 10k-scenario grid, and the
     // independent-core baseline must produce the same results again.
     for (batch, base) in scenarios.chunks(CHUNK).zip(independent.chunks(CHUNK)) {
@@ -179,7 +180,7 @@ fn main() {
 
     let mut out = BenchReport::new(
         "e15_session_mux",
-        "multiplexed session engine: chunked co-hosted sessions vs one simulator per scenario",
+        "multiplexed session engine: chunks run back to back on one reset simulator vs one simulator per scenario",
     );
 
     // Head-to-head throughput. Arms interleave within each rep so drift
@@ -309,9 +310,9 @@ fn main() {
     // mux regression can be localised to schedule/deliver vs codec.
     stages::attach(&mut out, reps, report::scaled(20_000, 2_000));
 
-    println!("\nexpected shape: mux_speedup ≥ 1 vs independent simulators, warm_solo_ratio ≈ 1");
-    println!("(throughput-parity); streaming memory stays O(raw_cap), not O(sessions)");
-    println!("(docs/SESSIONS.md).");
+    println!("\nexpected shape: mux_speedup ≥ 1 vs independent simulators, warm_solo_ratio a");
+    println!("little above 1 (a reset in place saves only the pool checkout and drop); streaming");
+    println!("memory stays O(raw_cap), not O(sessions) (docs/SESSIONS.md).");
 
     out.write();
 

@@ -5,14 +5,14 @@
 //! atomic load, the flight recorder is one branch when absent, and a
 //! scenario that asks for telemetry must get the **same results** —
 //! telemetry is not a parity axis. This harness pins the price of the
-//! enabled path on the most instrumented workload we have, the
-//! multiplexed session campaign of E15:
+//! enabled path on the most instrumented workload we have, the batched
+//! session campaign of E15:
 //!
 //! * **disabled arm** — the metric switch off, no flight recorder: the
 //!   exact configuration every other E-harness measures;
 //! * **enabled arm** — the metric registry on *and* a flight recorder
-//!   installed per chunk simulator: every engine counter, histogram
-//!   and ring write live.
+//!   installed for every session: every engine counter, histogram and
+//!   ring write live.
 //!
 //! Arms interleave within each rep so scheduler and thermal drift hit
 //! both alike, and the enabled arm's per-cell results are asserted
@@ -31,7 +31,7 @@ use netdsl_netsim::{LinkConfig, ObsConfig};
 use netdsl_protocols::multiplex::MultiSessionDriver;
 use netdsl_protocols::scenario::{BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
 
-/// Scenarios co-hosted per simulator (same geometry as E15's timed arm).
+/// Scenarios per `run_batch` call (same geometry as E15's timed arm).
 const CHUNK: usize = 512;
 
 /// Sessions per measured pass.
@@ -76,7 +76,7 @@ fn campaign() -> Campaign {
 }
 
 /// The grid with full telemetry requested per scenario: metric registry
-/// on, flight recorder installed on every chunk's simulator.
+/// on, a flight recorder installed for every session.
 fn instrumented(scenarios: &[Scenario]) -> Vec<Scenario> {
     scenarios
         .iter()

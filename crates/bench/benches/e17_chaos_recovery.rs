@@ -5,7 +5,7 @@
 //! harness turns into numbers and assertions:
 //!
 //! 1. **Determinism across drivers** — every cell runs twice, solo
-//!    ([`SuiteDriver`]) and multiplexed ([`MultiSessionDriver`]), and
+//!    ([`SuiteDriver`]) and batched ([`MultiSessionDriver`]), and
 //!    the two results must be equal field-for-field before anything is
 //!    reported. Crash/restart, flap, skew and burst cells all cross
 //!    this bar.

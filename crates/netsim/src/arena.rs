@@ -243,13 +243,13 @@ impl PayloadArena {
         }
     }
 
-    /// A spare only ever backs a slot whose buffer was detached, so the
-    /// pool keeps at most one per slot and drops the rest: a solo
-    /// simulator keeps a handful, while a multiplexed batch, which
-    /// detaches a frame per session in its first tick, keeps one per
-    /// session for the next batch.
+    /// A spare backs a slot whose buffer was detached, so the pool
+    /// keeps one per slot plus one and drops the rest. The extra one is
+    /// for the reply a handler encodes while the pump still holds the
+    /// frame it is handling detached: without it a one-slot session
+    /// allocates its reply buffer afresh, and drops one, every session.
     fn has_room_for_spare(&self) -> bool {
-        self.spare.len() < self.slots.len()
+        self.spare.len() <= self.slots.len()
     }
 
     /// Upper bounds on what [`reset`](PayloadArena::reset) keeps: one
@@ -266,10 +266,10 @@ impl PayloadArena {
     ///
     /// Retention is bounded by the *departing owner's* slot high-water
     /// mark, not just the static cap: a reset costs O(slots this run
-    /// touched), and one multiplexed batch that grew the slab to
-    /// thousands of slots stops taxing every later small simulation on
-    /// the thread with an O(`RETAIN_SLOTS`) sweep (the slab re-shrinks
-    /// to the next owner's working set after one recycle generation).
+    /// touched), and one simulation that grew the slab to thousands of
+    /// slots stops taxing every later small simulation on the thread
+    /// with an O(`RETAIN_SLOTS`) sweep (the slab re-shrinks to the next
+    /// owner's working set after one recycle generation).
     pub(crate) fn reset(&mut self) {
         self.slots.truncate(self.hwm.min(Self::RETAIN_SLOTS));
         for slot in &mut self.slots {
@@ -280,7 +280,7 @@ impl PayloadArena {
         }
         self.spare
             .retain(|buf| buf.capacity() <= Self::RETAIN_BUF_BYTES);
-        self.spare.truncate(self.slots.len());
+        self.spare.truncate(self.slots.len() + 1);
         self.free.clear();
         self.free.extend((0..self.slots.len() as u32).rev());
         self.hwm = 0;
@@ -400,7 +400,7 @@ mod tests {
 
     #[test]
     fn reset_retention_tracks_the_departing_owners_usage() {
-        // A large owner (a multiplexed batch) grows the slab; after its
+        // A large owner (a window-heavy session) grows the slab; after its
         // reset a small owner must not inherit — or keep re-paying for —
         // the peak. One recycle generation later the slab is back to the
         // small owner's working set.

@@ -23,8 +23,8 @@
 //! materialises the expansion and keeps every [`ScenarioRun`] — right
 //! for sweeps you want to slice afterwards. [`Campaign::run_streaming`]
 //! generates scenarios on demand ([`Campaign::scenario_at`]), hands
-//! work-stolen chunks to a [`BatchDriver`] (which may multiplex the
-//! chunk as sessions of one simulator), and folds outcomes into
+//! work-stolen chunks to a [`BatchDriver`] (which may run the chunk's
+//! sessions back to back on one simulator), and folds outcomes into
 //! [`StreamAggregate`]s with a bounded raw-sample reservoir — right for
 //! 10⁶-scenario sweeps that must not hold 10⁶ results in memory.
 //!
@@ -645,7 +645,7 @@ fn run_chunk(driver: &dyn BatchDriver, batch: &[Scenario], partial: &mut StreamP
 }
 
 /// A driver that executes a whole chunk of scenarios in one call — e.g.
-/// by multiplexing them as concurrent sessions of one shared simulator.
+/// back to back on one simulator that it resets between sessions.
 /// Streaming campaigns hand each stolen chunk to [`run_batch`] so the
 /// driver can amortise per-scenario setup across the chunk.
 ///
@@ -662,7 +662,7 @@ pub trait BatchDriver: Sync {
 
 /// Adapts a per-scenario [`ScenarioDriver`] into a [`BatchDriver`] that
 /// runs each scenario of the chunk independently — the baseline
-/// streaming path, and the reference the multiplexed driver is measured
+/// streaming path, and the reference the batch driver is measured
 /// against in bench E15.
 #[derive(Debug, Clone, Copy)]
 pub struct SoloBatch<D>(pub D);
@@ -682,7 +682,8 @@ impl<D: ScenarioDriver> BatchDriver for SoloBatch<D> {
 pub struct StreamOptions {
     /// Scenarios per work-stealing chunk (clamped to at least 1). The
     /// chunk is also the batch handed to [`BatchDriver::run_batch`], so
-    /// it bounds how many sessions a multiplexing driver co-hosts.
+    /// it sets how many scenarios a worker holds at once and how often
+    /// it merges a partial report.
     pub chunk: usize,
     /// Maximum raw samples retained per metric across the whole run
     /// (the [`StreamAggregate`] reservoir bound).

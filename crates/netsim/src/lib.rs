@@ -77,7 +77,7 @@ pub use scenario::{
     FaultPlan, FaultWorld, PlannedFault, ProtocolSpec, RetransmitPolicy, Scenario, ScenarioDriver,
     ScenarioResult, TopologySpec, TrafficPattern,
 };
-pub use sim::{Event, EventRef, LinkId, NodeId, SessionId, SimCore, Simulator, TimerToken};
+pub use sim::{Event, EventRef, LinkId, NodeId, SimCore, Simulator, TimerToken};
 pub use stats::{Aggregate, LinkStats};
 pub use topology::Topology;
 

@@ -501,7 +501,7 @@ impl FaultNode {
 /// The compound kinds ([`FaultKind::Flap`], [`FaultKind::Burst`])
 /// describe *schedules*; [`FaultPlan::from_scenario`] expands them into
 /// primitive [`FaultAction`]s before a driver ever sees them, so every
-/// driver applies the exact same action sequence (solo ≡ multiplexed).
+/// driver applies the exact same action sequence (solo ≡ batched).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FaultKind {
     /// Reconfigure the affected direction(s) to `config` — the original
@@ -716,7 +716,7 @@ pub struct PlannedFault {
 ///
 /// Compound kinds (flaps, bursts) are unrolled into primitive
 /// [`FaultAction`]s here — **once**, from scenario data alone — so
-/// solo, multiplexed and recorded runs all iterate the identical action
+/// solo, batched and recorded runs all iterate the identical action
 /// sequence. Expansion is a pure
 /// function of the scenario (restores revert to `scenario.link`), and
 /// the sort is stable: actions at the same tick apply in scenario
@@ -851,7 +851,7 @@ impl FaultPlan {
 /// endpoint nodes and the two directed links between them, as every
 /// driver builds them (A's data link `link_ab`, B's ack link
 /// `link_ba`). Resolving [`FaultNode`] roles through this struct is
-/// what lets the standalone and multiplexed drivers share one applier.
+/// what lets the solo and batch drivers share one applier.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultWorld {
     /// The initiating (sender) endpoint's node.
@@ -876,7 +876,7 @@ impl FaultWorld {
 
 /// Applies one primitive fault to the simulator — the **single**
 /// application path of every driver, which is what pins solo ≡
-/// multiplexed fault behaviour. Emits a `fault.injected` count and a
+/// batched fault behaviour. Emits a `fault.injected` count and a
 /// [`FlightKind::Fault`](netdsl_obs::FlightKind) event per simulator
 /// mutation.
 ///

@@ -19,12 +19,9 @@
 //! handle API ([`Simulator::send_ref`], [`Simulator::step_ref`]) is the
 //! allocation-free path the protocol pump drives.
 //!
-//! One simulator can also host many **multiplexed sessions**
-//! ([`SessionId`]): each session owns its RNG stream, nodes, and links
-//! (struct-of-arrays state plus a per-session connection table), while
-//! all sessions share the wheel, the arena, and virtual time. Drivers
-//! step one event at a time with [`Simulator::step_ref`] whatever the
-//! number of sessions; see `docs/SESSIONS.md` for the parity argument.
+//! [`Simulator::reset`] empties a simulator in place for its next
+//! owner, which is how a batch driver runs its sessions back to back on
+//! one warm simulator (see `docs/SESSIONS.md`).
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -61,25 +58,6 @@ pub struct LinkId(pub(crate) usize);
 
 impl LinkId {
     /// The raw index of this link.
-    pub fn index(self) -> usize {
-        self.0
-    }
-}
-
-/// Identifies one multiplexed session inside a [`Simulator`].
-///
-/// A session is an isolated slice of one simulator: its own ChaCha RNG
-/// stream, its own nodes and links (the per-session connection table),
-/// sharing only the timer wheel, the payload arena, and virtual time
-/// with its co-resident sessions. Because impairment randomness is
-/// drawn per session and event order is total in `(at, seq)`, each
-/// session's transcript is bit-identical to running it alone — see
-/// `docs/SESSIONS.md`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct SessionId(pub(crate) usize);
-
-impl SessionId {
-    /// The raw index of this session.
     pub fn index(self) -> usize {
         self.0
     }
@@ -178,73 +156,39 @@ pub enum EventRef {
 struct Link {
     from: NodeId,
     to: NodeId,
-    session: SessionId,
     config: LinkConfig,
     stats: LinkStats,
 }
 
-/// Struct-of-arrays session state. Session 0 always exists (seeded by
-/// the constructor), so a simulator that never calls
-/// [`Simulator::add_session`] behaves exactly as the single-session
-/// engine always did.
-///
-/// Pooled cores recycle the tables with the arena and the wheel: the
-/// outer vectors keep their capacity, and the emptied inner lists of
-/// `session_links` and `node_cancels` wait in the spare lists for the
-/// next owner's sessions and nodes.
+/// Node and link tables. Pooled cores recycle them with the arena and
+/// the wheel: both vectors keep their capacity, and so do the emptied
+/// cancel lists of the nodes the departing owner created.
 #[derive(Debug, Default)]
 struct Tables {
-    /// `rngs[s]`: session `s`'s impairment RNG stream.
-    rngs: Vec<ChaCha12Rng>,
-    /// `node_sessions[n]`: the owning session of node `n`.
-    node_sessions: Vec<SessionId>,
-    /// `session_links[s]`: session `s`'s connection table.
-    session_links: Vec<Vec<LinkId>>,
+    /// Nodes created so far; node ids are `0..nodes`.
+    nodes: usize,
     links: Vec<Link>,
-    /// Pending lazy timer cancellations, indexed by node so lookup cost
-    /// scales with one node's in-flight cancels (a handful) rather than
-    /// with every co-hosted session's — the difference between O(1) and
-    /// O(sessions) per timer pop in a multiplexed batch.
+    /// Pending lazy timer cancellations, indexed by node so the
+    /// pop-time lookup scans one node's handful of in-flight cancels.
     node_cancels: Vec<Vec<TimerToken>>,
-    spare_links: Vec<Vec<LinkId>>,
-    spare_cancels: Vec<Vec<TimerToken>>,
 }
 
 impl Tables {
-    /// Entries per table a recycled core keeps: two per session of the
-    /// default 512-session streaming chunk, with room to spare. Larger
-    /// tables shrink back, like the arena's slab.
-    const RETAIN: usize = 2048;
-
-    /// Opens the next session: its RNG stream and an empty link list.
-    fn open_session(&mut self, seed: u64) -> SessionId {
-        let id = SessionId(self.rngs.len());
-        self.rngs.push(ChaCha12Rng::seed_from_u64(seed));
-        let links = self.spare_links.pop().unwrap_or_default();
-        self.session_links.push(links);
-        id
-    }
+    /// Entries per table a recycled core keeps, far more than the
+    /// two-node worlds of the suite drivers. Larger tables shrink back,
+    /// like the arena's slab.
+    const RETAIN: usize = 256;
 
     /// Empties every table for the next owner. Costs O(this owner's
-    /// sessions and nodes), however large an earlier owner grew them.
+    /// nodes), however large an earlier owner grew the tables.
     fn reset(&mut self) {
-        fn park<T>(lists: &mut Vec<Vec<T>>, spares: &mut Vec<Vec<T>>) {
-            for mut list in lists.drain(..) {
-                if list.capacity() > 0 && spares.len() < Tables::RETAIN {
-                    list.clear();
-                    spares.push(list);
-                }
-            }
-            lists.shrink_to(Tables::RETAIN);
-        }
-        self.rngs.clear();
-        self.rngs.shrink_to(Self::RETAIN);
-        self.node_sessions.clear();
-        self.node_sessions.shrink_to(Self::RETAIN);
         self.links.clear();
         self.links.shrink_to(Self::RETAIN);
-        park(&mut self.session_links, &mut self.spare_links);
-        park(&mut self.node_cancels, &mut self.spare_cancels);
+        self.node_cancels.truncate(self.nodes.min(Self::RETAIN));
+        for list in &mut self.node_cancels {
+            list.clear();
+        }
+        self.nodes = 0;
     }
 }
 
@@ -297,10 +241,10 @@ impl Queue {
         }
     }
 
-    fn peek_at(&self) -> Option<Tick> {
+    fn clear(&mut self) {
         match self {
-            Queue::Wheel(w) => w.peek_at(),
-            Queue::Heap(h) => h.peek().map(|Reverse(s)| s.at),
+            Queue::Wheel(w) => w.reset(),
+            Queue::Heap(h) => h.clear(),
         }
     }
 
@@ -321,13 +265,11 @@ thread_local! {
     /// of scenarios without re-growing any of them. Capacities persist;
     /// all contents are reset between owners.
     ///
-    /// The pool is **shard-aware by construction**: checkout is a
-    /// `pop` (exclusive ownership transfer), so any number of pooled
-    /// simulators alive on one thread at once — e.g. a multiplexed
-    /// driver holding one simulator per [`SimCore`] group, or a golden
-    /// recorder nested inside a campaign worker — each hold disjoint
-    /// structures and never observe each other's state. There is a
-    /// regression test for exactly this
+    /// Checkout is a `pop` (exclusive ownership transfer), so any
+    /// number of pooled simulators alive on one thread at once — e.g. a
+    /// golden recorder nested inside a campaign worker — each hold
+    /// disjoint structures and never observe each other's state. There
+    /// is a regression test for exactly this
     /// (`two_live_pooled_simulators_on_one_thread_stay_disjoint`).
     static CORE_POOL: RefCell<Vec<PooledCore>> = const { RefCell::new(Vec::new()) };
 }
@@ -335,8 +277,7 @@ thread_local! {
 /// Warm cores retained **per thread**, however many simulators each
 /// worker creates or holds alive — returning a core to a full pool
 /// just drops it. Sized so a worker holding a few concurrent
-/// simulators (multiplexed shards, nested helper simulations) still
-/// recycles all of them.
+/// simulators (nested helper simulations) still recycles all of them.
 const CORE_POOL_CAP: usize = 8;
 
 /// Engine metrics (`netdsl-obs`). The statics are inert until
@@ -372,11 +313,18 @@ pub struct Simulator {
     queue: Queue,
     arena: PayloadArena,
     core: SimCore,
+    /// The impairment RNG stream, seeded by the constructor or
+    /// [`Simulator::reset`].
+    rng: ChaCha12Rng,
     tables: Tables,
     golden: Option<Box<GoldenLog>>,
     /// Flight recorder, boxed behind an `Option` like golden capture:
     /// the hot path pays one branch when no recorder is installed.
     flight: Option<Box<FlightRecorder>>,
+    /// A recorder that [`Simulator::reset`] or [`Simulator::set_obs`]
+    /// removed, kept so that the next one installed reuses its ring: a
+    /// batch that resets one simulator per session allocates it once.
+    spare_flight: Option<Box<FlightRecorder>>,
     /// Fast-path flag for node-level fault state: `false` until the
     /// first crash or clock skew, so un-faulted runs pay exactly one
     /// predictable branch per pop and per timer arm (the bit-identical
@@ -404,11 +352,11 @@ impl Simulator {
     }
 
     /// Creates a simulator on an explicit engine core. The pooled core
-    /// draws its arena, wheel and session tables from a thread-local
-    /// recycling pool (returned, reset, on drop); the legacy core
-    /// allocates fresh so baseline measurements stay honest.
+    /// draws its arena, wheel and node and link tables from a
+    /// thread-local recycling pool (returned, reset, on drop); the
+    /// legacy core allocates fresh so baseline measurements stay honest.
     pub fn with_core(seed: u64, core: SimCore) -> Self {
-        let (arena, queue, mut tables) = match core {
+        let (arena, queue, tables) = match core {
             SimCore::Pooled => {
                 let (arena, wheel, tables) = CORE_POOL
                     .with(|pool| pool.borrow_mut().pop())
@@ -423,21 +371,49 @@ impl Simulator {
                 Tables::default(),
             ),
         };
-        tables.open_session(seed);
         Simulator {
             time: 0,
             seq: 0,
             queue,
             arena,
             core,
+            rng: ChaCha12Rng::seed_from_u64(seed),
             tables,
             golden: None,
             flight: None,
+            spare_flight: None,
             faulted: false,
             node_down: Vec::new(),
             crash_floor: Vec::new(),
             node_skew: Vec::new(),
         }
+    }
+
+    /// Empties this simulator in place and reseeds it: afterwards it is
+    /// observably identical to `Simulator::with_core(seed, self.core())`
+    /// — clock, event sequence, queue, arena, nodes, links, pending
+    /// cancels, fault state, golden log and flight recorder all start
+    /// over — while its structures keep their capacity. Outstanding
+    /// [`PayloadRef`]s are invalidated.
+    pub fn reset(&mut self, seed: u64) {
+        self.clear();
+        self.rng = ChaCha12Rng::seed_from_u64(seed);
+    }
+
+    /// Everything [`Simulator::reset`] empties; also what a pooled core
+    /// goes through on its way back to the pool.
+    fn clear(&mut self) {
+        self.time = 0;
+        self.seq = 0;
+        self.queue.clear();
+        self.arena.reset();
+        self.tables.reset();
+        self.golden = None;
+        self.park_flight();
+        self.faulted = false;
+        self.node_down.clear();
+        self.crash_floor.clear();
+        self.node_skew.clear();
     }
 
     /// Installs a scenario's observability request: turns the
@@ -450,9 +426,24 @@ impl Simulator {
         if cfg.metrics {
             netdsl_obs::set_metrics_enabled(true);
         }
-        self.flight = cfg
-            .flight
-            .then(|| Box::new(FlightRecorder::new(cfg.flight_cap())));
+        self.park_flight();
+        if cfg.flight {
+            let recorder = match self.spare_flight.take() {
+                Some(mut recorder) => {
+                    recorder.reset(cfg.flight_cap());
+                    recorder
+                }
+                None => Box::new(FlightRecorder::new(cfg.flight_cap())),
+            };
+            self.flight = Some(recorder);
+        }
+    }
+
+    /// Uninstalls the flight recorder, keeping it as the spare.
+    fn park_flight(&mut self) {
+        if let Some(recorder) = self.flight.take() {
+            self.spare_flight = Some(recorder);
+        }
     }
 
     /// Removes the flight recorder, returning what it captured (or
@@ -531,105 +522,39 @@ impl Simulator {
         self.time
     }
 
-    /// Opens a new multiplexed session with its own ChaCha RNG stream
-    /// and returns its id. Nodes added via
-    /// [`Simulator::add_node_for`] and links between them belong to the
-    /// session; impairment randomness for those links is drawn from the
-    /// session's stream, so each session replays bit-identically to a
-    /// standalone simulator seeded the same way.
-    pub fn add_session(&mut self, seed: u64) -> SessionId {
-        self.tables.open_session(seed)
-    }
-
-    /// Session 0: the one the constructor seeds, which every
-    /// session-unaware call ([`Simulator::add_node`]) targets.
-    pub fn default_session(&self) -> SessionId {
-        SessionId(0)
-    }
-
-    /// Number of sessions (always ≥ 1).
-    pub fn session_count(&self) -> usize {
-        self.tables.rngs.len()
-    }
-
-    /// Adds a node owned by the default session and returns its id.
+    /// Adds a node and returns its id.
     pub fn add_node(&mut self) -> NodeId {
-        self.add_node_for(self.default_session())
-    }
-
-    /// Adds a node owned by `session` and returns its id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `session` was not created by this simulator.
-    pub fn add_node_for(&mut self, session: SessionId) -> NodeId {
-        assert!(
-            session.0 < self.tables.rngs.len(),
-            "session {} does not exist ({} sessions)",
-            session.0,
-            self.tables.rngs.len()
-        );
-        let id = NodeId(self.tables.node_sessions.len());
-        self.tables.node_sessions.push(session);
+        let id = NodeId(self.tables.nodes);
+        self.tables.nodes += 1;
         id
     }
 
     /// Number of nodes created so far.
     pub fn node_count(&self) -> usize {
-        self.tables.node_sessions.len()
+        self.tables.nodes
     }
 
-    /// The session a node belongs to.
-    pub fn node_session(&self, node: NodeId) -> SessionId {
-        self.tables.node_sessions[node.0]
-    }
-
-    /// The session a link belongs to (that of its endpoints).
-    pub fn link_session(&self, link: LinkId) -> SessionId {
-        self.tables.links[link.0].session
-    }
-
-    /// The connection table of one session: its links, in creation
-    /// order.
-    pub fn session_links(&self, session: SessionId) -> &[LinkId] {
-        &self.tables.session_links[session.0]
-    }
-
-    /// Counters of one session's links folded into one [`LinkStats`] —
-    /// what the multiplexed driver records per scenario.
-    pub fn session_stats(&self, session: SessionId) -> LinkStats {
-        self.tables.session_links[session.0]
-            .iter()
-            .fold(LinkStats::default(), |acc, l| {
-                acc.merge(self.tables.links[l.0].stats)
-            })
-    }
-
-    /// Adds a unidirectional link `from → to`. The link joins its
-    /// endpoints' session and draws impairment randomness from that
-    /// session's RNG stream.
+    /// Adds a unidirectional link `from → to`.
     ///
     /// # Panics
     ///
     /// Panics if `config` carries probabilities outside `[0, 1]`, or if
-    /// `from` and `to` belong to different sessions — both are
+    /// `from` or `to` is not a node of this simulator — both are
     /// configuration bugs, not runtime conditions.
     pub fn add_link(&mut self, from: NodeId, to: NodeId, config: LinkConfig) -> LinkId {
         assert!(config.is_valid(), "link probabilities must lie in [0, 1]");
-        let session = self.tables.node_sessions[from.0];
-        assert_eq!(
-            session, self.tables.node_sessions[to.0],
-            "links cannot cross sessions"
+        let nodes = self.tables.nodes;
+        assert!(
+            from.0 < nodes && to.0 < nodes,
+            "link {from:?} -> {to:?} joins a node this simulator does not have ({nodes} nodes)"
         );
         let id = LinkId(self.tables.links.len());
         self.tables.links.push(Link {
             from,
             to,
-            session,
             config,
             stats: LinkStats::default(),
         });
-        self.tables.session_links[session.0].push(id);
         id
     }
 
@@ -776,7 +701,7 @@ impl Simulator {
     ///
     /// Returns `true` if at least one copy was scheduled for delivery.
     pub fn send_ref(&mut self, link: LinkId, payload: PayloadRef) -> bool {
-        let (loss, duplicate, corrupt, delay, jitter, to, session) = {
+        let (loss, duplicate, corrupt, delay, jitter, to) = {
             let l = &self.tables.links[link.0];
             (
                 l.config.loss,
@@ -785,7 +710,6 @@ impl Simulator {
                 l.config.delay,
                 l.config.jitter,
                 l.to,
-                l.session,
             )
         };
         let len = self.arena.get(&payload).len();
@@ -798,7 +722,7 @@ impl Simulator {
             self.push_golden(GoldenEventKind::Sent, link, wire);
         }
 
-        if self.tables.rngs[session.0].random_bool(loss) {
+        if self.rng.random_bool(loss) {
             self.tables.links[link.0].stats.lost += 1;
             FRAMES_DROPPED.incr();
             self.flight_record(FlightKind::Drop, link.index() as u64, 0);
@@ -814,7 +738,7 @@ impl Simulator {
         // engine cloned here). The copy is scheduled first, exactly as
         // the original engine did, so RNG draw order and event seq
         // assignment — and therefore whole transcripts — are unchanged.
-        if self.tables.rngs[session.0].random_bool(duplicate) {
+        if self.rng.random_bool(duplicate) {
             self.tables.links[link.0].stats.duplicated += 1;
             let copy = self.arena.retain(&payload);
             self.schedule_delivery(link, to, corrupt, delay, jitter, copy);
@@ -834,12 +758,11 @@ impl Simulator {
         jitter: Tick,
         frame: PayloadRef,
     ) {
-        let session = self.tables.links[link.0].session;
         let len = self.arena.get(&frame).len();
         let mut frame = frame;
-        if len > 0 && self.tables.rngs[session.0].random_bool(corrupt) {
-            let byte = self.tables.rngs[session.0].random_range(0..len);
-            let bit = self.tables.rngs[session.0].random_range(0..8u8);
+        if len > 0 && self.rng.random_bool(corrupt) {
+            let byte = self.rng.random_range(0..len);
+            let bit = self.rng.random_range(0..8u8);
             // Copy-on-write: corrupting one duplicate must not touch
             // the other copy's bytes.
             frame = self.arena.make_unique(frame);
@@ -852,7 +775,7 @@ impl Simulator {
             }
         }
         let extra = if jitter > 0 {
-            self.tables.rngs[session.0].random_range(0..=jitter)
+            self.rng.random_range(0..=jitter)
         } else {
             0
         };
@@ -891,21 +814,14 @@ impl Simulator {
     /// Cancellation is lazy: the events stay queued but are skipped when
     /// popped, which keeps cancellation O(1). The pending set is kept
     /// per node, so the pop-time check stays proportional to one node's
-    /// few outstanding cancels no matter how many sessions the
-    /// simulator co-hosts.
+    /// few outstanding cancels.
     pub fn cancel_timer(&mut self, node: NodeId, token: TimerToken) {
         let ix = node.index();
-        let tables = &mut self.tables;
-        if tables.node_cancels.len() <= ix {
-            tables.node_cancels.resize_with(ix + 1, Vec::new);
+        let cancels = &mut self.tables.node_cancels;
+        if cancels.len() <= ix {
+            cancels.resize_with(ix + 1, Vec::new);
         }
-        let list = &mut tables.node_cancels[ix];
-        if list.capacity() == 0 {
-            if let Some(spare) = tables.spare_cancels.pop() {
-                *list = spare;
-            }
-        }
-        list.push(token);
+        cancels[ix].push(token);
         TIMERS_CANCELLED.incr();
         self.flight_record(FlightKind::TimerCancel, ix as u64, token);
     }
@@ -1083,32 +999,6 @@ impl Simulator {
         })
     }
 
-    /// The tick of the next queued event, if any (cancelled timers
-    /// still count until popped).
-    pub fn peek_at(&self) -> Option<Tick> {
-        self.queue.peek_at()
-    }
-
-    /// Runs until quiescent or until `deadline` ticks, delivering every
-    /// event to `handler`. Returns the number of events delivered.
-    pub fn run_until<F>(&mut self, deadline: Tick, mut handler: F) -> usize
-    where
-        F: FnMut(&mut Simulator, Event),
-    {
-        let mut n = 0;
-        loop {
-            match self.peek_at() {
-                None => break,
-                Some(at) if at > deadline => break,
-                Some(_) => {}
-            }
-            let Some(ev) = self.step() else { break };
-            n += 1;
-            handler(self, ev);
-        }
-        n
-    }
-
     /// `true` when no events remain queued.
     pub fn is_quiescent(&self) -> bool {
         self.queue.is_empty()
@@ -1120,19 +1010,15 @@ impl Drop for Simulator {
         if self.core != SimCore::Pooled {
             return;
         }
-        let queue = std::mem::replace(&mut self.queue, Queue::Heap(BinaryHeap::new()));
-        let Queue::Wheel(mut wheel) = queue else {
-            return;
-        };
         CORE_POOL.with(|pool| {
             let mut pool = pool.borrow_mut();
             if pool.len() < CORE_POOL_CAP {
-                let mut arena = std::mem::take(&mut self.arena);
-                let mut tables = std::mem::take(&mut self.tables);
-                arena.reset();
-                wheel.reset();
-                tables.reset();
-                pool.push((arena, wheel, tables));
+                self.clear();
+                let queue = std::mem::replace(&mut self.queue, Queue::Heap(BinaryHeap::new()));
+                if let Queue::Wheel(wheel) = queue {
+                    let arena = std::mem::take(&mut self.arena);
+                    pool.push((arena, wheel, std::mem::take(&mut self.tables)));
+                }
             }
         });
     }
@@ -1361,24 +1247,6 @@ mod tests {
     }
 
     #[test]
-    fn run_until_respects_deadline() {
-        let mut sim = Simulator::new(0);
-        let n = sim.add_node();
-        for i in 0..10 {
-            sim.set_timer(n, i * 10, i);
-        }
-        let mut fired = Vec::new();
-        let count = sim.run_until(45, |_, ev| {
-            if let Event::Timer { token, .. } = ev {
-                fired.push(token);
-            }
-        });
-        assert_eq!(count, 5);
-        assert_eq!(fired, vec![0, 1, 2, 3, 4]);
-        assert!(!sim.is_quiescent());
-    }
-
-    #[test]
     fn duplex_links_are_symmetric() {
         let mut sim = Simulator::new(0);
         let a = sim.add_node();
@@ -1403,6 +1271,14 @@ mod tests {
         let a = sim.add_node();
         let b = sim.add_node();
         sim.add_link(a, b, LinkConfig::reliable(1).with_loss(2.0));
+    }
+
+    #[test]
+    #[should_panic(expected = "does not have")]
+    fn links_must_join_nodes_of_this_simulator() {
+        let mut sim = Simulator::new(0);
+        let a = sim.add_node();
+        sim.add_link(a, NodeId(1), LinkConfig::reliable(1));
     }
 
     #[test]
@@ -1551,8 +1427,7 @@ mod tests {
     }
 
     /// Runs a lossy unidirectional workload and logs `(at, payload)` of
-    /// every delivery — the standalone reference transcript for the
-    /// session-isolation tests.
+    /// every delivery — the reference transcript of an unfaulted run.
     fn standalone_transcript(seed: u64, tag: u8) -> Vec<(Tick, Vec<u8>)> {
         let mut sim = Simulator::new(seed);
         let a = sim.add_node();
@@ -1569,55 +1444,6 @@ mod tests {
     }
 
     #[test]
-    fn sessions_replay_bit_identically_to_standalone_simulators() {
-        // Two sessions with different seeds multiplexed on one
-        // simulator: each session's transcript must equal the
-        // standalone run with its seed, regardless of the co-resident.
-        let mut sim = Simulator::new(31);
-        let s2 = sim.add_session(77);
-        let a1 = sim.add_node();
-        let b1 = sim.add_node();
-        let a2 = sim.add_node_for(s2);
-        let b2 = sim.add_node_for(s2);
-        let l1 = sim.add_link(a1, b1, LinkConfig::harsh(5));
-        let l2 = sim.add_link(a2, b2, LinkConfig::harsh(5));
-        // Interleave sends so the queues genuinely mix.
-        for i in 0..100u8 {
-            sim.send(l1, vec![1, i]);
-            sim.send(l2, vec![2, i]);
-        }
-        let mut logs: [Vec<(Tick, Vec<u8>)>; 2] = [Vec::new(), Vec::new()];
-        while let Some(Event::Frame { payload, link, .. }) = sim.step() {
-            let idx = if link == l1 { 0 } else { 1 };
-            logs[idx].push((sim.now(), payload));
-        }
-        assert_eq!(logs[0], standalone_transcript(31, 1));
-        assert_eq!(logs[1], standalone_transcript(77, 2));
-        assert_eq!(sim.session_count(), 2);
-        assert_eq!(sim.node_session(a2), s2);
-        assert_eq!(sim.link_session(l2), s2);
-        assert_eq!(sim.session_links(s2), &[l2]);
-        assert_eq!(sim.session_stats(s2).sent, 100);
-    }
-
-    #[test]
-    #[should_panic(expected = "cross sessions")]
-    fn links_cannot_cross_sessions() {
-        let mut sim = Simulator::new(0);
-        let a = sim.add_node();
-        let s2 = sim.add_session(1);
-        let b = sim.add_node_for(s2);
-        sim.add_link(a, b, LinkConfig::reliable(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "does not exist")]
-    fn foreign_session_ids_are_rejected() {
-        let mut sim = Simulator::new(0);
-        sim.add_node_for(SessionId(3));
-    }
-
-    #[test]
     fn consume_cancellation_removes_exactly_one_entry() {
         let mut sim = Simulator::new(0);
         let n = sim.add_node();
@@ -1628,9 +1454,9 @@ mod tests {
 
     #[test]
     fn two_live_pooled_simulators_on_one_thread_stay_disjoint() {
-        // The multiplexed driver holds one simulator per core group, so
-        // two pooled simulators can be alive on one worker thread at
-        // once. Checkout is a pop: they must own disjoint structures.
+        // A golden recorder nested in a campaign worker keeps two
+        // pooled simulators alive on one thread at once. Checkout is a
+        // pop: they must own disjoint structures.
         let work = |sim: &mut Simulator, tag: u8| {
             let a = sim.add_node();
             let b = sim.add_node();
@@ -1665,36 +1491,80 @@ mod tests {
         assert!(s2.step().is_none());
     }
 
-    #[test]
-    fn recycled_session_tables_carry_no_state_between_owners() {
-        // A multi-session owner leaves links, nodes and pending lazy
-        // cancels behind; the next owner of the recycled core must see
-        // none of them.
-        {
-            let mut sim = Simulator::new(1);
-            for seed in 2..6 {
-                let s = sim.add_session(seed);
-                let (a, b) = (sim.add_node_for(s), sim.add_node_for(s));
-                sim.add_duplex(a, b, LinkConfig::reliable(1));
-            }
-            for n in 0..8 {
-                sim.cancel_timer(NodeId(n), 7);
-            }
-        }
-        let mut sim = Simulator::new(1);
-        assert_eq!((sim.session_count(), sim.node_count()), (1, 0));
-        assert!(sim.session_links(sim.default_session()).is_empty());
+    /// Two nodes over a lossy duplex link: frames both ways and timers
+    /// on both nodes under token 7, every event logged with its tick.
+    fn lossy_transcript(sim: &mut Simulator) -> Vec<(Tick, Event)> {
         let a = sim.add_node();
         let b = sim.add_node();
-        let ab = sim.add_link(a, b, LinkConfig::reliable(1));
-        assert_eq!(ab.index(), 0, "link ids restart from zero");
-        sim.set_timer(a, 3, 7);
+        let (ab, ba) = sim.add_duplex(a, b, LinkConfig::harsh(5));
+        for i in 0..50u8 {
+            sim.send(ab, vec![1, i]);
+            sim.send(ba, vec![2, i]);
+        }
+        sim.set_timer(a, 40, 7);
+        sim.set_timer(b, 60, 7);
+        let mut log = Vec::new();
+        while let Some(ev) = sim.step() {
+            log.push((sim.now(), ev));
+        }
+        log
+    }
+
+    /// A dirty owner: a node crashed and restarted (its crash watermark
+    /// stays), a skewed clock, frames and timers still queued, a lazy
+    /// cancel pending, golden capture and a flight recorder on.
+    fn dirty_simulator(core: SimCore) -> Simulator {
+        let mut sim = Simulator::with_core(3, core);
+        sim.record_golden(true);
+        sim.set_obs(ObsConfig::off().with_flight());
+        let a = sim.add_node();
+        let b = sim.add_node();
+        let (ab, ba) = sim.add_duplex(a, b, LinkConfig::harsh(5));
+        for i in 0..20u8 {
+            sim.send(ab, vec![i; 4]);
+        }
+        sim.step();
+        sim.crash_node(b);
+        sim.restart_node(b);
+        sim.set_clock_skew(a, 5, 4);
+        sim.set_timer(a, 30, 7);
+        sim.cancel_timer(b, 7);
+        sim.send(ba, vec![9; 4]);
+        assert!(!sim.is_quiescent());
+        sim
+    }
+
+    #[test]
+    fn reset_leaves_a_simulator_identical_to_a_fresh_one() {
+        // A new legacy core never touches the pool, and the two cores
+        // replay each other bit-identically: the clean reference.
+        let fresh = lossy_transcript(&mut Simulator::with_core(11, SimCore::Legacy));
+        assert!(fresh.iter().any(|(_, e)| matches!(e, Event::Timer { .. })));
+        for core in [SimCore::Pooled, SimCore::Legacy] {
+            let mut sim = dirty_simulator(core);
+            sim.reset(11);
+            assert_eq!(sim.node_count(), 0, "{core:?}");
+            assert_eq!(sim.total_stats(), LinkStats::default(), "{core:?}");
+            assert!(sim.take_flight().is_none(), "{core:?}");
+            assert!(sim.take_golden_events().is_empty(), "{core:?}");
+            assert!(sim.is_quiescent(), "{core:?}");
+            assert_eq!(sim.now(), 0, "{core:?}");
+            assert_eq!(
+                lossy_transcript(&mut sim),
+                fresh,
+                "{core:?}: reset leaks state"
+            );
+            let built = lossy_transcript(&mut Simulator::with_core(11, core));
+            assert_eq!(built, fresh, "{core:?}: a new simulator differs");
+        }
+        // A dropped pooled core goes back to the pool through the same
+        // clearing code, and the next simulator on this thread gets it.
+        drop(dirty_simulator(SimCore::Pooled));
         assert_eq!(
-            sim.step(),
-            Some(Event::Timer { node: a, token: 7 }),
-            "no stale cancellation survives the recycle"
+            lossy_transcript(&mut Simulator::new(11)),
+            fresh,
+            "a recycled core leaks state"
         );
-        assert_eq!(sim.total_stats(), LinkStats::default());
     }
 
     #[test]

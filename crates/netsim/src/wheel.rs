@@ -186,19 +186,6 @@ impl<E> TimerWheel<E> {
         Some(entry)
     }
 
-    /// The tick of the next entry without removing it.
-    pub(crate) fn peek_at(&self) -> Option<Tick> {
-        if self.len == 0 {
-            return None;
-        }
-        if self.near_len > 0 {
-            let idx = self.next_occupied().expect("occupied slot exists");
-            return Some(self.base + idx as Tick);
-        }
-        let (_, events) = self.far.first_key_value().expect("events are somewhere");
-        events.iter().map(|&(at, _, _)| at).min()
-    }
-
     /// Entry capacity above which a slot or chunk vector is dropped on
     /// [`reset`](TimerWheel::reset) instead of retained, and the cap on
     /// parked spare chunk vectors — so one burst-heavy scenario cannot
@@ -284,18 +271,19 @@ mod tests {
         // Delay-0 push at the current tick must pop before later ticks.
         w.push(4, 1, "second");
         w.push(9, 2, "third");
-        assert_eq!(w.peek_at(), Some(4));
         assert_eq!(w.pop(), Some((4, 1, "second")));
         assert_eq!(w.pop(), Some((9, 2, "third")));
     }
 
     #[test]
     fn peek_reaches_into_far_chunks() {
+        // The earliest entry of a far chunk comes out first, whatever
+        // the order the chunk received its entries in.
         let mut w = TimerWheel::new();
         w.push(SLOTS as Tick * 3 + 17, 0, ());
         w.push(SLOTS as Tick * 3 + 4, 1, ());
-        assert_eq!(w.peek_at(), Some(SLOTS as Tick * 3 + 4));
         assert_eq!(w.len(), 2);
+        assert_eq!(w.pop(), Some((SLOTS as Tick * 3 + 4, 1, ())));
     }
 
     #[test]
@@ -306,7 +294,6 @@ mod tests {
         }
         w.reset();
         assert!(w.is_empty());
-        assert_eq!(w.peek_at(), None);
         w.push(2, 0, 42);
         assert_eq!(w.pop(), Some((2, 0, 42)));
     }

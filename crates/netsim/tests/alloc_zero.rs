@@ -4,10 +4,12 @@
 //! perform **zero** heap allocations per frame. Demonstrated at the
 //! allocator shim level: a counting `#[global_allocator]` wraps the
 //! system allocator and the steady-state loop is required to leave the
-//! counter untouched. The same allocator tracks live heap bytes, which
-//! pins the streaming campaign's memory bound.
+//! counter of its own thread untouched. The same allocator tracks live
+//! heap bytes process-wide, which pins the streaming campaign's memory
+//! bound.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -17,20 +19,33 @@ use netdsl_netsim::{
     StreamOptions, Sweep,
 };
 
-/// The allocation counter is process-global, so the tests in this
+/// Live heap bytes are tracked process-wide, so the tests in this
 /// binary must not run concurrently — the default parallel harness
 /// would let the owned-buffer test's allocations land inside the
-/// zero-allocation measurement window. Each test holds this lock for
-/// its whole body.
+/// streaming test's high-water mark. Each test holds this lock for its
+/// whole body.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// System allocator wrapper that counts every allocation entry point
-/// (alloc, alloc_zeroed, realloc) and tracks the bytes currently live
-/// plus their high-water mark. Deallocations are not counted — the
-/// zero-allocation property is "no new memory", not "no frees".
+/// (alloc, alloc_zeroed, realloc) per thread and tracks the bytes
+/// currently live plus their high-water mark. Deallocations are not
+/// counted — the zero-allocation property is "no new memory", not "no
+/// frees".
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. The simulator runs on the
+    /// test's own thread, so counting per thread keeps the harness's
+    /// work on its other threads (starting the next test, reporting
+    /// the last one) out of a zero-allocation window.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count() {
+    // `try_with` fails only while the thread is being torn down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
 
@@ -45,19 +60,19 @@ fn shrank(bytes: usize) {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         grew(layout.size());
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         grew(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count();
         if new_size >= layout.size() {
             grew(new_size - layout.size());
         } else {
@@ -75,8 +90,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Allocations this thread has made so far.
 fn allocations() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
 /// The most heap `f` held live at once, above what was live before it.

@@ -75,17 +75,6 @@ impl ObsConfig {
             self.flight_capacity as usize
         }
     }
-
-    /// The least upper bound of two requests — what a multiplexed
-    /// driver installs on a simulator co-hosting both scenarios.
-    #[must_use]
-    pub fn union(self, other: ObsConfig) -> ObsConfig {
-        ObsConfig {
-            metrics: self.metrics || other.metrics,
-            flight: self.flight || other.flight,
-            flight_capacity: self.flight_capacity.max(other.flight_capacity),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -108,16 +97,5 @@ mod tests {
             ObsConfig::off().with_flight().flight_cap(),
             DEFAULT_FLIGHT_CAPACITY
         );
-    }
-
-    #[test]
-    fn union_is_a_least_upper_bound() {
-        let a = ObsConfig::off().with_metrics();
-        let b = ObsConfig::off().with_flight_capacity(128);
-        let u = a.union(b);
-        assert!(u.metrics && u.flight);
-        assert_eq!(u.flight_capacity, 128);
-        assert_eq!(u, b.union(a));
-        assert_eq!(a.union(ObsConfig::off()), a);
     }
 }

@@ -174,6 +174,16 @@ impl FlightRecorder {
         }
     }
 
+    /// Empties the recorder for reuse at `capacity`, keeping the ring's
+    /// allocation: afterwards it behaves as `FlightRecorder::new(capacity)`.
+    pub fn reset(&mut self, capacity: usize) {
+        self.ring.clear();
+        self.ring.reserve(capacity);
+        self.cap = capacity;
+        self.head = 0;
+        self.recorded = 0;
+    }
+
     /// Records one event, evicting the oldest past capacity.
     pub fn record(&mut self, event: FlightEvent) {
         self.recorded += 1;
@@ -350,6 +360,25 @@ mod tests {
         assert_eq!(r.dropped(), 2);
         let ats: Vec<u64> = r.events().iter().map(|e| e.at).collect();
         assert_eq!(ats, vec![2, 3, 4], "oldest first, newest retained");
+    }
+
+    #[test]
+    fn reset_behaves_like_a_new_recorder() {
+        let mut r = FlightRecorder::new(3);
+        for at in 0..5 {
+            r.record(ev(at, FlightKind::Send));
+        }
+        r.reset(2);
+        assert!(r.is_empty());
+        assert_eq!((r.capacity(), r.recorded()), (2, 0));
+        for at in 10..13 {
+            r.record(ev(at, FlightKind::Deliver));
+        }
+        let mut fresh = FlightRecorder::new(2);
+        for at in 10..13 {
+            fresh.record(ev(at, FlightKind::Deliver));
+        }
+        assert_eq!(r.into_recording(), fresh.into_recording());
     }
 
     #[test]

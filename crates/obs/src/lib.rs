@@ -1,7 +1,7 @@
 //! In-engine telemetry for the netdsl workspace.
 //!
 //! The engines of this workspace (compiled codec, pooled sim core,
-//! compiled FSM, multiplexed sessions) report performance through
+//! compiled FSM, batched sessions) report performance through
 //! post-hoc `BENCH_*.json` artifacts; this crate makes runs
 //! *explainable while they happen* without giving up the zero-alloc
 //! invariants those engines are built on. Three pieces

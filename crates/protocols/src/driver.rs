@@ -6,14 +6,15 @@
 //! joined by a duplex link form a session ([`SessionEndpoints`]), and
 //! every session in this crate runs through **one** event loop, the
 //! crate-private pump: [`Duplex`] (one session of any two endpoints),
-//! the suite's solo driver and golden recorder, and the multiplexed
-//! batch driver all call it. A solo run is a batch of one session.
+//! the suite's solo driver and golden recorder, and the batch driver,
+//! which runs its sessions back to back on one reset simulator, all
+//! call it.
 
 use netdsl_netsim::scenario::{
     apply_fault, FaultNode, FaultPlan, FaultWorld, PlannedFault, Scenario,
 };
 use netdsl_netsim::{
-    EventRef, LinkConfig, LinkId, NodeId, SessionId, SimCore, Simulator, Tick, TimerToken, Verdict,
+    EventRef, LinkConfig, LinkId, NodeId, SimCore, Simulator, Tick, TimerToken, Verdict,
 };
 
 /// I/O capabilities handed to an endpoint during a callback.
@@ -205,8 +206,8 @@ impl<S: SessionEndpoints + ?Sized> SessionEndpoints for Box<S> {
     }
 }
 
-/// One session inside the pump: its endpoints, where they sit in the
-/// simulator, its deadline and fault schedule, and its clock.
+/// One session on its simulator: its endpoints, where they sit, its
+/// deadline and fault schedule, and its clock.
 #[derive(Debug)]
 pub(crate) struct Slot<S> {
     pub(crate) ends: S,
@@ -221,15 +222,14 @@ pub(crate) struct Slot<S> {
     /// Cancelled timers and dead events the simulator skips are not
     /// events of the session and never move it.
     pub(crate) now: Tick,
-    open: bool,
 }
 
 impl<S: SessionEndpoints> Slot<S> {
-    /// Wires `ends` into `sim` as `session`'s two new nodes joined by a
-    /// duplex `link`, with no deadline and no faults.
-    pub(crate) fn wire(sim: &mut Simulator, session: SessionId, link: LinkConfig, ends: S) -> Self {
-        let node_a = sim.add_node_for(session);
-        let node_b = sim.add_node_for(session);
+    /// Wires `ends` into `sim` as two new nodes joined by a duplex
+    /// `link`, with no deadline and no faults.
+    pub(crate) fn wire(sim: &mut Simulator, link: LinkConfig, ends: S) -> Self {
+        let node_a = sim.add_node();
+        let node_b = sim.add_node();
         let (link_ab, link_ba) = sim.add_duplex(node_a, node_b, link);
         Slot {
             ends,
@@ -243,28 +243,20 @@ impl<S: SessionEndpoints> Slot<S> {
             faults: Vec::new(),
             next_fault: 0,
             now: 0,
-            open: false,
         }
     }
 
-    /// Takes `scenario`'s deadline and expanded fault plan.
-    pub(crate) fn schedule(mut self, scenario: &Scenario) -> Self {
-        let deadline = scenario.deadline;
-        self.deadline = deadline;
-        self.faults = FaultPlan::from_scenario(scenario).actions;
-        self.faults.retain(|f| f.at < deadline);
-        self
-    }
-
-    /// The world `scenario` runs in alone: a simulator on its seed,
-    /// engine core and observability request, with the scenario's one
-    /// session wired in and scheduled.
-    pub(crate) fn alone(scenario: &Scenario, ends: S) -> (Simulator, Self) {
-        let mut sim = Simulator::with_core(scenario.seed, scenario.protocol.sim_core);
+    /// Wires `ends` into `sim` as `scenario`'s session: its
+    /// observability request, link, deadline and expanded fault plan.
+    /// `sim` is fresh or reset, seeded and cored as `scenario` asks.
+    pub(crate) fn for_scenario(sim: &mut Simulator, scenario: &Scenario, ends: S) -> Self {
         sim.set_obs(scenario.protocol.obs);
-        let session = sim.default_session();
-        let slot = Slot::wire(&mut sim, session, scenario.link.clone(), ends).schedule(scenario);
-        (sim, slot)
+        let mut slot = Slot::wire(sim, scenario.link.clone(), ends);
+        let deadline = scenario.deadline;
+        slot.deadline = deadline;
+        slot.faults = FaultPlan::from_scenario(scenario).actions;
+        slot.faults.retain(|f| f.at < deadline);
+        slot
     }
 
     /// Starts both endpoints, A first, before any event is popped.
@@ -274,11 +266,56 @@ impl<S: SessionEndpoints> Slot<S> {
         self.ends.start_b(&mut Io::new(sim, w.node_b, w.link_ba));
     }
 
-    /// The N = 1 entry: pumps this session alone until it closes and
-    /// returns its clock. No result table, no node map: the pump runs
-    /// over this one slot.
-    pub(crate) fn pump_alone(&mut self, sim: &mut Simulator) -> Tick {
-        pump(sim, std::slice::from_mut(self), |_, _, _| {});
+    /// The one event loop. Pops one event at a time with
+    /// [`Simulator::step_ref`], dispatches it to the endpoint on its
+    /// node and settles the session, until both endpoints are done, an
+    /// event passed the deadline or the queue drains. Returns the
+    /// session's clock: the tick of its last dispatched event.
+    pub(crate) fn pump(&mut self, sim: &mut Simulator) -> Tick {
+        // A legacy-core run is a measurement baseline: it reconstructs
+        // the whole pre-simcore hot path, including the byte-at-a-time
+        // checksum engine and the per-frame buffer free. Checksum
+        // values are identical either way, so results never depend on
+        // the mode.
+        let legacy = sim.core() == SimCore::Legacy;
+        let restore_fast_path = legacy && !netdsl_wire::checksum::set_reference_mode(true);
+        let w = self.world;
+        while self.live() {
+            let Some(event) = sim.step_ref() else {
+                break;
+            };
+            match event {
+                EventRef::Frame { node, payload, .. } => {
+                    // The payload buffer is detached from the arena (a
+                    // move, not a copy), handed over by reference and
+                    // recycled afterwards: no allocation in steady state.
+                    let frame = sim.detach_payload(payload);
+                    if node == w.node_a {
+                        self.ends
+                            .frame_a(&frame, &mut Io::new(sim, w.node_a, w.link_ab));
+                    } else {
+                        self.ends
+                            .frame_b(&frame, &mut Io::new(sim, w.node_b, w.link_ba));
+                    }
+                    if !legacy {
+                        sim.recycle_payload(frame);
+                    }
+                }
+                EventRef::Timer { node, token } => {
+                    if node == w.node_a {
+                        self.ends
+                            .timer_a(token, &mut Io::new(sim, w.node_a, w.link_ab));
+                    } else {
+                        self.ends
+                            .timer_b(token, &mut Io::new(sim, w.node_b, w.link_ba));
+                    }
+                }
+            }
+            self.settle(sim);
+        }
+        if restore_fast_path {
+            netdsl_wire::checksum::set_reference_mode(false);
+        }
         self.now
     }
 
@@ -289,11 +326,10 @@ impl<S: SessionEndpoints> Slot<S> {
     }
 
     /// Bookkeeping after each dispatched event: the session clock moves
-    /// to the event's tick; every fault strictly before that tick lands
-    /// (the one-event overshoot of `docs/FAULTS.md`: a fault applies
-    /// after the first event past it), a restart resetting and
-    /// re-starting its endpoint; and the session closes once both
-    /// endpoints are done or the event passed the deadline.
+    /// to the event's tick, and every fault strictly before that tick
+    /// lands (the one-event overshoot of `docs/FAULTS.md`: a fault
+    /// applies after the first event past it), a restart resetting and
+    /// re-starting its endpoint.
     fn settle(&mut self, sim: &mut Simulator) {
         self.now = sim.now();
         while let Some(fault) = self.faults.get(self.next_fault) {
@@ -314,100 +350,6 @@ impl<S: SessionEndpoints> Slot<S> {
                 None => {}
             }
         }
-        self.open = self.live();
-    }
-}
-
-/// The one event loop. Pops one event at a time with
-/// [`Simulator::step_ref`] and dispatches it to the session owning its
-/// node — slot `k` owns nodes `2k` and `2k + 1`, as every caller wires
-/// them — then settles that session. `close` runs once per slot, at
-/// the moment the session closes (at entry for one that is already
-/// done), with the simulator as it stands then: that is when drivers
-/// fold the session's result. Events popped for a closed session while
-/// its neighbours keep running are dropped and cannot touch it.
-/// Returns once every session has closed; any still open when the
-/// queue drains close then.
-pub(crate) fn pump<S: SessionEndpoints>(
-    sim: &mut Simulator,
-    slots: &mut [Slot<S>],
-    mut close: impl FnMut(&Simulator, usize, &Slot<S>),
-) {
-    // A legacy-core run is a measurement baseline: it reconstructs the
-    // whole pre-simcore hot path, including the byte-at-a-time checksum
-    // engine and the per-frame buffer free. Checksum values are
-    // identical either way, so results never depend on the mode.
-    let legacy = sim.core() == SimCore::Legacy;
-    let restore_fast_path = legacy && !netdsl_wire::checksum::set_reference_mode(true);
-    let mut open = 0;
-    for (k, slot) in slots.iter_mut().enumerate() {
-        slot.open = slot.live();
-        if slot.open {
-            open += 1;
-        } else {
-            close(sim, k, slot);
-        }
-    }
-    while open > 0 {
-        let Some(event) = sim.step_ref() else {
-            break;
-        };
-        let (EventRef::Frame { node, .. } | EventRef::Timer { node, .. }) = event;
-        let k = node.index() / 2;
-        let slot = &mut slots[k];
-        let w = slot.world;
-        debug_assert!(
-            node == w.node_a || node == w.node_b,
-            "node {node:?} outside slot {k}"
-        );
-        match event {
-            EventRef::Frame { payload, .. } => {
-                if !slot.open {
-                    sim.release_payload(payload);
-                    continue;
-                }
-                // The payload buffer is detached from the arena (a move,
-                // not a copy), handed over by reference and recycled
-                // afterwards: no allocation in steady state.
-                let frame = sim.detach_payload(payload);
-                if node == w.node_a {
-                    slot.ends
-                        .frame_a(&frame, &mut Io::new(sim, w.node_a, w.link_ab));
-                } else {
-                    slot.ends
-                        .frame_b(&frame, &mut Io::new(sim, w.node_b, w.link_ba));
-                }
-                if !legacy {
-                    sim.recycle_payload(frame);
-                }
-            }
-            EventRef::Timer { token, .. } => {
-                if !slot.open {
-                    continue;
-                }
-                if node == w.node_a {
-                    slot.ends
-                        .timer_a(token, &mut Io::new(sim, w.node_a, w.link_ab));
-                } else {
-                    slot.ends
-                        .timer_b(token, &mut Io::new(sim, w.node_b, w.link_ba));
-                }
-            }
-        }
-        slot.settle(sim);
-        if !slot.open {
-            open -= 1;
-            close(sim, k, slot);
-        }
-    }
-    for (k, slot) in slots.iter_mut().enumerate() {
-        if slot.open {
-            slot.open = false;
-            close(sim, k, slot);
-        }
-    }
-    if restore_fast_path {
-        netdsl_wire::checksum::set_reference_mode(false);
     }
 }
 
@@ -431,15 +373,15 @@ impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
     /// measurement baseline).
     pub fn with_core(seed: u64, config: LinkConfig, core: SimCore, a: A, b: B) -> Self {
         let mut sim = Simulator::with_core(seed, core);
-        let session = sim.default_session();
-        let slot = Slot::wire(&mut sim, session, config, (a, b));
+        let slot = Slot::wire(&mut sim, config, (a, b));
         Duplex { sim, slot }
     }
 
     /// The world `scenario` runs in: its seed, engine core, link,
     /// observability request, deadline and fault plan.
     pub(crate) fn for_scenario(scenario: &Scenario, a: A, b: B) -> Self {
-        let (sim, slot) = Slot::alone(scenario, (a, b));
+        let mut sim = Simulator::with_core(scenario.seed, scenario.protocol.sim_core);
+        let slot = Slot::for_scenario(&mut sim, scenario, (a, b));
         Duplex { sim, slot }
     }
 
@@ -486,13 +428,7 @@ impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
     /// [`Duplex::run`].
     pub fn resume(&mut self, deadline: Tick) -> Tick {
         self.slot.deadline = deadline;
-        self.slot.pump_alone(&mut self.sim)
-    }
-
-    /// The duplex world's fault coordinates, for
-    /// [`netdsl_netsim::apply_fault`].
-    pub fn fault_world(&self) -> FaultWorld {
-        self.slot.world
+        self.slot.pump(&mut self.sim)
     }
 
     /// Restarts endpoint A after a crash: total protocol state loss

@@ -25,9 +25,9 @@
 //!   [`netdsl_netsim::campaign`] sweeps;
 //! * [`multiplex`] — the
 //!   [`MultiSessionDriver`](multiplex::MultiSessionDriver) that runs
-//!   whole batches of scenarios as sessions of **one** shared
-//!   simulator, bit-identical to standalone runs (the million-session
-//!   path of streaming campaigns).
+//!   whole batches of scenarios back to back on **one** simulator,
+//!   reset in place between sessions, bit-identical to standalone runs
+//!   (the million-session path of streaming campaigns).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,25 +1,20 @@
-//! Multiplexed session driver: many scenarios, **one** simulator.
+//! Batch session driver: many scenarios, **one** simulator, one session
+//! after another.
 //!
-//! [`SuiteDriver`](crate::scenario::SuiteDriver) builds a fresh
-//! [`Simulator`] — arena, timer wheel, RNG — per scenario. That is the
-//! right shape for isolation, but a campaign of a million tiny sessions
-//! pays the world-construction cost a million times and keeps only two
-//! nodes busy per wheel. [`MultiSessionDriver`] instead runs a whole
-//! batch of scenarios as *sessions* of a single simulator: every session
-//! gets its own node pair, duplex links and seeded RNG stream (see
-//! [`Simulator::add_session`]), while the timer wheel, payload arena and
-//! event queue are shared.
+//! [`SuiteDriver`](crate::scenario::SuiteDriver) builds a simulator per
+//! scenario, checking a warm core out of the thread-local pool and
+//! returning it on drop. [`MultiSessionDriver`] keeps one pooled
+//! simulator for a whole batch instead and runs the scenarios back to
+//! back on it: before each session it empties the simulator in place
+//! with [`Simulator::reset`] and reseeds it with the session's seed.
+//! Only one session's endpoints are alive at a time.
 //!
-//! **Parity is the contract.** Each session's transcript — frame bytes,
-//! timer firings, retransmission counts, elapsed ticks, link counters —
-//! is bit-identical to what a standalone [`SuiteDriver`] run of the same
-//! scenario produces. Both run through the crate's one pump (see
-//! [`crate::driver`]), a solo run being a batch of one: the per-session
-//! RNG streams make impairment draws independent of batch composition;
-//! popping one event at a time in global `(at, seq)` order preserves
-//! each session's relative event order, and applies its faults before
-//! the next event pops; and folding a session's result the moment it
-//! closes keeps out the events the simulator pops for it afterwards.
+//! **Parity holds by construction.** A reset simulator is observably
+//! identical to a fresh one on the same seed, and each session then
+//! runs exactly as a solo run does — same endpoints
+//! ([`suite_session`]), same pump (see [`crate::driver`]), same result
+//! fold — so its result is bit-identical to what a standalone
+//! [`SuiteDriver`] run of the same scenario produces.
 //! `tests/golden_parity.rs` runs the committed fixture corpus as one
 //! batch against solo runs.
 //!
@@ -27,22 +22,18 @@
 
 use netdsl_netsim::campaign::BatchDriver;
 use netdsl_netsim::scenario::{Scenario, ScenarioError, ScenarioResult};
-use netdsl_netsim::{ObsConfig, SimCore, Simulator};
-use netdsl_obs::{Counter, Gauge};
+use netdsl_netsim::{SimCore, Simulator};
+use netdsl_obs::Counter;
 
-use crate::driver::{pump, Slot};
 use crate::scenario::{
-    session_result, suite_session, SuiteSession, BASELINE, GO_BACK_N, SELECTIVE_REPEAT,
-    STOP_AND_WAIT,
+    run_session, suite_session, BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT,
 };
 
 static MUX_SESSIONS_RUN: Counter = Counter::new("mux.sessions_run");
-static MUX_OPEN_SESSIONS: Gauge = Gauge::new("mux.open_sessions");
 
-/// [`BatchDriver`] that multiplexes a batch of duplex suite scenarios
-/// onto shared simulators — one per engine core present in the batch,
-/// since [`SimCore`] decides the simulator's construction. Results come
-/// back in batch order, bit-identical to standalone
+/// [`BatchDriver`] that runs a batch of duplex suite scenarios back to
+/// back on one reset simulator. Results come back in batch order,
+/// bit-identical to standalone
 /// [`SuiteDriver`](crate::scenario::SuiteDriver) runs.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct MultiSessionDriver;
@@ -63,78 +54,34 @@ impl BatchDriver for MultiSessionDriver {
     }
 
     fn run_batch(&self, batch: &[Scenario]) -> Vec<Result<ScenarioResult, ScenarioError>> {
-        let mut results: Vec<Option<Result<ScenarioResult, ScenarioError>>> =
-            batch.iter().map(|_| None).collect();
-        // Scenarios the solo driver would refuse error in place; the
-        // rest group by engine core (batch order preserved within a
-        // group).
-        let mut pooled = Vec::new();
-        let mut legacy = Vec::new();
-        for (i, scenario) in batch.iter().enumerate() {
-            match suite_session(scenario) {
-                Err(e) => results[i] = Some(Err(e)),
-                Ok(ends) => match scenario.protocol.sim_core {
-                    SimCore::Pooled => pooled.push((i, ends)),
-                    SimCore::Legacy => legacy.push((i, ends)),
-                },
-            }
-        }
-        for (core, group) in [(SimCore::Pooled, pooled), (SimCore::Legacy, legacy)] {
-            if !group.is_empty() {
-                run_group(core, group, batch, &mut results);
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.expect("every batch slot is filled"))
+        let mut pooled: Option<Simulator> = None;
+        batch
+            .iter()
+            .map(|scenario| {
+                // Scenarios the solo driver would refuse error in place.
+                let ends = suite_session(scenario)?;
+                MUX_SESSIONS_RUN.incr();
+                let seed = scenario.seed;
+                Ok(match scenario.protocol.sim_core {
+                    SimCore::Pooled => {
+                        let sim = match &mut pooled {
+                            Some(sim) => {
+                                sim.reset(seed);
+                                sim
+                            }
+                            None => pooled.insert(Simulator::new(seed)),
+                        };
+                        run_session(sim, scenario, ends)
+                    }
+                    // The legacy core allocates fresh by design.
+                    SimCore::Legacy => {
+                        let mut sim = Simulator::with_core(seed, SimCore::Legacy);
+                        run_session(&mut sim, scenario, ends)
+                    }
+                })
+            })
             .collect()
     }
-}
-
-/// Runs one core's worth of validated scenarios as sessions of a single
-/// simulator and writes each result into its batch slot as the session
-/// closes.
-fn run_group(
-    core: SimCore,
-    group: Vec<(usize, Box<dyn SuiteSession>)>,
-    batch: &[Scenario],
-    results: &mut [Option<Result<ScenarioResult, ScenarioError>>],
-) {
-    // World building: the first scenario seeds the constructor (its RNG
-    // stream is session 0), every further scenario is an added session.
-    // The simulator is shared, so it observes the union of what the
-    // member scenarios ask for (flight capacity takes the max).
-    let mut sim = Simulator::with_core(batch[group[0].0].seed, core);
-    let mut index = Vec::with_capacity(group.len());
-    let mut slots = Vec::with_capacity(group.len());
-    let mut obs = ObsConfig::off();
-    for (k, (i, ends)) in group.into_iter().enumerate() {
-        let scenario = &batch[i];
-        let session = if k == 0 {
-            sim.default_session()
-        } else {
-            sim.add_session(scenario.seed)
-        };
-        slots.push(Slot::wire(&mut sim, session, scenario.link.clone(), ends).schedule(scenario));
-        index.push(i);
-        obs = obs.union(scenario.protocol.obs);
-    }
-    sim.set_obs(obs);
-    // Metric updates elsewhere self-gate, so the two batch-level
-    // instruments are unconditional; the open-sessions gauge moves by
-    // delta so concurrent groups on other threads compose.
-    MUX_SESSIONS_RUN.add(slots.len() as u64);
-    MUX_OPEN_SESSIONS.add(slots.len() as i64);
-
-    // All starts happen at tick 0, before any event is popped — just as
-    // each standalone run starts its endpoints before pumping.
-    for slot in &mut slots {
-        slot.start(&mut sim);
-    }
-    pump(&mut sim, &mut slots, |sim, k, slot| {
-        MUX_OPEN_SESSIONS.add(-1);
-        results[index[k]] = Some(Ok(session_result(sim, slot)));
-    });
 }
 
 #[cfg(test)]
@@ -173,7 +120,8 @@ mod tests {
                 .with_fault(netdsl_netsim::Fault::partition(40))
                 .with_fault(netdsl_netsim::Fault::repair(1_000, 4)),
             // Total loss + finite deadline: exercises the past-deadline
-            // close, after which the session's events are still popped.
+            // close, which leaves the session's events queued for the
+            // next session's reset to discard.
             mk(STOP_AND_WAIT, 1, LinkConfig::lossy(3, 1.0), 12).with_deadline(600),
         ];
         batch[1].protocol = batch[1].protocol.clone().with_engine(EngineConfig {
@@ -209,9 +157,9 @@ mod tests {
 
     #[test]
     fn many_identical_sessions_do_not_perturb_each_other() {
-        // 64 copies of one lossy scenario in a shared simulator must all
-        // reproduce the standalone result — the per-session RNG streams
-        // are what isolates them.
+        // 64 copies of one lossy scenario back to back on one simulator
+        // must all reproduce the standalone result — the reset between
+        // sessions is what isolates them.
         let base = mixed_batch().remove(0);
         let want = SuiteDriver::new().run(&base).unwrap();
         let batch: Vec<_> = std::iter::repeat_with(|| base.clone()).take(64).collect();
@@ -253,7 +201,8 @@ mod tests {
 
     #[test]
     fn batch_results_come_back_in_batch_order() {
-        // Interleave cores so the two groups scatter back into slots.
+        // Interleave cores so pooled sessions resume the shared
+        // simulator after a legacy session ran on a fresh one.
         let base = mixed_batch().remove(0);
         let batch: Vec<_> = (0..10)
             .map(|i| {

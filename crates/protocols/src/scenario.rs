@@ -32,8 +32,8 @@
 //! ```
 
 use netdsl_netsim::scenario::{
-    EngineConfigError, FaultWorld, FsmPath, ProtocolSpec, RetransmitPolicy, Scenario,
-    ScenarioDriver, ScenarioError, ScenarioResult, TopologySpec,
+    EngineConfigError, FsmPath, ProtocolSpec, RetransmitPolicy, Scenario, ScenarioDriver,
+    ScenarioError, ScenarioResult, TopologySpec,
 };
 use netdsl_netsim::{Simulator, Tick, TimerToken};
 
@@ -89,7 +89,6 @@ pub fn drive_duplex<A: Endpoint, B: Endpoint>(
     let elapsed = duplex.run(scenario.deadline);
     fold(
         duplex.sim(),
-        &duplex.fault_world(),
         elapsed,
         stats_of(&duplex),
         offered_of(duplex.a()),
@@ -99,10 +98,9 @@ pub fn drive_duplex<A: Endpoint, B: Endpoint>(
 
 /// The one [`ScenarioResult`] fold, taken when a session closes.
 /// `outcome` is `(sender_succeeded, frames_sent, retransmissions)`; the
-/// link counters are the session's own.
+/// link counters are those of the session's simulator.
 fn fold(
     sim: &Simulator,
-    world: &FaultWorld,
     elapsed: Tick,
     outcome: (bool, u64, u64),
     offered: &[Vec<u8>],
@@ -117,40 +115,44 @@ fn fold(
         payload_bytes: delivered.iter().map(|m| m.len() as u64).sum(),
         frames_sent,
         retransmissions,
-        link: sim.session_stats(sim.node_session(world.node_a)),
+        link: sim.total_stats(),
     }
 }
 
-/// A suite session's result, read off its slot.
-pub(crate) fn session_result(
-    sim: &Simulator,
-    slot: &Slot<Box<dyn SuiteSession>>,
+/// Runs `ends` as `scenario`'s one session on `sim` — fresh, or reset
+/// to the scenario's seed — through the pump, and folds its result.
+pub(crate) fn run_session(
+    sim: &mut Simulator,
+    scenario: &Scenario,
+    ends: Box<dyn SuiteSession>,
 ) -> ScenarioResult {
+    let mut slot = Slot::for_scenario(sim, scenario, ends);
+    slot.start(sim);
+    let elapsed = slot.pump(sim);
     let ends = &slot.ends;
     let ab_sent = sim.link_stats(slot.world.link_ab).sent;
     fold(
         sim,
-        &slot.world,
-        slot.now,
+        elapsed,
         ends.outcome(ab_sent),
         ends.offered(),
         ends.delivered(),
     )
 }
 
-/// Runs one suite scenario alone — a batch of one session, without the
-/// batch's tables — and returns its result and simulator. The solo
-/// driver runs it with `golden` off; the golden recorder runs it with
-/// capture on and takes the transcript from the simulator.
+/// Runs one suite scenario alone on a simulator of its own and returns
+/// its result and simulator. The solo driver runs it with `golden` off;
+/// the golden recorder runs it with capture on and takes the transcript
+/// from the simulator.
 pub(crate) fn run_alone(
     scenario: &Scenario,
     golden: bool,
 ) -> Result<(ScenarioResult, Simulator), ScenarioError> {
-    let (mut sim, mut slot) = Slot::alone(scenario, suite_session(scenario)?);
+    let ends = suite_session(scenario)?;
+    let mut sim = Simulator::with_core(scenario.seed, scenario.protocol.sim_core);
     sim.record_golden(golden);
-    slot.start(&mut sim);
-    slot.pump_alone(&mut sim);
-    Ok((session_result(&sim, &slot), sim))
+    let result = run_session(&mut sim, scenario, ends);
+    Ok((result, sim))
 }
 
 /// Validates a protocol spec's engine configuration — the **single**
@@ -290,7 +292,7 @@ impl<A: Observable, B: Observable> SuiteSession for Pair<A, B> {
 
 /// Builds the endpoints of one suite scenario — the **only** place a
 /// [`ProtocolSpec`] turns into endpoints, shared by the solo driver,
-/// the multiplexed driver and the golden recorder. Refuses non-duplex
+/// the batch driver and the golden recorder. Refuses non-duplex
 /// topologies, unknown protocols and the engine combinations
 /// [`validate_engine`] rejects.
 pub fn suite_session(scenario: &Scenario) -> Result<Box<dyn SuiteSession>, ScenarioError> {

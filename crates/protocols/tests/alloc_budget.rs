@@ -3,22 +3,23 @@
 //! `crates/netsim/tests/alloc_zero.rs`):
 //!
 //! * a warm compiled encode of the suite wire formats allocates nothing;
-//! * a warm multiplexed batch of one-message stop-and-wait sessions
-//!   stays within a pinned number of allocations per session — the ones
-//!   a session inherently owns.
+//! * one-message stop-and-wait sessions, run warm one at a time through
+//!   the solo driver or as one batch, stay within a pinned number of
+//!   allocations per session — the ones a session inherently owns.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use netdsl_netsim::campaign::BatchDriver;
 use netdsl_netsim::scenario::{
-    EngineConfig, FramePath, ProtocolSpec, Scenario, ScenarioError, ScenarioResult, TrafficPattern,
+    EngineConfig, FramePath, ProtocolSpec, Scenario, ScenarioDriver, ScenarioError, ScenarioResult,
+    TrafficPattern,
 };
 use netdsl_netsim::LinkConfig;
 use netdsl_protocols::arq::ArqFrame;
 use netdsl_protocols::codec::{arq_codec, window_codec};
 use netdsl_protocols::multiplex::MultiSessionDriver;
-use netdsl_protocols::scenario::STOP_AND_WAIT;
+use netdsl_protocols::scenario::{SuiteDriver, STOP_AND_WAIT};
 use netdsl_protocols::window::WindowFrame;
 
 /// System allocator wrapper counting allocation entry points (alloc,
@@ -101,7 +102,7 @@ fn warm_compiled_encode_allocates_nothing() {
     assert_eq!(n, 0, "warm frame encoders allocated {n} times");
 }
 
-/// Allocations one session of the batch below inherently owns:
+/// Allocations one session of the sessions below inherently owns:
 ///
 /// * 2 — the offered traffic (`TrafficPattern::generate`: the message
 ///   list and its one message);
@@ -110,37 +111,62 @@ fn warm_compiled_encode_allocates_nothing() {
 ///   of the in-flight payload;
 /// * 2 — the receiver's delivered list and the one payload copy it keeps.
 ///
-/// Everything else — simulator tables, arena, wheel, frame encoding and
-/// decoding — is recycled once warm; the per-batch bookkeeping
-/// (result and slot vectors) adds well under one allocation per session.
+/// Everything else — simulator tables, arena (including the buffer the
+/// receiver encodes its ACK into while the data frame is out for
+/// delivery), wheel, frame encoding and decoding — is recycled once
+/// warm; the batch's result vector adds well under one allocation per
+/// session.
 const ALLOCS_PER_SESSION: u64 = 6;
 
-#[test]
-fn warm_run_batch_stays_within_the_per_session_budget() {
+/// 512 one-message stop-and-wait sessions on clean links.
+fn sessions() -> Vec<Scenario> {
     let spec = ProtocolSpec::new(STOP_AND_WAIT).with_engine(EngineConfig {
         frame_path: FramePath::Compiled,
         ..EngineConfig::default()
     });
-    let batch: Vec<Scenario> = (0..512)
+    (0..512)
         .map(|i| {
             Scenario::new(spec.clone(), LinkConfig::reliable(1 + i % 8))
                 .with_traffic(TrafficPattern::messages(1, 8))
                 .with_seed(i)
         })
-        .collect();
+        .collect()
+}
+
+fn check(results: Vec<Result<ScenarioResult, ScenarioError>>) {
+    for r in results {
+        assert!(r.expect("session runs").success);
+    }
+}
+
+/// Fails unless `n` allocations over `sessions` sessions fit the budget.
+fn assert_within_budget(path: &str, n: u64, sessions: usize) {
+    let per_session = n as f64 / sessions as f64;
+    assert!(
+        n <= ALLOCS_PER_SESSION * sessions as u64 + 64,
+        "{path} allocated {per_session:.2} times per session (budget {ALLOCS_PER_SESSION})"
+    );
+}
+
+#[test]
+fn warm_run_batch_stays_within_the_per_session_budget() {
+    let batch = sessions();
     let driver = MultiSessionDriver::new();
-    let check = |results: Vec<Result<ScenarioResult, ScenarioError>>| {
-        for r in results {
-            assert!(r.expect("session runs").success);
-        }
-    };
     check(driver.run_batch(&batch)); // warm-up: pools, codecs, scratch
     let mut results = Vec::new();
     let n = allocations_in(|| results = driver.run_batch(&batch));
     check(results);
-    let per_session = n as f64 / batch.len() as f64;
-    assert!(
-        n <= ALLOCS_PER_SESSION * batch.len() as u64 + 64,
-        "run_batch allocated {per_session:.2} times per session (budget {ALLOCS_PER_SESSION})"
-    );
+    assert_within_budget("run_batch", n, batch.len());
+}
+
+#[test]
+fn warm_solo_runs_stay_within_the_per_session_budget() {
+    let batch = sessions();
+    let driver = SuiteDriver::new();
+    let run_all = || batch.iter().map(|s| driver.run(s)).collect::<Vec<_>>();
+    check(run_all()); // warm-up: the core pool, codecs, scratch
+    let mut results = Vec::with_capacity(batch.len());
+    let n = allocations_in(|| results.extend(batch.iter().map(|s| driver.run(s))));
+    check(results);
+    assert_within_budget("SuiteDriver::run", n, batch.len());
 }

@@ -9,9 +9,9 @@
 //! ticks, same wire bytes, same verdicts, same endpoint-state digests,
 //! same serialized JSON. Combinations a protocol refuses (a compiled
 //! control FSM exists only for stop-and-wait) must refuse loudly, not
-//! fall back silently. The recorder is the solo driver's own run, and
-//! the solo driver is a batch of one through the same pump as the
-//! **multiplexed** path: the whole corpus also runs as one
+//! fall back silently. The recorder is the solo driver's own run. The
+//! batch path runs each session exactly as the solo driver does, on one
+//! simulator reset between sessions: the whole corpus also runs as one
 //! [`MultiSessionDriver`] batch against solo results, and a 10k-session
 //! streaming campaign must be bit-identical across worker-thread
 //! counts.
