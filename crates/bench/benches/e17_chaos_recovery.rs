@@ -47,8 +47,9 @@ const ADAPTIVE: RetransmitPolicy = RetransmitPolicy::AdaptiveRto {
 };
 
 /// The fault-plan grid: one family per fault kind the engine supports.
-/// Crash lands on the receiver and the restart is spaced well apart, so
-/// solo and mux drivers cross the two boundaries on separate events.
+/// Every action is a queue event that lands on its tick, solo and
+/// batched alike. Crash hits the receiver mid-transfer; the restart
+/// comes back long before the sender's retry budget runs out.
 fn fault_plans() -> Vec<(&'static str, Vec<Fault>)> {
     vec![
         ("none", vec![]),

@@ -115,15 +115,11 @@ pub enum Event {
         /// The token the caller supplied.
         token: TimerToken,
     },
-}
-
-impl Event {
-    /// The node this event is addressed to.
-    pub fn node(&self) -> NodeId {
-        match self {
-            Event::Frame { node, .. } | Event::Timer { node, .. } => *node,
-        }
-    }
+    /// A fault scheduled with [`Simulator::schedule_fault`] is due.
+    Fault {
+        /// The index the caller supplied.
+        index: usize,
+    },
 }
 
 /// Something delivered to a node, with the frame payload still in the
@@ -149,6 +145,12 @@ pub enum EventRef {
         node: NodeId,
         /// The token the caller supplied.
         token: TimerToken,
+    },
+    /// A fault scheduled with [`Simulator::schedule_fault`] is due. The
+    /// simulator only keeps its time; the caller applies it.
+    Fault {
+        /// The index the caller supplied.
+        index: usize,
     },
 }
 
@@ -202,6 +204,9 @@ enum Pending {
     Timer {
         node: NodeId,
         token: TimerToken,
+    },
+    Fault {
+        index: usize,
     },
 }
 
@@ -809,6 +814,15 @@ impl Simulator {
         self.push(at, Pending::Timer { node, token });
     }
 
+    /// Schedules fault `index` to come due at tick `at` as an
+    /// [`EventRef::Fault`]. Like any event it pops in `(at, seq)` order,
+    /// so a fault scheduled before a session starts precedes every
+    /// frame and timer due on its tick. What the fault does is up to
+    /// the caller (see [`apply_fault`](crate::scenario::apply_fault)).
+    pub fn schedule_fault(&mut self, at: Tick, index: usize) {
+        self.push(at, Pending::Fault { index });
+    }
+
     /// Cancels all pending timers for `node` carrying `token`.
     ///
     /// Cancellation is lazy: the events stay queued but are skipped when
@@ -974,6 +988,7 @@ impl Simulator {
                     self.flight_record(FlightKind::TimerFire, node.index() as u64, token);
                     return Some(EventRef::Timer { node, token });
                 }
+                Pending::Fault { index } => return Some(EventRef::Fault { index }),
             }
         }
         None
@@ -996,6 +1011,7 @@ impl Simulator {
                 payload: self.arena.detach(payload),
             },
             EventRef::Timer { node, token } => Event::Timer { node, token },
+            EventRef::Fault { index } => Event::Fault { index },
         })
     }
 
@@ -1235,10 +1251,12 @@ mod tests {
                 sim.send(ab, vec![i; 8]);
             }
             sim.set_timer(a, 1000, 7);
+            sim.schedule_fault(700, 3);
             while let Some(ev) = sim.step() {
                 match ev {
                     Event::Frame { payload, .. } => log.push((sim.now(), payload)),
                     Event::Timer { token, .. } => log.push((sim.now(), vec![token as u8])),
+                    Event::Fault { index } => log.push((sim.now(), vec![0xF0, index as u8])),
                 }
             }
             log

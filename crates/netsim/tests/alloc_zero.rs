@@ -120,7 +120,7 @@ fn pump(sim: &mut Simulator, ab: netdsl_netsim::LinkId, node: netdsl_netsim::Nod
                     let buf = sim.detach_payload(payload);
                     sim.recycle_payload(buf);
                 }
-                Some(EventRef::Timer { .. }) => {}
+                Some(EventRef::Timer { .. } | EventRef::Fault { .. }) => {}
                 None => break,
             }
         }

@@ -59,28 +59,35 @@ proptest! {
         prop_assert_eq!(got, expected);
     }
 
-    /// Timers and frames interleaved on colliding ticks still pop in a
-    /// single global `(tick, insertion)` order.
+    /// Timers, frames and faults interleaved on colliding ticks still
+    /// pop in a single global `(tick, insertion)` order.
     #[test]
     fn mixed_event_kinds_share_one_total_order(
-        plan in proptest::collection::vec((0u64..4, any::<bool>()), 1..30),
+        plan in proptest::collection::vec((0u64..4, 0u8..3), 1..30),
     ) {
         let mut sim = Simulator::new(2);
         let a = sim.add_node();
         let b = sim.add_node();
         let ab = sim.add_link(a, b, LinkConfig::reliable(0));
         let mut expected: Vec<(u64, u64)> = Vec::new();
-        for (i, &(delay, is_timer)) in plan.iter().enumerate() {
+        for (i, &(delay, kind)) in plan.iter().enumerate() {
             let id = i as u64;
-            if is_timer {
-                sim.set_timer(a, delay, id);
-                expected.push((delay, id));
-            } else {
-                // A reliable zero-delay link delivers at `now + 0`; give
-                // the frame a distinct tick by stepping nothing — frames
-                // here always land at tick 0 alongside delay-0 timers.
-                sim.send(ab, vec![id as u8]);
-                expected.push((0, id));
+            match kind {
+                0 => {
+                    sim.set_timer(a, delay, id);
+                    expected.push((delay, id));
+                }
+                1 => {
+                    sim.schedule_fault(delay, i);
+                    expected.push((delay, id));
+                }
+                _ => {
+                    // A reliable zero-delay link delivers at `now + 0`:
+                    // frames here always land at tick 0 alongside
+                    // delay-0 timers and faults.
+                    sim.send(ab, vec![id as u8]);
+                    expected.push((0, id));
+                }
             }
         }
         expected.sort();
@@ -91,6 +98,7 @@ proptest! {
                 Some(Event::Frame { payload, .. }) => {
                     popped.push((sim.now(), u64::from(payload[0])))
                 }
+                Some(Event::Fault { index }) => popped.push((sim.now(), index as u64)),
                 None => break,
             }
         }

@@ -19,6 +19,8 @@ enum Op {
     Timer { delay: Tick },
     /// Cancel the timer armed by schedule entry `which` (mod count).
     Cancel { which: usize },
+    /// Schedule a fault `delay` ticks out, tagged with the entry index.
+    Fault { delay: Tick },
     /// Pop up to `n` events before continuing to schedule.
     Step { n: usize },
 }
@@ -28,12 +30,22 @@ fn op() -> impl Strategy<Value = Op> {
         (0usize..64).prop_map(|len| Op::Send { len }),
         prop_oneof![0u64..8, 0u64..2_000, 0u64..100_000].prop_map(|delay| Op::Timer { delay }),
         (0usize..16).prop_map(|which| Op::Cancel { which }),
+        prop_oneof![0u64..8, 0u64..2_000].prop_map(|delay| Op::Fault { delay }),
         (1usize..4).prop_map(|n| Op::Step { n }),
     ]
 }
 
+/// One transcript entry: `(now, discriminant, payload, token or index)`.
+fn entry(now: Tick, event: Event) -> (Tick, u8, Vec<u8>) {
+    match event {
+        Event::Frame { payload, .. } => (now, 0, payload),
+        Event::Timer { token, .. } => (now, 1, token.to_le_bytes().to_vec()),
+        Event::Fault { index } => (now, 2, (index as u64).to_le_bytes().to_vec()),
+    }
+}
+
 /// Runs one schedule on the given core and returns the full transcript
-/// `(now, discriminant, payload-or-token)` of every event.
+/// of every event.
 fn transcript(core: SimCore, seed: u64, plan: &[Op]) -> Vec<(Tick, u8, Vec<u8>)> {
     let mut sim = Simulator::with_core(seed, core);
     let a = sim.add_node();
@@ -55,24 +67,17 @@ fn transcript(core: SimCore, seed: u64, plan: &[Op]) -> Vec<(Tick, u8, Vec<u8>)>
                     sim.cancel_timer(a, which as u64 % timer_token);
                 }
             }
+            Op::Fault { delay } => sim.schedule_fault(sim.now() + delay, i),
             Op::Step { n } => {
                 for _ in 0..n {
-                    match sim.step() {
-                        Some(Event::Frame { payload, .. }) => log.push((sim.now(), 0, payload)),
-                        Some(Event::Timer { token, .. }) => {
-                            log.push((sim.now(), 1, token.to_le_bytes().to_vec()))
-                        }
-                        None => break,
-                    }
+                    let Some(ev) = sim.step() else { break };
+                    log.push(entry(sim.now(), ev));
                 }
             }
         }
     }
     while let Some(ev) = sim.step() {
-        match ev {
-            Event::Frame { payload, .. } => log.push((sim.now(), 0, payload)),
-            Event::Timer { token, .. } => log.push((sim.now(), 1, token.to_le_bytes().to_vec())),
-        }
+        log.push(entry(sim.now(), ev));
     }
     log
 }

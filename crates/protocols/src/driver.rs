@@ -8,7 +8,9 @@
 //! crate-private pump: [`Duplex`] (one session of any two endpoints),
 //! the suite's solo driver and golden recorder, and the batch driver,
 //! which runs its sessions back to back on one reset simulator, all
-//! call it.
+//! call it. A scenario's faults are events in the same queue as its
+//! frames and timers, so each lands on its scheduled tick
+//! (`docs/FAULTS.md` §2).
 
 use netdsl_netsim::scenario::{
     apply_fault, FaultNode, FaultPlan, FaultWorld, PlannedFault, Scenario,
@@ -207,21 +209,19 @@ impl<S: SessionEndpoints + ?Sized> SessionEndpoints for Box<S> {
 }
 
 /// One session on its simulator: its endpoints, where they sit, its
-/// deadline and fault schedule, and its clock.
+/// deadline and fault plan, and its clock.
 #[derive(Debug)]
 pub(crate) struct Slot<S> {
     pub(crate) ends: S,
     pub(crate) world: FaultWorld,
     deadline: Tick,
-    /// The expanded primitive fault schedule, sorted and cut to
-    /// `at < deadline` (a later fault could only land after the
-    /// session's closing event).
+    /// The expanded primitive fault plan. The simulator queue holds one
+    /// [`EventRef::Fault`] per action, carrying its index here.
     faults: Vec<PlannedFault>,
-    next_fault: usize,
     /// The tick of the session's last dispatched event: its `elapsed`.
     /// Cancelled timers and dead events the simulator skips are not
     /// events of the session and never move it.
-    pub(crate) now: Tick,
+    now: Tick,
 }
 
 impl<S: SessionEndpoints> Slot<S> {
@@ -241,21 +241,24 @@ impl<S: SessionEndpoints> Slot<S> {
             },
             deadline: Tick::MAX,
             faults: Vec::new(),
-            next_fault: 0,
             now: 0,
         }
     }
 
     /// Wires `ends` into `sim` as `scenario`'s session: its
-    /// observability request, link, deadline and expanded fault plan.
-    /// `sim` is fresh or reset, seeded and cored as `scenario` asks.
+    /// observability request, link, deadline and expanded fault plan,
+    /// each action queued as a fault event on its tick. The faults are
+    /// queued before the endpoints start, so on its tick a fault comes
+    /// before every frame and timer. `sim` is fresh or reset, seeded
+    /// and cored as `scenario` asks.
     pub(crate) fn for_scenario(sim: &mut Simulator, scenario: &Scenario, ends: S) -> Self {
         sim.set_obs(scenario.protocol.obs);
         let mut slot = Slot::wire(sim, scenario.link.clone(), ends);
-        let deadline = scenario.deadline;
-        slot.deadline = deadline;
+        slot.deadline = scenario.deadline;
         slot.faults = FaultPlan::from_scenario(scenario).actions;
-        slot.faults.retain(|f| f.at < deadline);
+        for (index, fault) in slot.faults.iter().enumerate() {
+            sim.schedule_fault(fault.at, index);
+        }
         slot
     }
 
@@ -267,9 +270,11 @@ impl<S: SessionEndpoints> Slot<S> {
     }
 
     /// The one event loop. Pops one event at a time with
-    /// [`Simulator::step_ref`], dispatches it to the endpoint on its
-    /// node and settles the session, until both endpoints are done, an
-    /// event passed the deadline or the queue drains. Returns the
+    /// [`Simulator::step_ref`] and dispatches it: a frame or a timer to
+    /// the endpoint on its node, a fault through [`apply_fault`] (a
+    /// restart resets and re-starts its endpoint). It stops once both
+    /// endpoints are done, an event passed the deadline or the queue
+    /// drained, so a fault due after that never lands. Returns the
     /// session's clock: the tick of its last dispatched event.
     pub(crate) fn pump(&mut self, sim: &mut Simulator) -> Tick {
         // A legacy-core run is a measurement baseline: it reconstructs
@@ -280,10 +285,11 @@ impl<S: SessionEndpoints> Slot<S> {
         let legacy = sim.core() == SimCore::Legacy;
         let restore_fast_path = legacy && !netdsl_wire::checksum::set_reference_mode(true);
         let w = self.world;
-        while self.live() {
+        while !self.ends.done() && self.now <= self.deadline {
             let Some(event) = sim.step_ref() else {
                 break;
             };
+            self.now = sim.now();
             match event {
                 EventRef::Frame { node, payload, .. } => {
                     // The payload buffer is detached from the arena (a
@@ -310,46 +316,23 @@ impl<S: SessionEndpoints> Slot<S> {
                             .timer_b(token, &mut Io::new(sim, w.node_b, w.link_ba));
                     }
                 }
+                EventRef::Fault { index } => match apply_fault(sim, &w, &self.faults[index]) {
+                    Some(FaultNode::A) => {
+                        self.ends.reset_a();
+                        self.ends.start_a(&mut Io::new(sim, w.node_a, w.link_ab));
+                    }
+                    Some(FaultNode::B) => {
+                        self.ends.reset_b();
+                        self.ends.start_b(&mut Io::new(sim, w.node_b, w.link_ba));
+                    }
+                    None => {}
+                },
             }
-            self.settle(sim);
         }
         if restore_fast_path {
             netdsl_wire::checksum::set_reference_mode(false);
         }
         self.now
-    }
-
-    /// Whether the session still takes events: some endpoint is not
-    /// done, and its last event did not pass the deadline.
-    fn live(&self) -> bool {
-        !self.ends.done() && self.now <= self.deadline
-    }
-
-    /// Bookkeeping after each dispatched event: the session clock moves
-    /// to the event's tick, and every fault strictly before that tick
-    /// lands (the one-event overshoot of `docs/FAULTS.md`: a fault
-    /// applies after the first event past it), a restart resetting and
-    /// re-starting its endpoint.
-    fn settle(&mut self, sim: &mut Simulator) {
-        self.now = sim.now();
-        while let Some(fault) = self.faults.get(self.next_fault) {
-            if fault.at >= self.now {
-                break;
-            }
-            self.next_fault += 1;
-            let w = self.world;
-            match apply_fault(sim, &w, fault) {
-                Some(FaultNode::A) => {
-                    self.ends.reset_a();
-                    self.ends.start_a(&mut Io::new(sim, w.node_a, w.link_ab));
-                }
-                Some(FaultNode::B) => {
-                    self.ends.reset_b();
-                    self.ends.start_b(&mut Io::new(sim, w.node_b, w.link_ba));
-                }
-                None => {}
-            }
-        }
     }
 }
 
@@ -365,14 +348,7 @@ impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
     /// Builds the two-node world with symmetric link configuration on
     /// the default (pooled) engine core.
     pub fn new(seed: u64, config: LinkConfig, a: A, b: B) -> Self {
-        Duplex::with_core(seed, config, SimCore::default(), a, b)
-    }
-
-    /// Builds the two-node world on an explicit engine core (the two
-    /// cores replay each other bit-identically; `Legacy` is the E13
-    /// measurement baseline).
-    pub fn with_core(seed: u64, config: LinkConfig, core: SimCore, a: A, b: B) -> Self {
-        let mut sim = Simulator::with_core(seed, core);
+        let mut sim = Simulator::new(seed);
         let slot = Slot::wire(&mut sim, config, (a, b));
         Duplex { sim, slot }
     }
@@ -390,8 +366,9 @@ impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
     /// is still dispatched). Returns the tick of the last dispatched
     /// event (0 if none).
     pub fn run(&mut self, deadline: Tick) -> Tick {
+        self.slot.deadline = deadline;
         self.slot.start(&mut self.sim);
-        self.resume(deadline)
+        self.slot.pump(&mut self.sim)
     }
 
     /// The left endpoint.
@@ -409,12 +386,6 @@ impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
         &self.sim
     }
 
-    /// Mutable simulator access between pump phases — used by failure-
-    /// injection tests to repair or degrade links mid-session.
-    pub fn sim_mut(&mut self) -> &mut Simulator {
-        &mut self.sim
-    }
-
     /// Tears the world down into its endpoints (and simulator), so
     /// callers can move results (e.g. a receiver's delivered payloads)
     /// out instead of copying them.
@@ -423,41 +394,9 @@ impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
         (a, b, self.sim)
     }
 
-    /// Continues pumping without re-running `start` (for staged runs
-    /// around a mid-session reconfiguration). Semantics otherwise match
-    /// [`Duplex::run`].
-    pub fn resume(&mut self, deadline: Tick) -> Tick {
-        self.slot.deadline = deadline;
-        self.slot.pump(&mut self.sim)
-    }
-
-    /// Restarts endpoint A after a crash: total protocol state loss
-    /// ([`Endpoint::reset`]) followed by a fresh [`Endpoint::start`].
-    pub fn restart_a(&mut self) {
-        self.slot.ends.reset_a();
-        let w = self.slot.world;
-        self.slot
-            .ends
-            .start_a(&mut Io::new(&mut self.sim, w.node_a, w.link_ab));
-    }
-
-    /// Restarts endpoint B after a crash (see [`Duplex::restart_a`]).
-    pub fn restart_b(&mut self) {
-        self.slot.ends.reset_b();
-        let w = self.slot.world;
-        self.slot
-            .ends
-            .start_b(&mut Io::new(&mut self.sim, w.node_b, w.link_ba));
-    }
-
     /// The A→B link id (for stats lookups).
     pub fn link_ab(&self) -> LinkId {
         self.slot.world.link_ab
-    }
-
-    /// The B→A link id.
-    pub fn link_ba(&self) -> LinkId {
-        self.slot.world.link_ba
     }
 }
 

@@ -282,6 +282,7 @@ impl DvNetwork {
         loop {
             match self.sim.step() {
                 None => break,
+                Some(Event::Fault { .. }) => unreachable!("a routing run schedules no faults"),
                 Some(Event::Timer { node, .. }) => {
                     if self.sim.now() > end {
                         break;

@@ -6,7 +6,9 @@
 //! once instrumented, to show the results are identical (telemetry is
 //! not a parity axis). Then the run's metric snapshot and flight
 //! recording are printed as canonical JSON, the exact documents
-//! `obs_report` consumes (see `docs/OBSERVABILITY.md`).
+//! `obs_report` consumes (see `docs/OBSERVABILITY.md`), followed by the
+//! flight recording of a faulted transfer, whose fault timeline shows
+//! every fault landing on its scheduled tick.
 //!
 //! Run with: `cargo run --example observability`
 
@@ -15,7 +17,9 @@ use netdsl::netsim::ObsConfig;
 use netdsl::obs::{reset_all, snapshot, FlightKind};
 use netdsl::protocols::golden::record_with_flight;
 use netdsl::protocols::scenario::{SuiteDriver, STOP_AND_WAIT};
-use netdsl::scenario::{ProtocolSpec, Scenario, ScenarioDriver, TrafficPattern};
+use netdsl::scenario::{
+    Fault, FaultDirection, FaultNode, ProtocolSpec, Scenario, ScenarioDriver, TrafficPattern,
+};
 
 /// A small lossy transfer: enough drops for the flight recorder to have
 /// a story to tell, small enough that the JSON stays readable.
@@ -31,6 +35,30 @@ fn scenario(obs: ObsConfig) -> Scenario {
     .with_traffic(TrafficPattern::messages(6, 16))
     .with_seed(7)
     .with_deadline(100_000)
+}
+
+/// The `sw-crash` golden fixture's transfer with a clock skew and a
+/// lossy forward link added, so that one recording holds every kind of
+/// fault action: the source of `tools/testdata/fault_flight.json`.
+fn faulted_scenario() -> Scenario {
+    Scenario::new(
+        ProtocolSpec::new(STOP_AND_WAIT)
+            .with_timeout(80)
+            .with_retries(12),
+        LinkConfig::reliable(3),
+    )
+    .with_name("obs-faults")
+    .with_traffic(TrafficPattern::messages(6, 12))
+    .with_fault(Fault::crash(15, FaultNode::B))
+    .with_fault(Fault::clock_skew(60, FaultNode::A, 5, 4))
+    .with_fault(Fault::restart(250, FaultNode::B))
+    .with_fault(Fault::link(
+        300,
+        FaultDirection::Forward,
+        LinkConfig::lossy(3, 0.3),
+    ))
+    .with_seed(140)
+    .with_deadline(200_000)
 }
 
 fn main() {
@@ -97,11 +125,25 @@ fn main() {
         );
     }
 
+    // Faults are queue events: each lands on the tick it was scheduled
+    // for, before any frame or timer due on that tick.
+    let (_, faulted) = record_with_flight(&faulted_scenario()).unwrap();
+    println!("\nfault events of a crash/skew/restart/link-fault transfer:");
+    for e in faulted
+        .events
+        .iter()
+        .filter(|e| e.kind == FlightKind::Fault)
+    {
+        println!("  t={:<4} subject={} detail={}", e.at, e.subject, e.detail);
+    }
+
     // The canonical JSON documents `tools/obs_report` renders — dumped
     // between markers so scripts can slice them out.
     println!("\n--- metrics.json ---");
     print!("{}", snap.to_json_string());
     println!("--- flight.json ---");
     print!("{}", flight.to_json_string());
+    println!("--- fault_flight.json ---");
+    print!("{}", faulted.to_json_string());
     println!("--- end ---");
 }

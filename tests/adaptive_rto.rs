@@ -232,11 +232,11 @@ fn every_fault_kind_lands_identically_solo_and_multiplexed() {
 
 #[test]
 fn a_fault_scheduled_after_the_last_event_never_lands() {
-    // The transfer finishes long before the crash boundary; with no
-    // event left to cross it, the fault is discarded (the session closes
-    // once both endpoints are done) instead of resurrecting a finished
-    // session — also when a neighbour in the batch keeps the simulator
-    // running past the boundary.
+    // The transfer finishes long before the crash is due. The session
+    // closes once both endpoints are done, so the queued fault is
+    // discarded instead of resurrecting a finished session — also when
+    // a neighbour in the batch keeps the simulator running past its
+    // tick.
     let mut base = scenario(GO_BACK_N, RetransmitPolicy::Fixed);
     base.link = LinkConfig::reliable(3);
     let quiet = SuiteDriver::new().run(&base).unwrap();

@@ -1,52 +1,118 @@
-//! Failure injection: partitions, repairs, asymmetric impairments and
-//! adversarial frames, across the protocol suite.
+//! Failure injection: partitions, repairs, crashes, asymmetric
+//! impairments and adversarial frames, across the protocol suite.
 //!
-//! Most end-state checks are expressed declaratively through the
-//! scenario layer ([`Scenario`] + [`Fault`] schedules run by
-//! [`SuiteDriver`]); the imperative [`Duplex`] harness remains only
-//! where a test must assert *mid-run* state, which a scenario result
-//! cannot carry.
+//! End states are expressed declaratively through the scenario layer
+//! ([`Scenario`] + [`Fault`] schedules run by [`SuiteDriver`]); where a
+//! test must see *when* something happened, the flight recording of the
+//! same run shows it.
 
-use netdsl::netsim::{LinkConfig, Simulator};
+use netdsl::campaign::BatchDriver;
+use netdsl::netsim::{FlightKind, LinkConfig, Simulator};
 use netdsl::protocols::arq;
-use netdsl::protocols::arq::session::{SwReceiver, SwSender};
-use netdsl::protocols::driver::Duplex;
+use netdsl::protocols::golden::record_with_flight;
+use netdsl::protocols::multiplex::MultiSessionDriver;
 use netdsl::protocols::scenario::{SuiteDriver, BASELINE, STOP_AND_WAIT};
 use netdsl::scenario::{
-    Fault, FaultDirection, ProtocolSpec, Scenario, ScenarioDriver, TrafficPattern,
+    Fault, FaultDirection, FaultNode, ProtocolSpec, Scenario, ScenarioDriver, ScenarioResult,
+    TrafficPattern,
 };
 
-fn msgs(n: usize) -> Vec<Vec<u8>> {
-    (0..n).map(|i| format!("fi-{i}").into_bytes()).collect()
+/// Runs `scenario` solo and as a one-session batch, asserts the two
+/// agree, and returns the result.
+fn solo_and_batched(scenario: &Scenario) -> ScenarioResult {
+    let solo = SuiteDriver::new().run(scenario).unwrap();
+    let batched = MultiSessionDriver::new().run_batch(std::slice::from_ref(scenario));
+    assert_eq!(batched[0].as_ref().unwrap(), &solo, "solo vs batched");
+    solo
+}
+
+/// Stop-and-wait over a clean delay-3 link with `faults` scheduled: the
+/// first frame reaches B at tick 3.
+fn clean_sw(faults: &[Fault]) -> Scenario {
+    faults.iter().fold(
+        Scenario::new(
+            ProtocolSpec::new(STOP_AND_WAIT)
+                .with_timeout(40)
+                .with_retries(10),
+            LinkConfig::reliable(3),
+        )
+        .with_traffic(TrafficPattern::messages(3, 8))
+        .with_seed(3),
+        |s, f| s.with_fault(f.clone()),
+    )
 }
 
 #[test]
 fn transfer_survives_a_temporary_partition() {
-    // Phase 1: the link dies right after the session starts; phase 2:
-    // it is repaired and the transfer completes. Retransmission carries
-    // the session across the outage.
-    let mut d = Duplex::new(
-        5,
+    // Two scheduled link faults: both directions die at tick 10, right
+    // after the session starts, and are repaired at 5 000.
+    // Retransmission carries the session across the outage.
+    let scenario = Scenario::new(
+        ProtocolSpec::new(STOP_AND_WAIT)
+            .with_timeout(60)
+            .with_retries(1000),
         LinkConfig::reliable(3),
-        SwSender::new(msgs(10), 60, 1000),
-        SwReceiver::new(10),
+    )
+    .with_traffic(TrafficPattern::messages(10, 4))
+    .with_seed(5)
+    .with_fault(Fault::link(
+        10,
+        FaultDirection::Both,
+        LinkConfig::lossy(3, 1.0),
+    ))
+    .with_fault(Fault::link(
+        5_000,
+        FaultDirection::Both,
+        LinkConfig::reliable(3),
+    ));
+    let r = solo_and_batched(&scenario);
+    assert!(r.success, "repair lets the session complete: {r:?}");
+    assert_eq!(r.messages_delivered, 10);
+    assert!(r.elapsed > 5_000, "cannot finish while partitioned");
+    assert!(r.link.lost > 0, "frames sent during the outage die");
+}
+
+#[test]
+fn a_crash_lands_before_the_frame_delivered_on_its_tick() {
+    // B crashes at tick 3, the tick the first frame reaches it. The
+    // fault was queued before the session started, so it pops first
+    // and the frame dies: B never delivers anything.
+    let scenario = clean_sw(&[Fault::crash(3, FaultNode::B)]);
+    let r = solo_and_batched(&scenario);
+    assert!(!r.success, "{r:?}");
+    assert_eq!(r.messages_delivered, 0);
+    assert_eq!(r.link.delivered, 0, "every frame to B dies");
+}
+
+#[test]
+fn crash_and_restart_one_tick_apart_kill_the_frame_in_flight() {
+    // B crashes at 1 and restarts at 2, while the first frame to it is
+    // due at 3. Each fault lands on its tick, so the frame, queued
+    // before the crash, dies; B comes back empty and takes the
+    // retransmission instead.
+    let scenario = clean_sw(&[
+        Fault::crash(1, FaultNode::B),
+        Fault::restart(2, FaultNode::B),
+    ]);
+    let r = solo_and_batched(&scenario);
+    assert!(r.success, "the restarted receiver completes: {r:?}");
+    assert_eq!(r.link.lost, 1, "the frame in flight died with the crash");
+    assert_eq!(r.retransmissions, 1);
+    let (_, flight) = record_with_flight(&scenario).unwrap();
+    let story: Vec<(u64, FlightKind)> = flight
+        .events
+        .iter()
+        .filter(|e| matches!(e.kind, FlightKind::Fault | FlightKind::Drop))
+        .map(|e| (e.at, e.kind))
+        .collect();
+    assert_eq!(
+        story,
+        [
+            (1, FlightKind::Fault),
+            (2, FlightKind::Fault),
+            (3, FlightKind::Drop)
+        ]
     );
-    let ab = d.link_ab();
-    let ba = d.link_ba();
-
-    // Start and pump a tiny bit, then partition both directions.
-    d.run(10);
-    d.sim_mut().reconfigure_link(ab, LinkConfig::lossy(3, 1.0));
-    d.sim_mut().reconfigure_link(ba, LinkConfig::lossy(3, 1.0));
-    d.resume(5_000); // outage window: everything sent here dies
-    assert!(!d.a().succeeded(), "cannot finish while partitioned");
-
-    // Repair and finish.
-    d.sim_mut().reconfigure_link(ab, LinkConfig::reliable(3));
-    d.sim_mut().reconfigure_link(ba, LinkConfig::reliable(3));
-    d.resume(10_000_000);
-    assert!(d.a().succeeded(), "repair lets the session complete");
-    assert_eq!(d.b().delivered(), &msgs(10)[..]);
 }
 
 #[test]

@@ -30,12 +30,13 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use netdsl::campaign::{BatchDriver, Campaign, StreamOptions, Sweep};
-use netdsl::netsim::{GoldenTrace, LinkConfig, SimCore};
-use netdsl::protocols::golden::{corpus, record, with_combo};
+use netdsl::netsim::{FlightKind, GoldenTrace, LinkConfig, SimCore};
+use netdsl::protocols::golden::{corpus, record, record_with_flight, with_combo};
 use netdsl::protocols::multiplex::MultiSessionDriver;
 use netdsl::protocols::scenario::{BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
 use netdsl::scenario::{
-    EngineConfig, FramePath, FsmPath, ProtocolSpec, Scenario, ScenarioDriver, TrafficPattern,
+    EngineConfig, FaultAction, FaultDirection, FaultPlan, FramePath, FsmPath, ProtocolSpec,
+    Scenario, ScenarioDriver, TrafficPattern,
 };
 
 fn fixture_path(name: &str) -> PathBuf {
@@ -121,6 +122,48 @@ fn committed_corpus_replays_byte_identically_under_every_engine_combo() {
             }
         }
     }
+}
+
+#[test]
+fn every_fixture_fault_lands_on_its_scheduled_tick() {
+    // Faults are queue events: every expanded action of a fault-bearing
+    // fixture lands while the transfer still runs, and its flight
+    // events (one per mutated link or node, detail = action kind) carry
+    // the tick the action was scheduled for.
+    let mut carrying = 0;
+    for scenario in corpus() {
+        let plan = FaultPlan::from_scenario(&scenario);
+        if plan.is_empty() {
+            continue;
+        }
+        carrying += 1;
+        let due: Vec<(u64, u64)> = plan
+            .actions
+            .iter()
+            .flat_map(|planned| match &planned.action {
+                FaultAction::Link { direction, .. } => {
+                    vec![(planned.at, 1); 1 + usize::from(*direction == FaultDirection::Both)]
+                }
+                FaultAction::Crash(_) => vec![(planned.at, 2)],
+                FaultAction::Restart(_) => vec![(planned.at, 3)],
+                FaultAction::ClockSkew { .. } => vec![(planned.at, 4)],
+            })
+            .collect();
+        let (_, flight) = record_with_flight(&scenario).unwrap();
+        assert_eq!(
+            flight.dropped, 0,
+            "{}: flight ring overflowed",
+            scenario.name
+        );
+        let landed: Vec<(u64, u64)> = flight
+            .events
+            .iter()
+            .filter(|e| e.kind == FlightKind::Fault)
+            .map(|e| (e.at, e.detail))
+            .collect();
+        assert_eq!(landed, due, "{}: faults off their ticks", scenario.name);
+    }
+    assert_eq!(carrying, 5, "fault-bearing fixtures");
 }
 
 #[test]

@@ -259,10 +259,10 @@ mod tests {
                 "timeline must decode {action}:\n{out}"
             );
         }
-        // The timeline carries the one-event-overshoot timestamps the
-        // fault engine actually applied (crash scheduled at 15 lands on
-        // the first event past it).
-        assert!(out.contains("t=18       node crashed"), "{out}");
+        // Faults are queue events, so the timeline carries each fault's
+        // scheduled tick: the crash at 15, the restart at 250.
+        assert!(out.contains("t=15       node crashed"), "{out}");
+        assert!(out.contains("t=250      node restarted"), "{out}");
     }
 
     #[test]
