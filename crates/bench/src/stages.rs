@@ -31,7 +31,7 @@ use std::hint::black_box;
 use std::time::{Duration, Instant};
 
 use netdsl_netsim::scenario::FramePath;
-use netdsl_netsim::{EventRef, LinkConfig, SimCore, Simulator};
+use netdsl_netsim::{EventRef, LinkConfig, Simulator};
 use netdsl_protocols::window::{window_spec, WindowFrame};
 use netdsl_wire::checksum::crc16_ccitt;
 
@@ -73,7 +73,7 @@ fn checksum_ns(iters: usize, frame: &[u8]) -> f64 {
 /// realistically small, returning (schedule ns/op, deliver ns/op).
 fn transport_ns(iters: usize, payload: &[u8]) -> (f64, f64) {
     const CHUNK: usize = 256;
-    let mut sim = Simulator::with_core(7, SimCore::Pooled);
+    let mut sim = Simulator::new(7);
     let a = sim.add_node();
     let b = sim.add_node();
     let (ab, _) = sim.add_duplex(a, b, LinkConfig::reliable(1));

@@ -1089,7 +1089,7 @@ mod tests {
 
     #[test]
     fn engine_axis_multiplies_the_expansion_and_rewrites_the_spec() {
-        use crate::sim::SimCore;
+        use crate::scenario::FramePath;
         let engines = Sweep::grid(
             EngineConfig::all()
                 .into_iter()
@@ -1097,20 +1097,23 @@ mod tests {
         );
         let c = small_campaign().engines(engines);
         let scenarios = c.scenarios();
-        assert_eq!(scenarios.len(), 2 * 8 * 2 * 3);
+        assert_eq!(scenarios.len(), 2 * 4 * 2 * 3);
         // The engine label sits between protocol and link, and the spec
         // actually carries the swept config.
         assert_eq!(
             scenarios[0].name,
-            "t/p1/pooled/interpreted/typestate/clean/duplex/default/s0"
+            "t/p1/compiled/typestate/clean/duplex/default/s0"
         );
-        assert_eq!(scenarios[0].labels.engine, "pooled/interpreted/typestate");
+        assert_eq!(scenarios[0].labels.engine, "compiled/typestate");
         assert_eq!(scenarios[0].protocol.engine(), EngineConfig::default());
-        let legacy = scenarios
+        let interpreted = scenarios
             .iter()
-            .find(|s| s.labels.engine.starts_with("legacy/"))
-            .expect("legacy engine cells exist");
-        assert_eq!(legacy.protocol.engine().sim_core, SimCore::Legacy);
+            .find(|s| s.labels.engine.starts_with("interpreted/"))
+            .expect("interpreted engine cells exist");
+        assert_eq!(
+            interpreted.protocol.engine().frame_path,
+            FramePath::Interpreted
+        );
         // Engine is a non-seed axis: common random numbers hold across it.
         assert_eq!(scenarios[0].seed, scenarios[6].seed);
     }

@@ -4,18 +4,17 @@
 //!
 //! The paper's core complaint is the *transcription gap*: a spec
 //! verified in one formalism and an implementation in another drift
-//! apart silently. This workspace now carries five engine variants of
-//! the same protocol specs ([`SimCore`](crate::SimCore) pooled/legacy,
-//! [`FramePath`](crate::scenario::FramePath) interpreted/compiled,
-//! [`FsmPath`](crate::scenario::FsmPath) typestate/compiled), and the
-//! golden corpus is what keeps them honest: a [`GoldenTrace`] captures
-//! every frame event (tick, direction, wire bytes, delivery verdict,
-//! receiving-endpoint state digest) plus the scenario inputs and the
-//! final result, serialized deterministically via the serde shim's
-//! `json` module. Crucially the serialized form carries **no
-//! engine-axis fields** — one canonical transcript per fixture, which
-//! every supported core × codec × FSM combination must replay
-//! byte-identically (`tests/golden_parity.rs`).
+//! apart silently. This workspace carries four engine variants of the
+//! same protocol specs ([`FramePath`](crate::scenario::FramePath)
+//! interpreted/compiled, [`FsmPath`](crate::scenario::FsmPath)
+//! typestate/compiled), and the golden corpus is what keeps them
+//! honest: a [`GoldenTrace`] captures every frame event (tick,
+//! direction, wire bytes, delivery verdict, receiving-endpoint state
+//! digest) plus the scenario inputs and the final result, serialized
+//! deterministically via the serde shim's `json` module. Crucially the
+//! serialized form carries **no engine-axis fields** — one canonical
+//! transcript per fixture, which every supported codec × FSM
+//! combination must replay byte-identically (`tests/golden_parity.rs`).
 //!
 //! Recording is driven by [`Simulator::record_golden`]
 //! (crate-side hooks) and the `netdsl-protocols` recorder, which
@@ -182,7 +181,7 @@ impl GoldenEvent {
 
 /// The scenario inputs a golden trace was recorded from — everything
 /// needed to re-run it, **deliberately excluding** the engine axes
-/// (`sim_core`, `frame_path`, `fsm_path`): a fixture pins behaviour,
+/// (`frame_path`, `fsm_path`): a fixture pins behaviour,
 /// and all engine combinations must reproduce it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GoldenScenario {
@@ -832,14 +831,12 @@ mod tests {
         // source scenario selects — that is what makes one fixture the
         // oracle for every combination.
         use crate::scenario::{EngineConfig, FramePath, FsmPath};
-        use crate::sim::SimCore;
         let base = Scenario::new(ProtocolSpec::new("go-back-n"), LinkConfig::reliable(2));
         let mut variant = base.clone();
-        variant.protocol = variant.protocol.clone().with_engine(EngineConfig::new(
-            SimCore::Legacy,
-            FramePath::Compiled,
-            FsmPath::Compiled,
-        ));
+        variant.protocol = variant
+            .protocol
+            .clone()
+            .with_engine(EngineConfig::new(FramePath::Interpreted, FsmPath::Compiled));
         assert_eq!(
             GoldenScenario::from_scenario(&base),
             GoldenScenario::from_scenario(&variant)

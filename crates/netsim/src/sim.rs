@@ -9,10 +9,9 @@
 //!   lifetimes) are reused, so a warm campaign worker allocates nothing
 //!   per frame;
 //! * events are scheduled by a hierarchical timer wheel (the private
-//!   `wheel` module) instead of a binary heap, preserving the exact
-//!   `(at, seq)` pop order (property-tested against the heap, which is
-//!   retained as [`SimCore::Legacy`] — the measurement baseline of
-//!   experiment E13 and the ordering oracle of the wheel tests).
+//!   `wheel` module) in exact `(at, seq)` pop order, property-tested
+//!   against a binary-heap model of the queue (the wheel's unit tests
+//!   and `tests/wheel_oracle.rs`).
 //!
 //! The original `Vec<u8>`-owning API ([`Simulator::send`],
 //! [`Simulator::step`]) still works and is what one-off tests use; the
@@ -24,8 +23,6 @@
 //! one warm simulator (see `docs/SESSIONS.md`).
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 use netdsl_obs::{
     Counter, FlightEvent, FlightKind, FlightRecorder, FlightRecording, Histogram, ObsConfig,
@@ -65,35 +62,6 @@ impl LinkId {
 
 /// Opaque caller-chosen identifier carried by timer events.
 pub type TimerToken = u64;
-
-/// Which engine internals a simulator runs on.
-///
-/// The two cores are **behaviourally identical** — same RNG draw
-/// sequence, same event order, bit-identical transcripts (pinned by
-/// `tests/wheel_oracle.rs` and the campaign determinism tests) — they
-/// differ only in cost. Campaigns can therefore put the core on an
-/// axis (`ProtocolSpec::with_sim_core`) and measure pure engine
-/// overhead, which is exactly what experiment E13 does.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SimCore {
-    /// Payload arena + timer wheel; zero allocation in steady state.
-    #[default]
-    Pooled,
-    /// The pre-arena core: binary-heap scheduler, owned `Vec<u8>`
-    /// frame buffers allocated and dropped per hop. Kept as the E13
-    /// measurement baseline and the wheel's ordering oracle.
-    Legacy,
-}
-
-impl SimCore {
-    /// Canonical axis label (`"pooled"` / `"legacy"`).
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SimCore::Pooled => "pooled",
-            SimCore::Legacy => "legacy",
-        }
-    }
-}
 
 /// Something delivered to a node by the simulator, with the frame
 /// payload owned (see [`EventRef`] for the zero-copy form).
@@ -162,7 +130,7 @@ struct Link {
     stats: LinkStats,
 }
 
-/// Node and link tables. Pooled cores recycle them with the arena and
+/// Node and link tables. The core pool recycles them with the arena and
 /// the wheel: both vectors keep their capacity, and so do the emptied
 /// cancel lists of the nodes the departing owner created.
 #[derive(Debug, Default)]
@@ -194,7 +162,7 @@ impl Tables {
     }
 }
 
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug)]
 enum Pending {
     Frame {
         link: LinkId,
@@ -210,68 +178,17 @@ enum Pending {
     },
 }
 
-/// Heap entry ordered by `(at, seq)` via the derived field-order
-/// comparison; `seq` is a monotone insertion counter, so it is unique
-/// per entry and the trailing `what` field never actually participates
-/// in a comparison — the ordering is total and ties at equal `at`
-/// resolve by insertion order (property-tested in
-/// `tests/heap_order.rs`, and the timer wheel reproduces it exactly).
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-struct Scheduled {
-    at: Tick,
-    seq: u64,
-    what: Pending,
-}
-
-/// The event queue behind one simulator: the wheel (pooled core) or
-/// the original binary heap (legacy core / oracle).
-#[derive(Debug)]
-enum Queue {
-    Wheel(TimerWheel<Pending>),
-    Heap(BinaryHeap<Reverse<Scheduled>>),
-}
-
-impl Queue {
-    fn push(&mut self, at: Tick, seq: u64, what: Pending) {
-        match self {
-            Queue::Wheel(w) => w.push(at, seq, what),
-            Queue::Heap(h) => h.push(Reverse(Scheduled { at, seq, what })),
-        }
-    }
-
-    fn pop(&mut self) -> Option<(Tick, u64, Pending)> {
-        match self {
-            Queue::Wheel(w) => w.pop(),
-            Queue::Heap(h) => h.pop().map(|Reverse(s)| (s.at, s.seq, s.what)),
-        }
-    }
-
-    fn clear(&mut self) {
-        match self {
-            Queue::Wheel(w) => w.reset(),
-            Queue::Heap(h) => h.clear(),
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        match self {
-            Queue::Wheel(w) => w.is_empty(),
-            Queue::Heap(h) => h.is_empty(),
-        }
-    }
-}
-
-/// What a pooled simulator takes from and returns to [`CORE_POOL`].
+/// What a simulator takes from and returns to [`CORE_POOL`].
 type PooledCore = (PayloadArena, TimerWheel<Pending>, Tables);
 
 thread_local! {
-    /// Warm `(arena, wheel, tables)` cores recycled across pooled
+    /// Warm `(arena, wheel, tables)` cores recycled across the
     /// simulators on this thread — how a campaign worker runs thousands
     /// of scenarios without re-growing any of them. Capacities persist;
     /// all contents are reset between owners.
     ///
     /// Checkout is a `pop` (exclusive ownership transfer), so any
-    /// number of pooled simulators alive on one thread at once — e.g. a
+    /// number of simulators alive on one thread at once — e.g. a
     /// golden recorder nested inside a campaign worker — each hold
     /// disjoint structures and never observe each other's state. There
     /// is a regression test for exactly this
@@ -315,9 +232,11 @@ struct GoldenLog {
 pub struct Simulator {
     time: Tick,
     seq: u64,
-    queue: Queue,
+    /// Pending events, popped in ascending `(at, seq)`: `seq` is the
+    /// monotone insertion counter, so ties at equal `at` resolve by
+    /// insertion order (property-tested in `tests/heap_order.rs`).
+    queue: TimerWheel<Pending>,
     arena: PayloadArena,
-    core: SimCore,
     /// The impairment RNG stream, seeded by the constructor or
     /// [`Simulator::reset`].
     rng: ChaCha12Rng,
@@ -351,37 +270,17 @@ pub struct Simulator {
 
 impl Simulator {
     /// Creates a simulator whose randomness is fully determined by
-    /// `seed`, on the default [`SimCore::Pooled`] core.
+    /// `seed`. Its arena, wheel and node and link tables come from a
+    /// thread-local recycling pool, and go back to it, reset, on drop.
     pub fn new(seed: u64) -> Self {
-        Simulator::with_core(seed, SimCore::default())
-    }
-
-    /// Creates a simulator on an explicit engine core. The pooled core
-    /// draws its arena, wheel and node and link tables from a
-    /// thread-local recycling pool (returned, reset, on drop); the
-    /// legacy core allocates fresh so baseline measurements stay honest.
-    pub fn with_core(seed: u64, core: SimCore) -> Self {
-        let (arena, queue, tables) = match core {
-            SimCore::Pooled => {
-                let (arena, wheel, tables) = CORE_POOL
-                    .with(|pool| pool.borrow_mut().pop())
-                    .unwrap_or_default();
-                (arena, Queue::Wheel(wheel), tables)
-            }
-            SimCore::Legacy => (
-                PayloadArena::new(),
-                // Pre-sized as the original engine was: window
-                // protocols keep dozens of frames and timers in flight.
-                Queue::Heap(BinaryHeap::with_capacity(256)),
-                Tables::default(),
-            ),
-        };
+        let (arena, queue, tables) = CORE_POOL
+            .with(|pool| pool.borrow_mut().pop())
+            .unwrap_or_default();
         Simulator {
             time: 0,
             seq: 0,
             queue,
             arena,
-            core,
             rng: ChaCha12Rng::seed_from_u64(seed),
             tables,
             golden: None,
@@ -395,22 +294,22 @@ impl Simulator {
     }
 
     /// Empties this simulator in place and reseeds it: afterwards it is
-    /// observably identical to `Simulator::with_core(seed, self.core())`
-    /// — clock, event sequence, queue, arena, nodes, links, pending
-    /// cancels, fault state, golden log and flight recorder all start
-    /// over — while its structures keep their capacity. Outstanding
-    /// [`PayloadRef`]s are invalidated.
+    /// observably identical to `Simulator::new(seed)` — clock, event
+    /// sequence, queue, arena, nodes, links, pending cancels, fault
+    /// state, golden log and flight recorder all start over — while its
+    /// structures keep their capacity. Outstanding [`PayloadRef`]s are
+    /// invalidated.
     pub fn reset(&mut self, seed: u64) {
         self.clear();
         self.rng = ChaCha12Rng::seed_from_u64(seed);
     }
 
-    /// Everything [`Simulator::reset`] empties; also what a pooled core
-    /// goes through on its way back to the pool.
+    /// Everything [`Simulator::reset`] empties; also what a core goes
+    /// through on its way back to the pool.
     fn clear(&mut self) {
         self.time = 0;
         self.seq = 0;
-        self.queue.clear();
+        self.queue.reset();
         self.arena.reset();
         self.tables.reset();
         self.golden = None;
@@ -515,11 +414,6 @@ impl Simulator {
             }
             None => Vec::new(),
         }
-    }
-
-    /// Which engine core this simulator runs on.
-    pub fn core(&self) -> SimCore {
-        self.core
     }
 
     /// Current virtual time.
@@ -1023,18 +917,15 @@ impl Simulator {
 
 impl Drop for Simulator {
     fn drop(&mut self) {
-        if self.core != SimCore::Pooled {
-            return;
-        }
         CORE_POOL.with(|pool| {
             let mut pool = pool.borrow_mut();
             if pool.len() < CORE_POOL_CAP {
                 self.clear();
-                let queue = std::mem::replace(&mut self.queue, Queue::Heap(BinaryHeap::new()));
-                if let Queue::Wheel(wheel) = queue {
-                    let arena = std::mem::take(&mut self.arena);
-                    pool.push((arena, wheel, std::mem::take(&mut self.tables)));
-                }
+                // The placeholder must not allocate: a dropped simulator
+                // leaves an empty wheel behind, not a fresh one.
+                let wheel = std::mem::replace(&mut self.queue, TimerWheel::empty());
+                let arena = std::mem::take(&mut self.arena);
+                pool.push((arena, wheel, std::mem::take(&mut self.tables)));
             }
         });
     }
@@ -1239,10 +1130,11 @@ mod tests {
 
     #[test]
     fn cores_replay_each_other_bit_identically() {
-        // The engine-core determinism contract: same seed ⇒ identical
-        // transcript whichever scheduler/buffer strategy runs it.
-        let run = |core: SimCore| {
-            let mut sim = Simulator::with_core(42, core);
+        // The core-pool determinism contract: same seed ⇒ identical
+        // transcript whether the simulator's structures are built fresh
+        // (a new thread's pool is empty) or recycled from a dirty owner.
+        let run = || {
+            let mut sim = Simulator::new(42);
             let a = sim.add_node();
             let b = sim.add_node();
             let ab = sim.add_link(a, b, LinkConfig::harsh(5));
@@ -1261,7 +1153,9 @@ mod tests {
             }
             log
         };
-        assert_eq!(run(SimCore::Pooled), run(SimCore::Legacy));
+        let fresh = std::thread::spawn(run).join().unwrap();
+        drop(dirty_simulator());
+        assert_eq!(run(), fresh);
     }
 
     #[test]
@@ -1531,8 +1425,8 @@ mod tests {
     /// A dirty owner: a node crashed and restarted (its crash watermark
     /// stays), a skewed clock, frames and timers still queued, a lazy
     /// cancel pending, golden capture and a flight recorder on.
-    fn dirty_simulator(core: SimCore) -> Simulator {
-        let mut sim = Simulator::with_core(3, core);
+    fn dirty_simulator() -> Simulator {
+        let mut sim = Simulator::new(3);
         sim.record_golden(true);
         sim.set_obs(ObsConfig::off().with_flight());
         let a = sim.add_node();
@@ -1554,30 +1448,25 @@ mod tests {
 
     #[test]
     fn reset_leaves_a_simulator_identical_to_a_fresh_one() {
-        // A new legacy core never touches the pool, and the two cores
-        // replay each other bit-identically: the clean reference.
-        let fresh = lossy_transcript(&mut Simulator::with_core(11, SimCore::Legacy));
+        // A new thread's pool is empty, so the simulator built there
+        // never held anyone's state: the clean reference.
+        let fresh = std::thread::spawn(|| lossy_transcript(&mut Simulator::new(11)))
+            .join()
+            .unwrap();
         assert!(fresh.iter().any(|(_, e)| matches!(e, Event::Timer { .. })));
-        for core in [SimCore::Pooled, SimCore::Legacy] {
-            let mut sim = dirty_simulator(core);
-            sim.reset(11);
-            assert_eq!(sim.node_count(), 0, "{core:?}");
-            assert_eq!(sim.total_stats(), LinkStats::default(), "{core:?}");
-            assert!(sim.take_flight().is_none(), "{core:?}");
-            assert!(sim.take_golden_events().is_empty(), "{core:?}");
-            assert!(sim.is_quiescent(), "{core:?}");
-            assert_eq!(sim.now(), 0, "{core:?}");
-            assert_eq!(
-                lossy_transcript(&mut sim),
-                fresh,
-                "{core:?}: reset leaks state"
-            );
-            let built = lossy_transcript(&mut Simulator::with_core(11, core));
-            assert_eq!(built, fresh, "{core:?}: a new simulator differs");
-        }
-        // A dropped pooled core goes back to the pool through the same
-        // clearing code, and the next simulator on this thread gets it.
-        drop(dirty_simulator(SimCore::Pooled));
+        let mut sim = dirty_simulator();
+        sim.reset(11);
+        assert_eq!(sim.node_count(), 0);
+        assert_eq!(sim.total_stats(), LinkStats::default());
+        assert!(sim.take_flight().is_none());
+        assert!(sim.take_golden_events().is_empty());
+        assert!(sim.is_quiescent());
+        assert_eq!(sim.now(), 0);
+        assert_eq!(lossy_transcript(&mut sim), fresh, "reset leaks state");
+        // A dropped core goes back to the pool through the same clearing
+        // code, and the next simulator on this thread gets it.
+        drop(sim);
+        drop(dirty_simulator());
         assert_eq!(
             lossy_transcript(&mut Simulator::new(11)),
             fresh,

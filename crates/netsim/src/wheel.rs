@@ -1,8 +1,7 @@
-//! Hierarchical timer wheel: the simulator's event scheduler.
-//!
-//! Replaces the old `BinaryHeap<Reverse<Scheduled>>` (still available
-//! as [`SimCore::Legacy`](crate::sim::SimCore) — it is both the E13
-//! baseline and the ordering oracle for this module's property tests).
+//! Hierarchical timer wheel: the simulator's event scheduler. It
+//! replaced a `BinaryHeap` of `(at, seq)` entries, which survives only
+//! as the test oracle (this module's property tests and
+//! `tests/wheel_oracle.rs`).
 //!
 //! Two levels:
 //!
@@ -19,7 +18,7 @@
 //! The ordering contract is exactly the heap's: entries pop in
 //! ascending `(at, seq)` where `seq` is the caller's monotone insertion
 //! counter — so simultaneous events pop in insertion order and a replay
-//! is bit-identical regardless of scheduler. Property tests below (and
+//! is bit-identical to the heap's. Property tests below (and
 //! `tests/wheel_oracle.rs` end-to-end) pin the equivalence against a
 //! real `BinaryHeap` oracle.
 //!
@@ -76,6 +75,22 @@ impl<E> Default for TimerWheel<E> {
 }
 
 impl<E> TimerWheel<E> {
+    /// A wheel with no slots that allocates nothing: the placeholder a
+    /// dropped simulator leaves behind while its wheel goes back to the
+    /// core pool. Pushing into it is a bug.
+    pub(crate) const fn empty() -> Self {
+        TimerWheel {
+            base: 0,
+            cursor: 0,
+            near: Vec::new(),
+            occupied: [0; WORDS],
+            near_len: 0,
+            far: BTreeMap::new(),
+            spare_chunks: Vec::new(),
+            len: 0,
+        }
+    }
+
     #[cfg(test)]
     pub(crate) fn new() -> Self {
         TimerWheel::default()

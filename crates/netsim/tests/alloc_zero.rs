@@ -15,8 +15,8 @@ use std::sync::Mutex;
 
 use netdsl_netsim::scenario::{ProtocolSpec, Scenario, ScenarioDriver, ScenarioError};
 use netdsl_netsim::{
-    Campaign, EventRef, LinkConfig, LinkStats, ScenarioResult, SimCore, Simulator, SoloBatch,
-    StreamOptions, Sweep,
+    Campaign, EventRef, LinkConfig, LinkStats, ScenarioResult, Simulator, SoloBatch, StreamOptions,
+    Sweep,
 };
 
 /// Live heap bytes are tracked process-wide, so the tests in this
@@ -132,7 +132,7 @@ fn frame_hot_path_is_allocation_free_once_warm() {
     let _serial = SERIAL
         .lock()
         .expect("counter tests never panic while locked");
-    let mut sim = Simulator::with_core(3, SimCore::Pooled);
+    let mut sim = Simulator::new(3);
     let a = sim.add_node();
     let b = sim.add_node();
     let ab = sim.add_link(a, b, LinkConfig::reliable(5));
@@ -165,7 +165,7 @@ fn frame_hot_path_stays_allocation_free_with_metrics_enabled() {
         .lock()
         .expect("counter tests never panic while locked");
     netdsl_obs::set_metrics_enabled(true);
-    let mut sim = Simulator::with_core(3, SimCore::Pooled);
+    let mut sim = Simulator::new(3);
     let a = sim.add_node();
     let b = sim.add_node();
     let ab = sim.add_link(a, b, LinkConfig::reliable(5));
@@ -187,14 +187,14 @@ fn frame_hot_path_stays_allocation_free_with_metrics_enabled() {
 }
 
 #[test]
-fn legacy_core_allocates_per_frame_for_contrast() {
-    // The baseline the arena replaced: every send allocates an owned
-    // buffer. This guards the test harness itself — if the counter
+fn owned_buffer_sends_allocate_per_frame_for_contrast() {
+    // The owned `send(Vec)` API: every send allocates the buffer it
+    // hands over. This guards the test harness itself — if the counter
     // stopped counting, the zero assertion above would be vacuous.
     let _serial = SERIAL
         .lock()
         .expect("counter tests never panic while locked");
-    let mut sim = Simulator::with_core(3, SimCore::Legacy);
+    let mut sim = Simulator::new(3);
     let a = sim.add_node();
     let b = sim.add_node();
     let ab = sim.add_link(a, b, LinkConfig::reliable(5));

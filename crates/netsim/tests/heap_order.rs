@@ -1,7 +1,8 @@
-//! Property tests for the event queue's ordering contract: the derived
-//! `(at, seq)` ordering on heap entries is total, time never runs
-//! backwards, and events scheduled for the *same* tick pop in insertion
-//! order — the determinism guarantee every replayable scenario rests on.
+//! Property tests for the event queue's ordering contract: events pop
+//! in ascending `(at, seq)`, a total order because `seq` is the
+//! simulator's unique insertion counter, so time never runs backwards
+//! and events scheduled for the *same* tick pop in insertion order —
+//! the determinism guarantee every replayable scenario rests on.
 
 use proptest::prelude::*;
 

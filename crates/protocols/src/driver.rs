@@ -15,9 +15,7 @@
 use netdsl_netsim::scenario::{
     apply_fault, FaultNode, FaultPlan, FaultWorld, PlannedFault, Scenario,
 };
-use netdsl_netsim::{
-    EventRef, LinkConfig, LinkId, NodeId, SimCore, Simulator, Tick, TimerToken, Verdict,
-};
+use netdsl_netsim::{EventRef, LinkConfig, LinkId, NodeId, Simulator, Tick, TimerToken, Verdict};
 
 /// I/O capabilities handed to an endpoint during a callback.
 #[derive(Debug)]
@@ -46,18 +44,11 @@ impl Io<'_> {
     }
 
     /// Transmits a frame encoded by `fill` directly into a pooled
-    /// arena buffer — the allocation-free send path. Endpoints that
-    /// honour the engine core (see [`Io::core`]) use this on
-    /// [`SimCore::Pooled`] and fall back to [`Io::send`] on
-    /// [`SimCore::Legacy`].
+    /// arena buffer — the allocation-free send path every suite
+    /// endpoint uses.
     pub fn send_with(&mut self, fill: impl FnOnce(&mut Vec<u8>)) {
         let frame = self.sim.alloc_payload_with(fill);
         self.sim.send_ref(self.out_link, frame);
-    }
-
-    /// Which engine core the underlying simulator runs on.
-    pub fn core(&self) -> SimCore {
-        self.sim.core()
     }
 
     /// Arms a timer that will fire `delay` ticks from now with `token`.
@@ -249,8 +240,8 @@ impl<S: SessionEndpoints> Slot<S> {
     /// observability request, link, deadline and expanded fault plan,
     /// each action queued as a fault event on its tick. The faults are
     /// queued before the endpoints start, so on its tick a fault comes
-    /// before every frame and timer. `sim` is fresh or reset, seeded
-    /// and cored as `scenario` asks.
+    /// before every frame and timer. `sim` is fresh or reset, on
+    /// `scenario`'s seed.
     pub(crate) fn for_scenario(sim: &mut Simulator, scenario: &Scenario, ends: S) -> Self {
         sim.set_obs(scenario.protocol.obs);
         let mut slot = Slot::wire(sim, scenario.link.clone(), ends);
@@ -277,13 +268,6 @@ impl<S: SessionEndpoints> Slot<S> {
     /// drained, so a fault due after that never lands. Returns the
     /// session's clock: the tick of its last dispatched event.
     pub(crate) fn pump(&mut self, sim: &mut Simulator) -> Tick {
-        // A legacy-core run is a measurement baseline: it reconstructs
-        // the whole pre-simcore hot path, including the byte-at-a-time
-        // checksum engine and the per-frame buffer free. Checksum
-        // values are identical either way, so results never depend on
-        // the mode.
-        let legacy = sim.core() == SimCore::Legacy;
-        let restore_fast_path = legacy && !netdsl_wire::checksum::set_reference_mode(true);
         let w = self.world;
         while !self.ends.done() && self.now <= self.deadline {
             let Some(event) = sim.step_ref() else {
@@ -303,9 +287,7 @@ impl<S: SessionEndpoints> Slot<S> {
                         self.ends
                             .frame_b(&frame, &mut Io::new(sim, w.node_b, w.link_ba));
                     }
-                    if !legacy {
-                        sim.recycle_payload(frame);
-                    }
+                    sim.recycle_payload(frame);
                 }
                 EventRef::Timer { node, token } => {
                     if node == w.node_a {
@@ -329,9 +311,6 @@ impl<S: SessionEndpoints> Slot<S> {
                 },
             }
         }
-        if restore_fast_path {
-            netdsl_wire::checksum::set_reference_mode(false);
-        }
         self.now
     }
 }
@@ -345,18 +324,17 @@ pub struct Duplex<A, B> {
 }
 
 impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
-    /// Builds the two-node world with symmetric link configuration on
-    /// the default (pooled) engine core.
+    /// Builds the two-node world with symmetric link configuration.
     pub fn new(seed: u64, config: LinkConfig, a: A, b: B) -> Self {
         let mut sim = Simulator::new(seed);
         let slot = Slot::wire(&mut sim, config, (a, b));
         Duplex { sim, slot }
     }
 
-    /// The world `scenario` runs in: its seed, engine core, link,
-    /// observability request, deadline and fault plan.
+    /// The world `scenario` runs in: its seed, link, observability
+    /// request, deadline and fault plan.
     pub(crate) fn for_scenario(scenario: &Scenario, a: A, b: B) -> Self {
-        let mut sim = Simulator::with_core(scenario.seed, scenario.protocol.sim_core);
+        let mut sim = Simulator::new(scenario.seed);
         let slot = Slot::for_scenario(&mut sim, scenario, (a, b));
         Duplex { sim, slot }
     }

@@ -111,7 +111,7 @@ impl GbnSender {
 
     fn transmit(&mut self, seq: u32, io: &mut Io<'_>) {
         // The payload is borrowed straight from the message store — a
-        // retransmission costs no clone (pooled core).
+        // retransmission costs no clone.
         send_data(io, self.path, seq, &self.messages[seq as usize]);
         self.stats.frames_sent += 1;
     }

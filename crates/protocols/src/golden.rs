@@ -10,8 +10,8 @@
 //! state attached. The resulting [`GoldenTrace`] serializes
 //! deterministically and — because verdicts are computed with the
 //! reference interpreted codec and digests cover only
-//! engine-independent state — every supported `SimCore` × `FramePath` ×
-//! `FsmPath` combination of the same scenario must produce the
+//! engine-independent state — every supported `FramePath` × `FsmPath`
+//! combination of the same scenario must produce the
 //! **byte-identical** transcript (`tests/golden_parity.rs`).
 //! Unsupported combinations refuse loudly with the same
 //! [`ScenarioError::Unsupported`] the driver raises.

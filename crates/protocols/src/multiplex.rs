@@ -3,10 +3,10 @@
 //!
 //! [`SuiteDriver`](crate::scenario::SuiteDriver) builds a simulator per
 //! scenario, checking a warm core out of the thread-local pool and
-//! returning it on drop. [`MultiSessionDriver`] keeps one pooled
-//! simulator for a whole batch instead and runs the scenarios back to
-//! back on it: before each session it empties the simulator in place
-//! with [`Simulator::reset`] and reseeds it with the session's seed.
+//! returning it on drop. [`MultiSessionDriver`] keeps one simulator
+//! for a whole batch instead and runs the scenarios back to back on
+//! it: before each session it empties the simulator in place with
+//! [`Simulator::reset`] and reseeds it with the session's seed.
 //! Only one session's endpoints are alive at a time.
 //!
 //! **Parity holds by construction.** A reset simulator is observably
@@ -22,7 +22,7 @@
 
 use netdsl_netsim::campaign::BatchDriver;
 use netdsl_netsim::scenario::{Scenario, ScenarioError, ScenarioResult};
-use netdsl_netsim::{SimCore, Simulator};
+use netdsl_netsim::Simulator;
 use netdsl_obs::Counter;
 
 use crate::scenario::{
@@ -54,31 +54,21 @@ impl BatchDriver for MultiSessionDriver {
     }
 
     fn run_batch(&self, batch: &[Scenario]) -> Vec<Result<ScenarioResult, ScenarioError>> {
-        let mut pooled: Option<Simulator> = None;
+        let mut warm: Option<Simulator> = None;
         batch
             .iter()
             .map(|scenario| {
                 // Scenarios the solo driver would refuse error in place.
                 let ends = suite_session(scenario)?;
                 MUX_SESSIONS_RUN.incr();
-                let seed = scenario.seed;
-                Ok(match scenario.protocol.sim_core {
-                    SimCore::Pooled => {
-                        let sim = match &mut pooled {
-                            Some(sim) => {
-                                sim.reset(seed);
-                                sim
-                            }
-                            None => pooled.insert(Simulator::new(seed)),
-                        };
-                        run_session(sim, scenario, ends)
+                let sim = match &mut warm {
+                    Some(sim) => {
+                        sim.reset(scenario.seed);
+                        sim
                     }
-                    // The legacy core allocates fresh by design.
-                    SimCore::Legacy => {
-                        let mut sim = Simulator::with_core(seed, SimCore::Legacy);
-                        run_session(&mut sim, scenario, ends)
-                    }
-                })
+                    None => warm.insert(Simulator::new(scenario.seed)),
+                };
+                Ok(run_session(sim, scenario, ends))
             })
             .collect()
     }
@@ -95,8 +85,8 @@ mod tests {
     use netdsl_netsim::LinkConfig;
 
     /// A deliberately heterogeneous batch: every protocol, varied
-    /// impairments, both engine cores, both frame paths, a compiled
-    /// FSM, a fault schedule and a deadline-bound lossy session.
+    /// impairments, both frame paths, a compiled FSM, a fault schedule
+    /// and a deadline-bound lossy session.
     fn mixed_batch() -> Vec<Scenario> {
         let mk = |name: &str, window: u32, link: LinkConfig, seed: u64| {
             Scenario::new(
@@ -125,11 +115,7 @@ mod tests {
             mk(STOP_AND_WAIT, 1, LinkConfig::lossy(3, 1.0), 12).with_deadline(600),
         ];
         batch[1].protocol = batch[1].protocol.clone().with_engine(EngineConfig {
-            frame_path: FramePath::Compiled,
-            ..EngineConfig::default()
-        });
-        batch[2].protocol = batch[2].protocol.clone().with_engine(EngineConfig {
-            sim_core: SimCore::Legacy,
+            frame_path: FramePath::Interpreted,
             ..EngineConfig::default()
         });
         batch[4].protocol = batch[4].protocol.clone().with_engine(EngineConfig {
@@ -201,15 +187,15 @@ mod tests {
 
     #[test]
     fn batch_results_come_back_in_batch_order() {
-        // Interleave cores so pooled sessions resume the shared
-        // simulator after a legacy session ran on a fresh one.
+        // Interleave frame paths so each session resumes the shared
+        // simulator after one that ran the other codec.
         let base = mixed_batch().remove(0);
         let batch: Vec<_> = (0..10)
             .map(|i| {
                 let mut s = base.clone().with_seed(100 + i as u64);
                 if i % 2 == 1 {
                     s.protocol = s.protocol.clone().with_engine(EngineConfig {
-                        sim_core: SimCore::Legacy,
+                        frame_path: FramePath::Interpreted,
                         ..EngineConfig::default()
                     });
                 }

@@ -69,8 +69,8 @@ impl SuiteDriver {
     }
 }
 
-/// Runs `a` and `b` as `scenario`'s one session — its seed, engine
-/// core, link, observability request, deadline and fault plan —
+/// Runs `a` and `b` as `scenario`'s one session — its seed, link,
+/// observability request, deadline and fault plan —
 /// through the pump, and folds the outcome into the driver-independent
 /// result shape. `stats_of` extracts
 /// `(sender_succeeded, frames_sent, retransmissions)`; `offered_of` /
@@ -149,7 +149,7 @@ pub(crate) fn run_alone(
     golden: bool,
 ) -> Result<(ScenarioResult, Simulator), ScenarioError> {
     let ends = suite_session(scenario)?;
-    let mut sim = Simulator::with_core(scenario.seed, scenario.protocol.sim_core);
+    let mut sim = Simulator::new(scenario.seed);
     sim.record_golden(golden);
     let result = run_session(&mut sim, scenario, ends);
     Ok((result, sim))

@@ -8,7 +8,6 @@
 use netdsl_core::packet::{Coverage, Len, PacketSpec, Value};
 use netdsl_core::DslError;
 use netdsl_netsim::scenario::FramePath;
-use netdsl_netsim::SimCore;
 use netdsl_wire::checksum::ChecksumKind;
 
 use crate::codec::window_codec;
@@ -197,34 +196,15 @@ pub(crate) enum WindowRef<'p> {
     Ack { seq: u32 },
 }
 
-/// Transmits a data frame for `payload`, honouring the engine core:
-/// on [`SimCore::Pooled`] the frame is encoded straight into a pooled
-/// arena buffer with the payload borrowed (no clone); on
-/// [`SimCore::Legacy`] it reproduces the pre-arena transmit exactly —
-/// payload clone into the frame value, fresh `Vec` per encode — which
-/// is what experiment E13 measures against.
+/// Transmits a data frame for `payload`, encoded straight into a
+/// pooled arena buffer with the payload borrowed (no clone).
 pub(crate) fn send_data(io: &mut Io<'_>, path: FramePath, seq: u32, payload: &[u8]) {
-    match io.core() {
-        SimCore::Pooled => {
-            io.send_with(|buf| WindowFrame::encode_data_into(path, seq, payload, buf))
-        }
-        SimCore::Legacy => io.send(
-            WindowFrame::Data {
-                seq,
-                payload: payload.to_vec(),
-            }
-            .encode_via(path),
-        ),
-    }
+    io.send_with(|buf| WindowFrame::encode_data_into(path, seq, payload, buf));
 }
 
-/// Transmits an ack frame, honouring the engine core (see
-/// [`send_data`]).
+/// Transmits an ack frame, encoded into a pooled arena buffer.
 pub(crate) fn send_ack(io: &mut Io<'_>, path: FramePath, seq: u32) {
-    match io.core() {
-        SimCore::Pooled => io.send_with(|buf| WindowFrame::encode_ack_into(path, seq, buf)),
-        SimCore::Legacy => io.send(WindowFrame::Ack { seq }.encode_via(path)),
-    }
+    io.send_with(|buf| WindowFrame::encode_ack_into(path, seq, buf));
 }
 
 /// Transfer statistics common to both window protocols.

@@ -35,9 +35,11 @@
 //!
 //! `--min-metric <id>:<metric>:<min>` (repeatable) additionally gates a
 //! performance claim: the named report must carry the named metric and
-//! its sample mean must be ≥ `min`. This is how the simcore speedup
-//! gate (`--min-metric E13:campaign_speedup:1.5`) turns a regression of
-//! the pooled engine against the pre-arena baseline into a red build.
+//! its sample mean must be ≥ `min`. The floor applies to every metric of
+//! that name in the report, so one floor on E15's `session_throughput`
+//! gates both of its arms. This is how CI's absolute throughput floors
+//! (`--min-metric E13:campaign_throughput:<scenarios/s>`) turn a
+//! slowdown of the simulation core into a red build.
 //!
 //! Exit code 0 when everything passes; 1 otherwise, after printing
 //! every problem found.

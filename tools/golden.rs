@@ -8,8 +8,8 @@
 //!
 //! The fixture set is defined once, in
 //! `netdsl_protocols::golden::corpus()`; this tool records each scenario
-//! under the default engine axes (pooled core, interpreted codec,
-//! typestate FSM — the transcript is axis-independent, which
+//! under the default engine axes (compiled codec, typestate FSM — the
+//! transcript is axis-independent, which
 //! `tests/golden_parity.rs` proves by replaying every fixture under the
 //! full engine-axis product) and serializes it canonically.
 //!
