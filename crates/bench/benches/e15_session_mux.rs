@@ -35,7 +35,6 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use netdsl_bench::report::{self, BenchReport, Metric};
-use netdsl_bench::stages;
 use netdsl_netsim::campaign::{BatchDriver, Campaign, SoloBatch, StreamOptions, Sweep};
 use netdsl_netsim::scenario::{ProtocolSpec, Scenario, TrafficPattern};
 use netdsl_netsim::{LinkConfig, LogProgress};
@@ -246,10 +245,6 @@ fn main() {
             .with_axis("sessions", STREAM_SESSIONS.to_string())
             .with_sample(streamed.succeeded as f64 / streamed.executed as f64),
     );
-
-    // Stage attribution rides along (and into the E15 alias below) so a
-    // mux regression can be localised to schedule/deliver vs codec.
-    stages::attach(&mut out, reps, report::scaled(20_000, 2_000));
 
     println!("\nexpected shape: warm_solo_ratio a little above 1 (a reset in place saves only the");
     println!("pool checkout and drop); streaming memory stays O(raw_cap), not O(sessions)");

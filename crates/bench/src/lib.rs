@@ -36,5 +36,4 @@ pub mod codec_specs;
 pub mod harnesses;
 pub mod loc;
 pub mod report;
-pub mod stages;
 pub mod workload;

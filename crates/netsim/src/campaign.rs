@@ -192,7 +192,7 @@ impl Campaign {
     /// scenario cell then runs once per [`EngineConfig`] entry, with the
     /// config applied over the protocol spec
     /// ([`ProtocolSpec::with_engine`]) — so engine-product sweeps (e.g.
-    /// the golden-parity 8-combo loop over [`EngineConfig::all`]) stop
+    /// the golden-parity 4-combo loop over [`EngineConfig::all`]) stop
     /// hand-rolling the cartesian product. Campaigns that never call
     /// this keep their protocol specs' own engine settings untouched.
     #[must_use]

@@ -86,15 +86,13 @@ impl FsmPath {
 /// One value naming the complete engine configuration: which frame
 /// codec path and control-FSM engine a driver should run.
 ///
-/// The axes used to be set one builder at a time (`with_frame_path` /
-/// `with_fsm_path`); collapsing them into a single value keeps the
-/// configuration coherent — a sweep cell, a golden replay and a bench
-/// harness all pass the same thing — and gives unsupported
-/// combinations one loud refusal path ([`EngineConfigError`]) instead
-/// of scattered ones. All engine configurations of a given scenario
-/// are **behaviourally identical** (bit-identical transcripts, pinned
-/// by `tests/golden_parity.rs`); they differ only in cost, which is
-/// exactly why campaigns sweep them
+/// A single value keeps the configuration coherent — a sweep cell, a
+/// golden replay and a bench harness all pass the same thing — and
+/// gives unsupported combinations one loud refusal path
+/// ([`EngineConfigError`]) instead of scattered ones. All engine
+/// configurations of a given scenario are **behaviourally identical**
+/// (bit-identical transcripts, pinned by `tests/golden_parity.rs`);
+/// they differ only in cost, which is exactly why campaigns sweep them
 /// ([`Campaign::engines`](crate::campaign::Campaign::engines)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineConfig {
@@ -295,34 +293,6 @@ impl ProtocolSpec {
     pub fn with_obs(mut self, obs: ObsConfig) -> Self {
         self.obs = obs;
         self
-    }
-
-    /// Selects the frame codec path (builder style).
-    ///
-    /// Deprecated in favour of [`ProtocolSpec::with_engine`], which sets
-    /// both engine axes coherently; kept as a thin delegate for callers
-    /// that genuinely vary one axis.
-    #[must_use]
-    pub fn with_frame_path(self, frame_path: FramePath) -> Self {
-        let engine = EngineConfig {
-            frame_path,
-            ..self.engine()
-        };
-        self.with_engine(engine)
-    }
-
-    /// Selects the control-FSM engine (builder style).
-    ///
-    /// Deprecated in favour of [`ProtocolSpec::with_engine`], which sets
-    /// both engine axes coherently; kept as a thin delegate for callers
-    /// that genuinely vary one axis.
-    #[must_use]
-    pub fn with_fsm_path(self, fsm_path: FsmPath) -> Self {
-        let engine = EngineConfig {
-            fsm_path,
-            ..self.engine()
-        };
-        self.with_engine(engine)
     }
 
     /// Sets the window size (builder style).
@@ -1210,12 +1180,7 @@ mod tests {
     #[test]
     fn with_engine_and_single_axis_delegates_agree() {
         let engine = EngineConfig::new(FramePath::Interpreted, FsmPath::Compiled);
-        let direct = ProtocolSpec::new("x").with_engine(engine);
-        let delegated = ProtocolSpec::new("x")
-            .with_frame_path(FramePath::Interpreted)
-            .with_fsm_path(FsmPath::Compiled);
-        assert_eq!(direct, delegated);
-        assert_eq!(direct.engine(), engine);
+        assert_eq!(ProtocolSpec::new("x").with_engine(engine).engine(), engine);
     }
 
     #[test]

@@ -289,7 +289,9 @@ impl FlightRecording {
     /// # Errors
     ///
     /// A message naming the missing or mistyped field, the schema
-    /// mismatch, or the event-order violation.
+    /// mismatch, the event-order violation, or the ring counter that
+    /// contradicts the events: a recorder retains
+    /// `min(recorded, capacity)` events and drops the rest.
     pub fn from_json(v: &Value) -> Result<Self, String> {
         let schema = v
             .get("schema")
@@ -317,10 +319,24 @@ impl FlightRecording {
                 return Err("event times must be nondecreasing".to_string());
             }
         }
+        let (capacity, recorded, dropped) =
+            (field("capacity")?, field("recorded")?, field("dropped")?);
+        let held = events.len() as u64;
+        if held != recorded.min(capacity) {
+            return Err(format!(
+                "{held} events contradict \"recorded\" {recorded} and \"capacity\" {capacity}: \
+                 a recorder retains the smaller of the two"
+            ));
+        }
+        if dropped != recorded - held {
+            return Err(format!(
+                "\"dropped\" {dropped} contradicts \"recorded\" {recorded} less {held} retained events"
+            ));
+        }
         Ok(FlightRecording {
-            capacity: field("capacity")?,
-            recorded: field("recorded")?,
-            dropped: field("dropped")?,
+            capacity,
+            recorded,
+            dropped,
             events,
         })
     }
@@ -422,6 +438,25 @@ mod tests {
             events: vec![ev(7, FlightKind::Send), ev(5, FlightKind::Deliver)],
         };
         assert!(FlightRecording::from_json_str(&out_of_order.to_json_string()).is_err());
+    }
+
+    #[test]
+    fn counters_that_contradict_the_events_are_rejected() {
+        let mut r = FlightRecorder::new(2);
+        for at in 0..3 {
+            r.record(ev(at, FlightKind::Send));
+        }
+        let good = r.into_recording();
+        assert!(FlightRecording::from_json_str(&good.to_json_string()).is_ok());
+        let over_capacity = FlightRecording {
+            capacity: 1,
+            ..good.clone()
+        };
+        let err = FlightRecording::from_json_str(&over_capacity.to_json_string()).unwrap_err();
+        assert!(err.contains("\"capacity\""), "{err}");
+        let miscounted = FlightRecording { dropped: 0, ..good };
+        let err = FlightRecording::from_json_str(&miscounted.to_json_string()).unwrap_err();
+        assert!(err.contains("\"dropped\""), "{err}");
     }
 
     #[test]

@@ -6,11 +6,11 @@
 //! pre-resolved field indices the endpoints read — and cached for the
 //! process. Endpoints select between the interpretive and compiled
 //! paths per scenario through [`FramePath`] (see
-//! [`ProtocolSpec::with_frame_path`]); the two paths are behaviourally
+//! [`ProtocolSpec::with_engine`]); the two paths are behaviourally
 //! equivalent, which the tests here and the differential suite in
 //! `netdsl-codec` pin down.
 //!
-//! [`ProtocolSpec::with_frame_path`]: netdsl_netsim::scenario::ProtocolSpec::with_frame_path
+//! [`ProtocolSpec::with_engine`]: netdsl_netsim::scenario::ProtocolSpec::with_engine
 //!
 //! Decoding borrows a thread-local scratch [`FieldView`] and hands the
 //! payload to the endpoint as a slice of the frame, and encoding keeps

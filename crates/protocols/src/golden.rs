@@ -277,7 +277,7 @@ pub fn record_with_flight(
 
 /// A copy of `scenario` with its engine configuration replaced (all
 /// other inputs untouched, so its golden transcript must not change).
-/// The full 8-combination product comes from [`EngineConfig::all`];
+/// The full 4-combination product comes from [`EngineConfig::all`];
 /// protocols without a compiled control FSM refuse the
 /// `FsmPath::Compiled` half loudly (see
 /// [`crate::scenario::validate_engine`]) and the

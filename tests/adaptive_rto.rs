@@ -15,8 +15,8 @@ use netdsl::netsim::LinkConfig;
 use netdsl::protocols::multiplex::MultiSessionDriver;
 use netdsl::protocols::scenario::{SuiteDriver, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
 use netdsl::scenario::{
-    Fault, FaultDirection, FaultNode, FsmPath, ProtocolSpec, RetransmitPolicy, Scenario,
-    ScenarioDriver, ScenarioResult, TrafficPattern,
+    EngineConfig, Fault, FaultDirection, FaultNode, FsmPath, ProtocolSpec, RetransmitPolicy,
+    Scenario, ScenarioDriver, ScenarioResult, TrafficPattern,
 };
 
 const ADAPTIVE: RetransmitPolicy = RetransmitPolicy::AdaptiveRto {
@@ -283,7 +283,10 @@ fn adaptive_policy_is_refused_where_it_cannot_apply() {
     let s = Scenario::new(
         ProtocolSpec::new(STOP_AND_WAIT)
             .with_timeout(60)
-            .with_fsm_path(FsmPath::Compiled)
+            .with_engine(EngineConfig {
+                fsm_path: FsmPath::Compiled,
+                ..EngineConfig::default()
+            })
             .with_retransmit(ADAPTIVE),
         LinkConfig::reliable(3),
     )

@@ -222,33 +222,6 @@ fn quick_and_full_mode_share_scenario_labels() {
 }
 
 #[test]
-fn stage_attribution_labels_are_pinned() {
-    use netdsl::bench::stages::{profile, STAGES, STAGE_METRIC};
-    // The stage half of the BENCH_QUICK contract: quick mode shrinks
-    // iteration counts, never the label set. Every harness that calls
-    // `stages::attach` carries one `stage_time` series per canonical
-    // stage, in pipeline order, whatever the mode — so stage rows stay
-    // diffable across modes, harnesses and commits.
-    assert_eq!(
-        STAGES,
-        ["encode", "checksum", "schedule", "deliver", "decode", "verify"],
-        "the canonical stage list is a published contract \
-         (docs/BENCHMARKS.md, check_bench_json); extend it deliberately"
-    );
-    let metrics = profile(1, 32);
-    let labels: Vec<String> = metrics
-        .iter()
-        .map(|m| {
-            assert_eq!(m.name, STAGE_METRIC);
-            assert_eq!(m.unit, "ns/op");
-            assert_eq!(m.axes.len(), 1, "stage series carry only the stage axis");
-            m.axes[0].1.clone()
-        })
-        .collect();
-    assert_eq!(labels, STAGES, "labels match the canonical set in order");
-}
-
-#[test]
 fn campaign_reports_roundtrip_through_the_bench_schema() {
     // A campaign run converted to the benchmark-report schema survives
     // serialize → parse unchanged — what CI's bench-smoke job gates on.

@@ -4,21 +4,16 @@
 //! ```text
 //! cargo run -p netdsl-tools --bin check_bench_json -- \
 //!     [--expect <id>]... [--expect-benches <benches-dir>]... \
-//!     [--expect-stages <id>]... [--min-metric <id>:<metric>:<min>]... [dir]
+//!     [--min-metric <id>:<metric>:<min>]... [dir]
 //! ```
 //!
 //! Checks, per file: parses as a schema-valid
 //! [`BenchReport`] (which re-derives
 //! the `stats` blocks from the samples — a tampered or truncated
 //! artifact fails), the id matches the file name, the report carries at
-//! least one metric, at least one metric carries samples, and — always,
-//! no flag required — every metric carrying a `stage` axis conforms to
-//! the stage-attribution contract: the metric is named
-//! [`STAGE_METRIC`] and its label is one of the canonical [`STAGES`].
-//! A misspelt stage would otherwise fork the label space and silently
-//! break cross-commit, cross-harness stage diffs.
+//! least one metric, and at least one metric carries samples.
 //!
-//! Expectations come in three forms. `--expect e4_arq_goodput`
+//! Expectations come in two forms. `--expect e4_arq_goodput`
 //! (repeatable) names one required artifact id. `--expect-benches
 //! crates/bench/benches` **discovers** the expected ids from the bench
 //! target sources themselves — every `*.rs` file stem in the directory
@@ -28,10 +23,6 @@
 //! silently thinning the trajectory. Corollary: every `*.rs` file in
 //! the benches directory is treated as a harness; bench-support helper
 //! modules belong in the crate's `src/`, not alongside the targets.
-//! `--expect-stages E13` (repeatable) requires the named artifact to
-//! carry the full stage-attribution profile: a [`STAGE_METRIC`] series
-//! with non-empty samples for **every** canonical stage — the gate that
-//! keeps the engine harnesses' artifacts triage-capable.
 //!
 //! `--min-metric <id>:<metric>:<min>` (repeatable) additionally gates a
 //! performance claim: the named report must carry the named metric and
@@ -48,7 +39,6 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use netdsl_bench::report::BenchReport;
-use netdsl_bench::stages::{STAGES, STAGE_METRIC};
 
 /// Expected ids discovered from a benches directory: one per `*.rs`
 /// file stem.
@@ -91,8 +81,7 @@ fn parse_metric_floor(spec: &str) -> Result<MetricFloor, String> {
 }
 
 /// Validates one artifact's text end to end: schema parse, filename/id
-/// agreement, non-emptiness, the stage-label contract, and any matching
-/// metric floors. Returns the parsed report plus human-readable gate
+/// agreement, non-emptiness, and any matching metric floors. Returns the parsed report plus human-readable gate
 /// confirmations on success, or everything wrong with it.
 fn validate_artifact(
     name: &str,
@@ -116,7 +105,6 @@ fn validate_artifact(
     } else if report.metrics.iter().all(|m| m.samples.is_empty()) {
         problems.push(format!("{name}: every metric is empty of samples"));
     }
-    problems.extend(stage_label_problems(name, &report));
     for floor in floors.iter().filter(|f| f.id == report.id) {
         let means: Vec<f64> = report
             .metrics
@@ -153,52 +141,8 @@ fn validate_artifact(
     }
 }
 
-/// The always-on half of the stage contract: any metric that claims a
-/// `stage` axis must be a [`STAGE_METRIC`] series labelled with a
-/// canonical stage.
-fn stage_label_problems(name: &str, report: &BenchReport) -> Vec<String> {
-    let mut problems = Vec::new();
-    for m in &report.metrics {
-        let Some((_, label)) = m.axes.iter().find(|(axis, _)| axis == "stage") else {
-            continue;
-        };
-        if m.name != STAGE_METRIC {
-            problems.push(format!(
-                "{name}: metric {:?} carries a `stage` axis but only {STAGE_METRIC:?} may",
-                m.name
-            ));
-        }
-        if !STAGES.contains(&label.as_str()) {
-            problems.push(format!(
-                "{name}: unknown stage label {label:?} (canonical: {})",
-                STAGES.join(", ")
-            ));
-        }
-    }
-    problems
-}
-
-/// The opt-in half (`--expect-stages`): the report must carry a
-/// non-empty [`STAGE_METRIC`] series for every canonical stage.
-fn stage_coverage_problems(name: &str, report: &BenchReport) -> Vec<String> {
-    STAGES
-        .iter()
-        .filter(|stage| {
-            !report.metrics.iter().any(|m| {
-                m.name == STAGE_METRIC
-                    && !m.samples.is_empty()
-                    && m.axes
-                        .iter()
-                        .any(|(axis, label)| axis == "stage" && label == *stage)
-            })
-        })
-        .map(|stage| format!("{name}: no non-empty {STAGE_METRIC:?} series for stage {stage:?}"))
-        .collect()
-}
-
 fn main() -> ExitCode {
     let mut expected: Vec<String> = Vec::new();
-    let mut stage_expected: Vec<String> = Vec::new();
     let mut floors: Vec<MetricFloor> = Vec::new();
     let mut dir: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
@@ -231,13 +175,6 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--expect-stages" => match args.next() {
-                Some(id) => stage_expected.push(id),
-                None => {
-                    eprintln!("--expect-stages needs a report id");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--min-metric" => match args.next().as_deref().map(parse_metric_floor) {
                 Some(Ok(floor)) => floors.push(floor),
                 Some(Err(e)) => {
@@ -252,7 +189,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: check_bench_json [--expect <id>]... [--expect-benches <dir>]... \
-                     [--expect-stages <id>]... [--min-metric <id>:<metric>:<min>]... [dir]"
+                     [--min-metric <id>:<metric>:<min>]... [dir]"
                 );
                 return ExitCode::SUCCESS;
             }
@@ -323,22 +260,6 @@ fn main() -> ExitCode {
         }
     }
 
-    for id in &stage_expected {
-        match seen.iter().find(|r| r.id == *id) {
-            Some(report) => {
-                let name = report.file_name();
-                let missing = stage_coverage_problems(&name, report);
-                if missing.is_empty() {
-                    println!("gate {name}: all {} stages attributed", STAGES.len());
-                }
-                problems.extend(missing);
-            }
-            None => problems.push(format!(
-                "stage-gated artifact BENCH_{id}.json was never validated"
-            )),
-        }
-    }
-
     for floor in &floors {
         if !seen.iter().any(|r| r.id == floor.id) && !expected.contains(&floor.id) {
             problems.push(format!(
@@ -371,17 +292,6 @@ mod tests {
                 .with_axis("protocol", "SW")
                 .with_samples([10.5, 11.25, 13.0]),
         );
-        r
-    }
-
-    fn with_stages(mut r: BenchReport) -> BenchReport {
-        for stage in STAGES {
-            r.push(
-                Metric::new(STAGE_METRIC, "ns/op")
-                    .with_axis("stage", stage)
-                    .with_samples([50.0, 60.0]),
-            );
-        }
         r
     }
 
@@ -446,59 +356,5 @@ mod tests {
         let absent = parse_metric_floor("x:latency:1").unwrap();
         let problems = validate_artifact("BENCH_x.json", &text, &[absent]).unwrap_err();
         assert!(problems.iter().any(|p| p.contains("missing or empty")));
-    }
-
-    #[test]
-    fn stage_labels_are_validated_unconditionally() {
-        let good = with_stages(fixture("x"));
-        assert!(validate_artifact("BENCH_x.json", &good.to_json_string(), &[]).is_ok());
-
-        let mut typo = fixture("x");
-        typo.push(
-            Metric::new(STAGE_METRIC, "ns/op")
-                .with_axis("stage", "encoed")
-                .with_sample(1.0),
-        );
-        let problems = validate_artifact("BENCH_x.json", &typo.to_json_string(), &[]).unwrap_err();
-        assert!(problems.iter().any(|p| p.contains("unknown stage label")));
-
-        let mut wrong_name = fixture("x");
-        wrong_name.push(
-            Metric::new("latency", "ns/op")
-                .with_axis("stage", "encode")
-                .with_sample(1.0),
-        );
-        let problems =
-            validate_artifact("BENCH_x.json", &wrong_name.to_json_string(), &[]).unwrap_err();
-        assert!(problems.iter().any(|p| p.contains("only")));
-    }
-
-    #[test]
-    fn stage_coverage_requires_every_stage_non_empty() {
-        let full = with_stages(fixture("x"));
-        assert!(stage_coverage_problems("BENCH_x.json", &full).is_empty());
-
-        // Missing one stage.
-        let mut partial = fixture("x");
-        for stage in &STAGES[..STAGES.len() - 1] {
-            partial.push(
-                Metric::new(STAGE_METRIC, "ns/op")
-                    .with_axis("stage", *stage)
-                    .with_sample(1.0),
-            );
-        }
-        let problems = stage_coverage_problems("BENCH_x.json", &partial);
-        assert_eq!(problems.len(), 1);
-        assert!(problems[0].contains(STAGES[STAGES.len() - 1]));
-
-        // Present but empty of samples is not coverage.
-        let mut hollow = with_stages(fixture("x"));
-        for m in hollow.metrics.iter_mut().filter(|m| m.name == STAGE_METRIC) {
-            m.samples.clear();
-        }
-        assert_eq!(
-            stage_coverage_problems("BENCH_x.json", &hollow).len(),
-            STAGES.len()
-        );
     }
 }
