@@ -1,14 +1,12 @@
 //! Deterministic workload generators shared by the experiment harnesses.
 
-/// `n` messages of `size` bytes each, deterministic content.
+use netdsl_netsim::scenario::TrafficPattern;
+
+/// `n` messages of `size` bytes each: the content of
+/// [`TrafficPattern::generate`], so harnesses and scenarios offer the
+/// same bytes.
 pub fn messages(n: usize, size: usize) -> Vec<Vec<u8>> {
-    (0..n)
-        .map(|i| {
-            (0..size)
-                .map(|j| ((i * 131 + j * 31) % 251) as u8)
-                .collect()
-        })
-        .collect()
+    TrafficPattern::messages(n, size).generate()
 }
 
 /// A pseudo-random file of `len` bytes (fixed generator, no RNG state).

@@ -371,23 +371,53 @@ impl TrafficPattern {
     /// Materialises the messages; content is a fixed function of the
     /// indices, so every run of the same pattern sees identical bytes.
     ///
+    /// Byte `j` of message `i` is `(131·i + 31·j) mod 251`. The committed
+    /// golden fixtures and every recorded benchmark result depend on
+    /// these exact bytes. The function has period 251 in `j`, so each
+    /// message is copied out of one precomputed period, into one
+    /// allocation of its final size.
+    ///
     /// ```
     /// use netdsl_netsim::scenario::TrafficPattern;
     /// let t = TrafficPattern::messages(3, 8);
     /// assert_eq!(t.generate(), t.generate());
     /// assert_eq!(t.generate().len(), 3);
     /// assert_eq!(t.generate()[1].len(), 8);
+    /// assert_eq!(t.generate()[1][2], (131 + 2 * 31) % 251);
     /// ```
     pub fn generate(&self) -> Vec<Vec<u8>> {
         (0..self.count)
             .map(|i| {
-                (0..self.size)
-                    .map(|j| ((i * 131 + j * 31) % 251) as u8)
-                    .collect()
+                // (131·i + 31·j) mod 251 = 31·(69·i + j) mod 251, because
+                // 31 · 69 ≡ 131 (mod 251): message `i` is the period of
+                // `PAYLOAD_CYCLE` starting at 69·i mod 251.
+                let start = i % PAYLOAD_PERIOD * 69 % PAYLOAD_PERIOD;
+                let period = &PAYLOAD_CYCLE[start..start + PAYLOAD_PERIOD];
+                let mut message = Vec::with_capacity(self.size);
+                while message.len() < self.size {
+                    let take = (self.size - message.len()).min(PAYLOAD_PERIOD);
+                    message.extend_from_slice(&period[..take]);
+                }
+                message
             })
             .collect()
     }
 }
+
+/// Period of [`TrafficPattern::generate`]'s content in the byte index.
+const PAYLOAD_PERIOD: usize = 251;
+
+/// `31·k mod 251` for `k` in `0..502`: two periods, so any window of
+/// [`PAYLOAD_PERIOD`] bytes starting in the first is contiguous.
+const PAYLOAD_CYCLE: [u8; 2 * PAYLOAD_PERIOD] = {
+    let mut cycle = [0; 2 * PAYLOAD_PERIOD];
+    let mut k = 0;
+    while k < cycle.len() {
+        cycle[k] = (31 * k % PAYLOAD_PERIOD) as u8;
+        k += 1;
+    }
+    cycle
+};
 
 impl Default for TrafficPattern {
     fn default() -> Self {
@@ -1197,6 +1227,28 @@ mod tests {
             ScenarioError::from(err),
             ScenarioError::Unsupported(_)
         ));
+    }
+
+    #[test]
+    fn generated_traffic_is_the_per_byte_formula_past_its_period() {
+        // Counts and sizes on both sides of the 251-byte period and of
+        // its double, which the golden fixtures (6 × 12 B) never reach.
+        for count in [0, 1, 250, 251, 252, 503] {
+            for size in [0, 1, 250, 251, 252, 502, 503, 1400] {
+                let oracle: Vec<Vec<u8>> = (0..count)
+                    .map(|i| {
+                        (0..size)
+                            .map(|j| ((i * 131 + j * 31) % 251) as u8)
+                            .collect()
+                    })
+                    .collect();
+                assert_eq!(
+                    TrafficPattern::messages(count, size).generate(),
+                    oracle,
+                    "{count} × {size} B"
+                );
+            }
+        }
     }
 
     #[test]

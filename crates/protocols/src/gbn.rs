@@ -156,7 +156,7 @@ impl Endpoint for GbnSender {
                 if let Some(sent) = self.send_times.remove(&seq) {
                     self.rto.on_sample(io.now() - sent);
                 }
-                self.send_times = self.send_times.split_off(&(seq + 1));
+                self.send_times.retain(|&pending, _| pending > seq);
             }
             let newly = seq - self.base + 1;
             self.base = seq + 1;

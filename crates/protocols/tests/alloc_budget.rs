@@ -5,7 +5,11 @@
 //! * a warm compiled encode of the suite wire formats allocates nothing;
 //! * one-message stop-and-wait sessions, run warm one at a time through
 //!   the solo driver or as one batch, stay within a pinned number of
-//!   allocations per session — the ones a session inherently owns.
+//!   allocations per session — the ones a session inherently owns;
+//! * generating a session's traffic allocates the message list and one
+//!   buffer per message, never a regrowth;
+//! * go-back-N's adaptive RTO bookkeeping allocates no more per
+//!   cumulative ACK than the fixed policy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -15,11 +19,11 @@ use netdsl_netsim::scenario::{
     EngineConfig, FramePath, ProtocolSpec, Scenario, ScenarioDriver, ScenarioError, ScenarioResult,
     TrafficPattern,
 };
-use netdsl_netsim::LinkConfig;
+use netdsl_netsim::{LinkConfig, RetransmitPolicy};
 use netdsl_protocols::arq::ArqFrame;
 use netdsl_protocols::codec::{arq_codec, window_codec};
 use netdsl_protocols::multiplex::MultiSessionDriver;
-use netdsl_protocols::scenario::{SuiteDriver, STOP_AND_WAIT};
+use netdsl_protocols::scenario::{SuiteDriver, GO_BACK_N, STOP_AND_WAIT};
 use netdsl_protocols::window::WindowFrame;
 
 /// System allocator wrapper counting allocation entry points (alloc,
@@ -169,4 +173,51 @@ fn warm_solo_runs_stay_within_the_per_session_budget() {
     let n = allocations_in(|| results.extend(batch.iter().map(|s| driver.run(s))));
     check(results);
     assert_within_budget("SuiteDriver::run", n, batch.len());
+}
+
+#[test]
+fn generated_traffic_allocates_the_list_and_one_buffer_per_message() {
+    let traffic = TrafficPattern::messages(300, 600);
+    let mut messages = Vec::new();
+    let n = allocations_in(|| messages = traffic.generate());
+    assert_eq!(messages.len(), 300);
+    assert_eq!(n, 301, "generate() allocated {n} times for 300 messages");
+}
+
+/// 64 go-back-N (window 4) sessions of 32 × 16 B on clean links.
+fn gbn_sessions(policy: RetransmitPolicy) -> Vec<Scenario> {
+    let spec = ProtocolSpec::new(GO_BACK_N)
+        .with_window(4)
+        .with_retransmit(policy);
+    (0..64)
+        .map(|i| {
+            Scenario::new(spec.clone(), LinkConfig::reliable(3))
+                .with_traffic(TrafficPattern::messages(32, 16))
+                .with_seed(i)
+        })
+        .collect()
+}
+
+#[test]
+fn adaptive_go_back_n_allocates_nothing_per_cumulative_ack() {
+    let driver = SuiteDriver::new();
+    let per_session = |policy| {
+        let batch = gbn_sessions(policy);
+        check(batch.iter().map(|s| driver.run(s)).collect()); // warm-up
+        let mut results = Vec::with_capacity(batch.len());
+        let n = allocations_in(|| results.extend(batch.iter().map(|s| driver.run(s))));
+        check(results);
+        n as f64 / batch.len() as f64
+    };
+    let fixed = per_session(RetransmitPolicy::Fixed);
+    let adaptive = per_session(RetransmitPolicy::AdaptiveRto {
+        min_rto: 4,
+        max_rto: 2_000,
+    });
+    // The RTT-sample map's first leaf is the only allocation the
+    // adaptive policy may add; 32 cumulative ACKs must add none.
+    assert!(
+        adaptive <= fixed + 2.0,
+        "go-back-N allocated {adaptive:.1} times per session under AdaptiveRto, {fixed:.1} under Fixed"
+    );
 }
