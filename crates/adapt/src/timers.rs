@@ -247,6 +247,20 @@ mod tests {
     }
 
     #[test]
+    fn second_sample_applies_rfc_6298_gains() {
+        // RFC 6298 §2.3: RTTVAR <- (1 - 1/4)·RTTVAR + 1/4·|SRTT - R'|,
+        // then SRTT <- (1 - 1/8)·SRTT + 1/8·R'. After samples 100 and 200:
+        // RTTVAR = 3/4·50 + 1/4·100 = 62.5 and SRTT = 7/8·100 + 1/8·200
+        // = 112.5, so RTO = 112.5 + 4·62.5 = 362.5. Any other gain moves
+        // one of the two rounded values.
+        let mut e = RtoEstimator::new(1_000, 1, 10_000);
+        e.on_sample(100);
+        e.on_sample(200);
+        assert_eq!(e.srtt(), Some(113));
+        assert_eq!(e.rto(), 363);
+    }
+
+    #[test]
     fn estimator_converges_on_stable_rtt() {
         let mut e = RtoEstimator::new(1000, 10, 10_000);
         for _ in 0..100 {

@@ -1,29 +1,29 @@
 //! E15 — the batch session engine, measured.
 //!
 //! `MultiSessionDriver` runs a whole chunk of scenarios back to back on
-//! one simulator, reset in place between sessions, and campaigns
-//! stream over it instead of materialising per-scenario runs
+//! one simulator, reset in place between sessions, and streaming
+//! campaigns fold its outcomes instead of keeping per-scenario runs
 //! (`docs/SESSIONS.md`). The arm names still say "multiplexed", after
 //! the driver's module. Two claims are pinned here:
 //!
 //! * **Throughput:** aggregate sessions/s at 10 000 tiny sessions on
 //!   the default engine, for the batch driver (`multiplexed`) and the
-//!   warm recycled solo path (`SoloBatch(SuiteDriver)`, which checks a
-//!   core out of the thread-local pool per session). The gated metric
-//!   is `session_throughput`, each arm's fastest rep recorded as one
-//!   sample: CI asserts an absolute floor on both arms of the committed
-//!   full-depth artifact via `tools/check_bench_json --min-metric`.
-//!   Their per-rep ratio is reported as `warm_solo_ratio`, ungated:
-//!   per-session work (frames, endpoint logic, verification) is paid
-//!   identically in both arms, so the ratio shows only what resetting
-//!   one simulator in place saves over the pool checkout, the drop and
-//!   the per-session result fold.
+//!   warm recycled solo path (`SuiteDriver`, passed as the `BatchDriver`
+//!   every `ScenarioDriver` is; it checks a core out of the thread-local
+//!   pool per session). The gated metric is `session_throughput`, each
+//!   arm's fastest rep one sample: CI asserts an absolute floor on both
+//!   arms of the committed full-depth artifact via
+//!   `tools/check_bench_json --min-metric`. Their per-rep ratio is
+//!   reported as `warm_solo_ratio`, ungated: per-session work (frames,
+//!   endpoint logic, verification) is paid identically in both arms, so
+//!   the ratio shows only what resetting one simulator in place saves
+//!   over the pool checkout, the drop and the per-session result fold.
 //! * **Memory-bounded scale:** a 1 048 576-session sweep through
 //!   [`Campaign::run_streaming`] completes with the raw-sample
 //!   reservoir capped (asserted ≤ `raw_cap` on every aggregate) — the
 //!   million-session contract: memory stays O(chunk + raw_cap), not
-//!   O(sessions), where the materialising `Campaign::run` would hold a
-//!   million `ScenarioRun`s.
+//!   O(sessions), where `Campaign::run` would keep a million
+//!   `ScenarioRun`s.
 //!
 //! Equivalence is asserted before anything is timed: the batched
 //! sessions must reproduce the solo results bit-for-bit across the whole
@@ -35,7 +35,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use netdsl_bench::report::{self, BenchReport, Metric};
-use netdsl_netsim::campaign::{BatchDriver, Campaign, SoloBatch, StreamOptions, Sweep};
+use netdsl_netsim::campaign::{BatchDriver, Campaign, StreamOptions, Sweep};
 use netdsl_netsim::scenario::{ProtocolSpec, Scenario, TrafficPattern};
 use netdsl_netsim::{LinkConfig, LogProgress};
 use netdsl_protocols::multiplex::MultiSessionDriver;
@@ -133,7 +133,7 @@ fn main() {
     let scenarios = head.scenarios();
     assert_eq!(scenarios.len(), HEAD_SESSIONS as usize, "head grid size");
     let mux = MultiSessionDriver::new();
-    let solo = SoloBatch(SuiteDriver::new());
+    let solo = SuiteDriver::new();
 
     // Equivalence first: the batch driver must reproduce the solo
     // path bit-for-bit across the whole 10k-scenario grid.

@@ -15,16 +15,19 @@
 //!   axes share the same simulator seed, so protocol A and protocol B
 //!   face the *same* channel randomness (the classic variance-reduction
 //!   device for paired comparisons);
-//! * **schedule independence** — results are written into per-scenario
-//!   slots, so a run on 8 threads is bit-identical to a run on 1 (there
-//!   is a property test for this in `tests/campaign.rs`).
+//! * **schedule independence** — outcomes are folded in expansion
+//!   order whichever thread ran them, so a run on 8 threads is
+//!   bit-identical to a run on 1 (there is a property test for this in
+//!   `tests/campaign.rs`).
 //!
-//! Two execution modes share those properties. [`Campaign::run`]
-//! materialises the expansion and keeps every [`ScenarioRun`] — right
-//! for sweeps you want to slice afterwards. [`Campaign::run_streaming`]
-//! generates scenarios on demand ([`Campaign::scenario_at`]), hands
-//! work-stolen chunks to a [`BatchDriver`] (which may run the chunk's
-//! sessions back to back on one simulator), and folds outcomes into
+//! One executor runs every campaign. Workers steal chunks of the
+//! expansion, generate each chunk's scenarios on demand
+//! ([`Campaign::scenario_at`]) and hand them to a [`BatchDriver`], which
+//! may run the chunk's sessions back to back on one simulator; every
+//! [`ScenarioDriver`] is one. Each outcome then goes to one fold, in
+//! expansion order. [`Campaign::run`] runs one-scenario chunks and keeps
+//! every [`ScenarioRun`] — right for sweeps you want to slice
+//! afterwards. [`Campaign::run_streaming`] folds outcomes into
 //! [`StreamAggregate`]s with a bounded raw-sample reservoir — right for
 //! 10⁶-scenario sweeps that must not hold 10⁶ results in memory.
 //!
@@ -49,7 +52,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Instant;
 
-use netdsl_obs::{NullProgress, ProgressSink, ProgressUpdate};
+use netdsl_obs::{ProgressSink, ProgressUpdate};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha12Rng;
 
@@ -347,96 +350,52 @@ impl Campaign {
 
     /// Executes every scenario on `threads` worker threads (clamped to
     /// at least 1) and returns the per-scenario outcomes in expansion
-    /// order. The report is a pure function of the campaign and driver:
-    /// thread count only changes wall-clock time.
-    pub fn run(&self, driver: &dyn ScenarioDriver, threads: usize) -> CampaignReport {
-        let scenarios = self.scenarios();
-        let n = scenarios.len();
-        let slots: Mutex<Vec<Option<Result<ScenarioResult, ScenarioError>>>> =
-            Mutex::new(vec![None; n]);
-        let next = AtomicUsize::new(0);
-
-        thread::scope(|scope| {
-            for _ in 0..threads.max(1).min(n.max(1)) {
-                scope.spawn(|| {
-                    // Batch results worker-locally and merge under one
-                    // lock at the end: nothing reads the slots until all
-                    // workers have joined, and per-scenario locking is
-                    // measurable contention on short scenarios (E11).
-                    let mut local: Vec<(usize, Result<ScenarioResult, ScenarioError>)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::SeqCst);
-                        if i >= n {
-                            break;
-                        }
-                        let scenario = &scenarios[i];
-                        let outcome = if driver.supports(&scenario.protocol.name) {
-                            driver.run(scenario)
-                        } else {
-                            Err(ScenarioError::UnknownProtocol(
-                                scenario.protocol.name.clone(),
-                            ))
-                        };
-                        local.push((i, outcome));
-                    }
-                    let mut slots = slots.lock().expect("no poisoned workers");
-                    for (i, outcome) in local {
-                        slots[i] = Some(outcome);
-                    }
-                });
-            }
-        });
-
-        let outcomes = slots.into_inner().expect("workers joined");
+    /// order. This is the streaming executor with one scenario per chunk
+    /// and a fold that keeps every [`ScenarioRun`], so the report is a
+    /// pure function of the campaign and driver: thread count only
+    /// changes wall-clock time.
+    pub fn run(&self, driver: &dyn BatchDriver, threads: usize) -> CampaignReport {
+        let n = self.scenario_count();
+        let opts = StreamOptions {
+            chunk: 1,
+            raw_cap: n,
+        };
         CampaignReport {
             campaign: self.name.clone(),
-            runs: scenarios
-                .into_iter()
-                .zip(outcomes)
-                .map(|(scenario, outcome)| ScenarioRun {
-                    scenario,
-                    outcome: outcome.expect("every slot filled"),
-                })
-                .collect(),
+            runs: self.execute(driver, threads, opts, None, Vec::with_capacity(n)),
         }
     }
 
     /// Executes the whole expansion without ever materialising it:
-    /// workers steal fixed-size chunks of scenario indices (atomic
-    /// counter), generate each chunk's scenarios on demand via
-    /// [`Campaign::scenario_at`], hand the chunk to the
-    /// [`BatchDriver`], and fold the outcomes into a per-chunk
-    /// [`StreamAggregate`] partial. Partials are merged into the report
-    /// **strictly in chunk-index order**, as soon as the next expected
-    /// chunk is done, so the report is bit-identical across thread
-    /// counts and chunk sizes (f64 addition is folded in one fixed
-    /// order).
+    /// workers steal fixed-size chunks of scenario indices, generate
+    /// each chunk's scenarios on demand via [`Campaign::scenario_at`],
+    /// hand the chunk to the [`BatchDriver`], and fold every outcome
+    /// into the report's [`StreamAggregate`]s **strictly in expansion
+    /// order**, so the report is bit-identical across thread counts and
+    /// chunk sizes (f64 addition is folded in one fixed order).
     ///
     /// Peak memory is `O(threads × chunk + raw_cap)`: one chunk of
-    /// scenarios per worker, the report's bounded sample reservoirs, and
-    /// at most `2 × threads` finished chunks waiting for a slower
-    /// earlier one. Each partial's reservoirs are sized to the room the
-    /// report has left when its chunk starts, so once the report's
-    /// reservoirs are full a partial holds only counts. A 10⁶-scenario
-    /// sweep therefore runs on all cores without holding 10⁶ results,
-    /// names, or samples.
+    /// scenarios per worker, the samples of at most `2 × threads`
+    /// finished chunks waiting for a slower earlier one, and the
+    /// report's bounded sample reservoirs. A 10⁶-scenario sweep
+    /// therefore runs on all cores without holding 10⁶ results, names,
+    /// or samples.
     pub fn run_streaming(
         &self,
         driver: &dyn BatchDriver,
         threads: usize,
         opts: StreamOptions,
     ) -> StreamingReport {
-        self.run_streaming_with(driver, threads, opts, &NullProgress)
+        let report = StreamingReport::empty(self.name.clone(), opts.raw_cap);
+        self.execute(driver, threads, opts, None, report)
     }
 
     /// [`Campaign::run_streaming`] with a live [`ProgressSink`]: the
     /// executing worker reports after every finished chunk (chunks and
     /// cells done, aggregate cells/s, reservoir bound, per-worker cell
-    /// counts), and one final `done` update follows the sequential
-    /// merge. Progress is observational only — the report is
-    /// bit-identical to [`Campaign::run_streaming`] whatever the sink
-    /// does, and the plain entry point is exactly this with
-    /// [`NullProgress`].
+    /// counts), and one final `done` update follows the last fold.
+    /// Progress is observational only — the report is bit-identical to
+    /// [`Campaign::run_streaming`] whatever the sink does.
     pub fn run_streaming_with(
         &self,
         driver: &dyn BatchDriver,
@@ -444,31 +403,78 @@ impl Campaign {
         opts: StreamOptions,
         sink: &dyn ProgressSink,
     ) -> StreamingReport {
+        let report = StreamingReport::empty(self.name.clone(), opts.raw_cap);
+        self.execute(driver, threads, opts, Some(sink), report)
+    }
+
+    /// The one executor behind [`Campaign::run`] and
+    /// [`Campaign::run_streaming_with`]. Workers steal chunks of
+    /// `opts.chunk` scenario indices (atomic counter), build each
+    /// chunk's scenarios into a buffer they keep across chunks, run it
+    /// through [`run_chunk`] and digest it ([`Fold::digest`]) outside
+    /// the lock. Digested chunks reach `fold` strictly in chunk-index
+    /// order: one that finishes early waits in the pending map. For a
+    /// [`Fold::BOUNDED`] fold no worker starts a chunk `2 × workers` or
+    /// more ahead of the fold, which bounds the pending map. `sink`, if
+    /// any, hears after every chunk and once at the end, and
+    /// `opts.raw_cap` is the retention bound those updates report.
+    fn execute<F: Fold>(
+        &self,
+        driver: &dyn BatchDriver,
+        threads: usize,
+        opts: StreamOptions,
+        sink: Option<&dyn ProgressSink>,
+        fold: F,
+    ) -> F {
         let n = self.scenario_count();
-        let chunk = opts.chunk.max(1);
+        let (chunk, raw_cap) = (opts.chunk.max(1), opts.raw_cap);
         let chunks = n.div_ceil(chunk);
         let workers = threads.max(1).min(chunks.max(1));
         let merger = Merger {
             state: Mutex::new(Merge {
-                report: StreamingReport::empty(self.name.clone(), opts.raw_cap),
+                fold,
                 next: 0,
                 pending: BTreeMap::new(),
                 failed: false,
             }),
             merged: Condvar::new(),
-            lag: 2 * workers,
+            lag: if F::BOUNDED { 2 * workers } else { chunks },
         };
         let next = AtomicUsize::new(0);
         let chunks_done = AtomicUsize::new(0);
         let cells_done = AtomicUsize::new(0);
         let shard_cells: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
         let started = Instant::now();
+        // Per chunk, `reservoir` is the fold-bound estimate; the final
+        // update carries the exact occupancy. Without a sink no update is
+        // built.
+        let update = |chunks_done, cells_done: usize, reservoir, done| {
+            let Some(sink) = sink else { return };
+            let elapsed = started.elapsed().as_secs_f64();
+            sink.progress(&ProgressUpdate {
+                chunks_done,
+                chunks_total: chunks,
+                cells_done,
+                cells_total: n,
+                cells_per_sec: if elapsed > 0.0 {
+                    cells_done as f64 / elapsed
+                } else {
+                    0.0
+                },
+                reservoir,
+                raw_cap,
+                shard_cells: shard_cells
+                    .iter()
+                    .map(|s| s.load(Ordering::Relaxed))
+                    .collect(),
+                done,
+            });
+        };
 
         thread::scope(|scope| {
-            for w in 0..workers {
-                let (merger, next) = (&merger, &next);
-                let (chunks_done, cells_done, shard_cells) =
-                    (&chunks_done, &cells_done, &shard_cells);
+            for shard in &shard_cells {
+                let (merger, next, update) = (&merger, &next, &update);
+                let (chunks_done, cells_done) = (&chunks_done, &cells_done);
                 scope.spawn(move || {
                     let _fail = FailOnPanic(merger);
                     let mut batch: Vec<Scenario> = Vec::with_capacity(chunk);
@@ -481,130 +487,179 @@ impl Campaign {
                         let hi = (lo + chunk).min(n);
                         batch.clear();
                         batch.extend((lo..hi).map(|i| self.scenario_at(i)));
-                        let Some(mut partial) = merger.start(c) else {
+                        if !merger.start(c) {
                             return;
-                        };
-                        run_chunk(driver, &batch, &mut partial);
-                        merger.finish(c, partial);
-                        shard_cells[w].fetch_add((hi - lo) as u64, Ordering::Relaxed);
+                        }
+                        let outcomes = run_chunk(driver, &batch);
+                        merger.finish(c, F::digest(&mut batch, outcomes));
+                        shard.fetch_add((hi - lo) as u64, Ordering::Relaxed);
                         let done_cells =
                             cells_done.fetch_add(hi - lo, Ordering::SeqCst) + (hi - lo);
                         let done_chunks = chunks_done.fetch_add(1, Ordering::SeqCst) + 1;
-                        let elapsed = started.elapsed().as_secs_f64();
-                        sink.progress(&ProgressUpdate {
-                            chunks_done: done_chunks,
-                            chunks_total: chunks,
-                            cells_done: done_cells,
-                            cells_total: n,
-                            cells_per_sec: if elapsed > 0.0 {
-                                done_cells as f64 / elapsed
-                            } else {
-                                0.0
-                            },
-                            // Merge-bound estimate; the final update
-                            // carries the exact occupancy.
-                            reservoir: done_cells.min(opts.raw_cap),
-                            raw_cap: opts.raw_cap,
-                            shard_cells: shard_cells
-                                .iter()
-                                .map(|s| s.load(Ordering::Relaxed))
-                                .collect(),
-                            done: false,
-                        });
+                        update(done_chunks, done_cells, done_cells.min(raw_cap), false);
                     }
                 });
             }
         });
 
-        let Merge {
-            report,
-            next,
-            pending,
-            ..
-        } = merger.state.into_inner().expect("workers joined");
-        assert!(next == chunks && pending.is_empty(), "every chunk merged");
-        let elapsed = started.elapsed().as_secs_f64();
-        sink.progress(&ProgressUpdate {
-            chunks_done: chunks,
-            chunks_total: chunks,
-            cells_done: n,
-            cells_total: n,
-            cells_per_sec: if elapsed > 0.0 {
-                n as f64 / elapsed
-            } else {
-                0.0
-            },
-            reservoir: report.delivery.samples().len(),
-            raw_cap: opts.raw_cap,
-            shard_cells: shard_cells
-                .iter()
-                .map(|s| s.load(Ordering::Relaxed))
-                .collect(),
-            done: true,
-        });
-        report
+        let m = merger.state.into_inner().expect("workers joined");
+        assert_eq!(m.next, chunks, "every chunk folded");
+        update(chunks, n, m.fold.retained(), true);
+        m.fold
     }
 }
 
-/// The chunk-order merge the streaming workers share.
-struct Merger {
-    state: Mutex<Merge>,
+/// A scenario's result, or why no driver could execute it.
+type Outcome = Result<ScenarioResult, ScenarioError>;
+
+/// What the executor folds finished chunks into, in chunk order.
+trait Fold: Send {
+    /// `true` when the fold's memory is bounded, so the finished chunks
+    /// waiting for it must be bounded too. A fold that keeps every run
+    /// holds them all anyway, and its workers never wait.
+    const BOUNDED: bool;
+
+    /// What the fold keeps of one finished chunk: the worker builds it
+    /// outside the lock, and it is what waits in the pending map when
+    /// the chunk finishes early.
+    type Chunk: Send;
+
+    /// Takes what the fold needs from one chunk's outcomes, index for
+    /// index with `scenarios`. It may move the scenarios out; the
+    /// worker clears the buffer anyway.
+    fn digest(scenarios: &mut Vec<Scenario>, outcomes: Vec<Outcome>) -> Self::Chunk;
+
+    /// Folds one digested chunk; chunks arrive in chunk-index order.
+    fn fold(&mut self, chunk: Self::Chunk);
+
+    /// Raw samples (or runs) held so far, for the final progress update.
+    fn retained(&self) -> usize;
+}
+
+/// [`Campaign::run`]'s fold: every scenario with its outcome.
+impl Fold for Vec<ScenarioRun> {
+    const BOUNDED: bool = false;
+    type Chunk = Vec<ScenarioRun>;
+
+    fn digest(scenarios: &mut Vec<Scenario>, outcomes: Vec<Outcome>) -> Self::Chunk {
+        let runs = scenarios.drain(..).zip(outcomes);
+        runs.map(|(scenario, outcome)| ScenarioRun { scenario, outcome })
+            .collect()
+    }
+
+    fn fold(&mut self, mut chunk: Self::Chunk) {
+        self.append(&mut chunk);
+    }
+
+    fn retained(&self) -> usize {
+        self.len()
+    }
+}
+
+/// [`Campaign::run_streaming`]'s fold: bounded aggregates, no records.
+impl Fold for StreamingReport {
+    const BOUNDED: bool = true;
+    /// The chunk's [`Tally`], and the names of its first 16 errors.
+    type Chunk = (Tally, Vec<(String, String)>);
+
+    fn digest(scenarios: &mut Vec<Scenario>, outcomes: Vec<Outcome>) -> Self::Chunk {
+        let errors = scenarios
+            .iter()
+            .zip(&outcomes)
+            .filter_map(|(scenario, outcome)| {
+                let e = outcome.as_ref().err()?;
+                Some((scenario.name.clone(), e.to_string()))
+            });
+        let errors = errors.take(ERROR_SAMPLE_CAP).collect();
+        (Tally::of(outcomes.iter()), errors)
+    }
+
+    /// Adds the chunk's counts and pushes its samples one at a time, so
+    /// every sum is folded in expansion order.
+    fn fold(&mut self, (tally, errors): Self::Chunk) {
+        self.executed += tally.runs;
+        self.succeeded += tally.succeeded;
+        self.failed += tally.failed;
+        self.errors += tally.errors;
+        for (agg, samples) in [
+            (&mut self.goodput, tally.goodput),
+            (&mut self.latency, tally.latency),
+            (&mut self.retransmits, tally.retransmits),
+            (&mut self.delivery, tally.delivery),
+        ] {
+            samples.into_iter().for_each(|sample| agg.push(sample));
+        }
+        let room = ERROR_SAMPLE_CAP - self.error_sample.len();
+        self.error_sample.extend(errors.into_iter().take(room));
+    }
+
+    fn retained(&self) -> usize {
+        self.delivery.samples().len()
+    }
+}
+
+/// The chunk-order fold the workers share.
+struct Merger<F: Fold> {
+    state: Mutex<Merge<F>>,
     merged: Condvar,
-    /// How many chunks a worker may run ahead of the oldest unmerged
+    /// How many chunks a worker may run ahead of the oldest unfolded
     /// one, which bounds the pending map.
     lag: usize,
 }
 
-/// The report so far, the next chunk it expects, finished chunks that
-/// arrived ahead of it, and whether a worker has panicked.
-struct Merge {
-    report: StreamingReport,
+/// The fold so far, the next chunk it expects, digested chunks that
+/// finished ahead of it, and whether a worker has panicked.
+struct Merge<F: Fold> {
+    fold: F,
     next: usize,
-    pending: BTreeMap<usize, StreamPartial>,
+    pending: BTreeMap<usize, F::Chunk>,
     failed: bool,
 }
 
-impl Merger {
-    fn lock(&self) -> MutexGuard<'_, Merge> {
+impl<F: Fold> Merger<F> {
+    fn lock(&self) -> MutexGuard<'_, Merge<F>> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Waits until chunk `c` is within `lag` chunks of the merge and
-    /// returns an empty partial for it, or `None` once a worker has
-    /// panicked.
-    fn start(&self, c: usize) -> Option<StreamPartial> {
+    /// Waits until chunk `c` is within `lag` chunks of the fold; `false`
+    /// once a worker has panicked.
+    fn start(&self, c: usize) -> bool {
         let mut m = self.lock();
         while c >= m.next + self.lag && !m.failed {
             m = self.merged.wait(m).unwrap_or_else(PoisonError::into_inner);
         }
-        (!m.failed).then(|| m.report.partial())
+        !m.failed
     }
 
-    /// Files chunk `c`'s partial and merges every chunk that is now next
-    /// in order.
-    fn finish(&self, c: usize, partial: StreamPartial) {
+    /// Folds chunk `c` if it is next in order, then every pending chunk
+    /// that now follows; a chunk that arrives early waits in the
+    /// pending map.
+    fn finish(&self, c: usize, chunk: F::Chunk) {
         let mut guard = self.lock();
         let m = &mut *guard;
         if c != m.next {
-            m.pending.insert(c, partial);
+            m.pending.insert(c, chunk);
             return;
         }
-        m.report.merge_partial(&partial);
+        m.fold.fold(chunk);
         m.next += 1;
-        while let Some(partial) = m.pending.remove(&m.next) {
-            m.report.merge_partial(&partial);
+        while let Some(chunk) = m.pending.remove(&m.next) {
+            m.fold.fold(chunk);
             m.next += 1;
         }
         drop(guard);
-        self.merged.notify_all();
+        // Only a bounded fold's workers ever wait in `start`.
+        if F::BOUNDED {
+            self.merged.notify_all();
+        }
     }
 }
 
 /// Stops the waiting workers if the worker holding it unwinds, so a
 /// panicking driver fails the run instead of stalling it.
-struct FailOnPanic<'a>(&'a Merger);
+struct FailOnPanic<'a, F: Fold>(&'a Merger<F>);
 
-impl Drop for FailOnPanic<'_> {
+impl<F: Fold> Drop for FailOnPanic<'_, F> {
     fn drop(&mut self) {
         if thread::panicking() {
             self.0.lock().failed = true;
@@ -613,41 +668,43 @@ impl Drop for FailOnPanic<'_> {
     }
 }
 
-/// Runs one chunk through the batch driver and folds the outcomes into
-/// `partial`. The unknown-protocol check mirrors [`Campaign::run`]:
-/// scenarios the driver does not support become `UnknownProtocol`
-/// errors in place, and only the supported remainder reaches
-/// [`BatchDriver::run_batch`]. The common all-supported chunk goes to
-/// the driver as is.
-fn run_chunk(driver: &dyn BatchDriver, batch: &[Scenario], partial: &mut StreamPartial) {
+/// Runs one chunk through the batch driver and returns its outcomes in
+/// chunk order. Scenarios the driver does not support become
+/// `UnknownProtocol` errors in place, and only the supported remainder
+/// reaches [`BatchDriver::run_batch`]. The common all-supported chunk
+/// goes to the driver as is.
+fn run_chunk(driver: &dyn BatchDriver, batch: &[Scenario]) -> Vec<Outcome> {
     let supported = |s: &Scenario| driver.supports(&s.protocol.name);
     if batch.iter().all(supported) {
-        let results = driver.run_batch(batch);
-        assert_eq!(results.len(), batch.len(), "run_batch preserves arity");
-        for (scenario, outcome) in batch.iter().zip(&results) {
-            partial.absorb(scenario, outcome);
-        }
-        return;
+        let outcomes = driver.run_batch(batch);
+        assert_eq!(outcomes.len(), batch.len(), "run_batch preserves arity");
+        return outcomes;
     }
     let sub: Vec<Scenario> = batch.iter().filter(|s| supported(s)).cloned().collect();
     let mut results = driver.run_batch(&sub).into_iter();
     assert_eq!(results.len(), sub.len(), "run_batch preserves arity");
-    for scenario in batch {
-        let outcome = if supported(scenario) {
-            results.next().expect("one result per supported scenario")
-        } else {
-            Err(ScenarioError::UnknownProtocol(
-                scenario.protocol.name.clone(),
-            ))
-        };
-        partial.absorb(scenario, &outcome);
-    }
+    batch
+        .iter()
+        .map(|scenario| {
+            if supported(scenario) {
+                results.next().expect("one result per supported scenario")
+            } else {
+                Err(ScenarioError::UnknownProtocol(
+                    scenario.protocol.name.clone(),
+                ))
+            }
+        })
+        .collect()
 }
 
 /// A driver that executes a whole chunk of scenarios in one call — e.g.
 /// back to back on one simulator that it resets between sessions.
-/// Streaming campaigns hand each stolen chunk to [`run_batch`] so the
-/// driver can amortise per-scenario setup across the chunk.
+/// Campaigns hand each stolen chunk to [`run_batch`] so the driver can
+/// amortise per-scenario setup across the chunk.
+///
+/// Every [`ScenarioDriver`] is a `BatchDriver` whose batch runs one
+/// scenario at a time, so any per-scenario driver runs and streams as
+/// is.
 ///
 /// [`run_batch`]: BatchDriver::run_batch
 pub trait BatchDriver: Sync {
@@ -660,20 +717,13 @@ pub trait BatchDriver: Sync {
     fn run_batch(&self, batch: &[Scenario]) -> Vec<Result<ScenarioResult, ScenarioError>>;
 }
 
-/// Adapts a per-scenario [`ScenarioDriver`] into a [`BatchDriver`] that
-/// runs each scenario of the chunk independently — the baseline
-/// streaming path, and the reference the batch driver is measured
-/// against in bench E15.
-#[derive(Debug, Clone, Copy)]
-pub struct SoloBatch<D>(pub D);
-
-impl<D: ScenarioDriver> BatchDriver for SoloBatch<D> {
+impl<D: ScenarioDriver + ?Sized> BatchDriver for D {
     fn supports(&self, protocol: &str) -> bool {
-        self.0.supports(protocol)
+        ScenarioDriver::supports(self, protocol)
     }
 
     fn run_batch(&self, batch: &[Scenario]) -> Vec<Result<ScenarioResult, ScenarioError>> {
-        batch.iter().map(|s| self.0.run(s)).collect()
+        batch.iter().map(|s| self.run(s)).collect()
     }
 }
 
@@ -682,8 +732,7 @@ impl<D: ScenarioDriver> BatchDriver for SoloBatch<D> {
 pub struct StreamOptions {
     /// Scenarios per work-stealing chunk (clamped to at least 1). The
     /// chunk is also the batch handed to [`BatchDriver::run_batch`], so
-    /// it sets how many scenarios a worker holds at once and how often
-    /// it merges a partial report.
+    /// it sets how many scenarios a worker holds at once.
     pub chunk: usize,
     /// Maximum raw samples retained per metric across the whole run
     /// (the [`StreamAggregate`] reservoir bound).
@@ -701,9 +750,8 @@ impl Default for StreamOptions {
 
 /// Streaming counterpart of [`Aggregate`]: exact count / sum / mean /
 /// min / max over *every* sample, plus a bounded reservoir holding the
-/// first `cap` samples in scenario order. Merging two aggregates keeps
-/// the exact moments exact and fills the reservoir up to the cap, so a
-/// 10⁶-run sweep retains `O(cap)` memory instead of `O(runs)`.
+/// first `cap` samples in scenario order, so a 10⁶-run sweep retains
+/// `O(cap)` memory instead of `O(runs)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamAggregate {
     count: u64,
@@ -736,20 +784,6 @@ impl StreamAggregate {
         if self.reservoir.len() < self.cap {
             self.reservoir.push(sample);
         }
-    }
-
-    /// Folds another aggregate into this one. Count/sum/min/max stay
-    /// exact; the reservoir takes `other`'s leading samples until the
-    /// cap is reached, so merging partials in chunk order preserves
-    /// "first `cap` samples in scenario order".
-    pub fn merge(&mut self, other: &StreamAggregate) {
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        let room = self.cap.saturating_sub(self.reservoir.len());
-        self.reservoir
-            .extend(other.reservoir.iter().take(room).copied());
     }
 
     /// Samples folded in so far.
@@ -786,57 +820,10 @@ impl StreamAggregate {
     pub fn samples(&self) -> &[f64] {
         &self.reservoir
     }
-
-    /// The reservoir bound this aggregate was built with.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
 }
 
 /// How many failing scenario names a streaming report retains.
 const ERROR_SAMPLE_CAP: usize = 16;
-
-/// Per-chunk fold of outcomes; merged sequentially in chunk order.
-#[derive(Debug)]
-struct StreamPartial {
-    executed: usize,
-    succeeded: usize,
-    failed: usize,
-    errors: usize,
-    goodput: StreamAggregate,
-    latency: StreamAggregate,
-    retransmits: StreamAggregate,
-    delivery: StreamAggregate,
-    error_sample: Vec<(String, String)>,
-}
-
-impl StreamPartial {
-    /// Mirrors [`Summary::of`]: goodput/latency/retransmits cover
-    /// successful runs only, delivery covers every executed run.
-    fn absorb(&mut self, scenario: &Scenario, outcome: &Result<ScenarioResult, ScenarioError>) {
-        self.executed += 1;
-        match outcome {
-            Ok(r) => {
-                self.delivery.push(r.delivery_ratio());
-                if r.success {
-                    self.succeeded += 1;
-                    self.goodput.push(r.goodput());
-                    self.latency.push(r.latency_per_message());
-                    self.retransmits.push(r.retransmit_rate());
-                } else {
-                    self.failed += 1;
-                }
-            }
-            Err(e) => {
-                self.errors += 1;
-                if self.error_sample.len() < ERROR_SAMPLE_CAP {
-                    self.error_sample
-                        .push((scenario.name.clone(), e.to_string()));
-                }
-            }
-        }
-    }
-}
 
 /// What a [`Campaign::run_streaming`] sweep produced: exact counts and
 /// streaming distributions, but no per-scenario records — memory stays
@@ -879,40 +866,6 @@ impl StreamingReport {
             delivery: StreamAggregate::new(raw_cap),
             error_sample: Vec::new(),
         }
-    }
-
-    /// An empty partial for the next chunk. Its reservoirs keep only as
-    /// many samples as this report can still take in: chunks merge in
-    /// order, so by the time this one merges the room can only have
-    /// shrunk, and the samples it keeps are exactly the leading ones the
-    /// merge would take.
-    fn partial(&self) -> StreamPartial {
-        let room = |agg: &StreamAggregate| StreamAggregate::new(agg.cap - agg.reservoir.len());
-        StreamPartial {
-            executed: 0,
-            succeeded: 0,
-            failed: 0,
-            errors: 0,
-            goodput: room(&self.goodput),
-            latency: room(&self.latency),
-            retransmits: room(&self.retransmits),
-            delivery: room(&self.delivery),
-            error_sample: Vec::new(),
-        }
-    }
-
-    fn merge_partial(&mut self, partial: &StreamPartial) {
-        self.executed += partial.executed;
-        self.succeeded += partial.succeeded;
-        self.failed += partial.failed;
-        self.errors += partial.errors;
-        self.goodput.merge(&partial.goodput);
-        self.latency.merge(&partial.latency);
-        self.retransmits.merge(&partial.retransmits);
-        self.delivery.merge(&partial.delivery);
-        let room = ERROR_SAMPLE_CAP.saturating_sub(self.error_sample.len());
-        self.error_sample
-            .extend(partial.error_sample.iter().take(room).cloned());
     }
 }
 
@@ -990,46 +943,72 @@ pub struct Summary {
 }
 
 impl Summary {
+    /// Tallies `runs` ([`Tally::of`]) and sorts each metric's samples
+    /// into an [`Aggregate`].
     fn of<'a>(runs: impl Iterator<Item = &'a ScenarioRun>) -> Summary {
-        let expected = runs.size_hint().0;
-        let mut total = 0;
-        let mut succeeded = 0;
-        let mut failed = 0;
-        let mut errors = 0;
-        // One pre-sized buffer per metric, filled in a single pass —
-        // per-cell summaries over large sweeps are built thousands of
-        // times per campaign report.
-        let mut goodput = Vec::with_capacity(expected);
-        let mut latency = Vec::with_capacity(expected);
-        let mut retransmits = Vec::with_capacity(expected);
-        let mut delivery = Vec::with_capacity(expected);
-        for run in runs {
-            total += 1;
-            match &run.outcome {
+        let t = Tally::of(runs.map(|run| &run.outcome));
+        Summary {
+            runs: t.runs,
+            succeeded: t.succeeded,
+            failed: t.failed,
+            errors: t.errors,
+            goodput: Aggregate::from_samples(t.goodput),
+            latency: Aggregate::from_samples(t.latency),
+            retransmits: Aggregate::from_samples(t.retransmits),
+            delivery: Aggregate::from_samples(t.delivery),
+        }
+    }
+}
+
+/// Run counts and every sample of a sequence of outcomes, in order. It
+/// is the one rule behind every campaign statistic, which [`Summary`]
+/// and [`StreamingReport`] both fold through: goodput, latency and
+/// retransmits come from successful runs, delivery from every executed
+/// run, and errors are counted apart.
+struct Tally {
+    runs: usize,
+    succeeded: usize,
+    failed: usize,
+    errors: usize,
+    goodput: Vec<f64>,
+    latency: Vec<f64>,
+    retransmits: Vec<f64>,
+    delivery: Vec<f64>,
+}
+
+impl Tally {
+    /// Fills one pre-sized buffer per metric in a single pass: per-cell
+    /// summaries are built thousands of times per campaign report.
+    fn of<'a>(outcomes: impl Iterator<Item = &'a Outcome>) -> Tally {
+        let expected = outcomes.size_hint().0;
+        let mut t = Tally {
+            runs: 0,
+            succeeded: 0,
+            failed: 0,
+            errors: 0,
+            goodput: Vec::with_capacity(expected),
+            latency: Vec::with_capacity(expected),
+            retransmits: Vec::with_capacity(expected),
+            delivery: Vec::with_capacity(expected),
+        };
+        for outcome in outcomes {
+            t.runs += 1;
+            match outcome {
                 Ok(r) => {
-                    delivery.push(r.delivery_ratio());
+                    t.delivery.push(r.delivery_ratio());
                     if r.success {
-                        succeeded += 1;
-                        goodput.push(r.goodput());
-                        latency.push(r.latency_per_message());
-                        retransmits.push(r.retransmit_rate());
+                        t.succeeded += 1;
+                        t.goodput.push(r.goodput());
+                        t.latency.push(r.latency_per_message());
+                        t.retransmits.push(r.retransmit_rate());
                     } else {
-                        failed += 1;
+                        t.failed += 1;
                     }
                 }
-                Err(_) => errors += 1,
+                Err(_) => t.errors += 1,
             }
         }
-        Summary {
-            runs: total,
-            succeeded,
-            failed,
-            errors,
-            goodput: Aggregate::from_samples(goodput),
-            latency: Aggregate::from_samples(latency),
-            retransmits: Aggregate::from_samples(retransmits),
-            delivery: Aggregate::from_samples(delivery),
-        }
+        t
     }
 }
 
@@ -1146,7 +1125,7 @@ mod tests {
         let c = small_campaign();
         let report = c.run(&Echo, 2);
         let summary = report.aggregate();
-        let streamed = c.run_streaming(&SoloBatch(Echo), 2, StreamOptions::default());
+        let streamed = c.run_streaming(&Echo, 2, StreamOptions::default());
         assert_eq!(streamed.executed, summary.runs);
         assert_eq!(streamed.succeeded, summary.succeeded);
         assert_eq!(streamed.failed, summary.failed);
@@ -1179,10 +1158,10 @@ mod tests {
             ..StreamOptions::default()
         };
         let sink = Collect(Mutex::new(Vec::new()));
-        let observed = c.run_streaming_with(&SoloBatch(Echo), 3, opts, &sink);
+        let observed = c.run_streaming_with(&Echo, 3, opts, &sink);
         assert_eq!(
             observed,
-            c.run_streaming(&SoloBatch(Echo), 3, opts),
+            c.run_streaming(&Echo, 3, opts),
             "progress is observational only"
         );
         let updates = sink.0.into_inner().unwrap();
@@ -1207,19 +1186,42 @@ mod tests {
 
     #[test]
     fn streaming_is_bit_identical_across_thread_and_chunk_choices() {
-        let c = small_campaign();
-        let reference = c.run_streaming(&SoloBatch(Echo), 1, StreamOptions::default());
-        for threads in [2, 4, 8] {
-            for chunk in [1, 2, 5, 64] {
-                let opts = StreamOptions {
-                    chunk,
-                    ..StreamOptions::default()
-                };
-                assert_eq!(
-                    reference,
-                    c.run_streaming(&SoloBatch(Echo), threads, opts),
-                    "threads={threads} chunk={chunk}"
-                );
+        // Goodput a seventh of the payload is inexact in binary floats,
+        // so a sum that added per-chunk subtotals together would move its
+        // last bits with the chunk size.
+        struct Sevenths;
+        impl ScenarioDriver for Sevenths {
+            fn supports(&self, _: &str) -> bool {
+                true
+            }
+            fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, ScenarioError> {
+                Echo.run(scenario).map(|r| ScenarioResult {
+                    elapsed: 7_000,
+                    ..r
+                })
+            }
+        }
+        let sevenths = Campaign::new("sevenths", 7)
+            .protocols(Sweep::single("p", ProtocolSpec::new("a")))
+            .links(Sweep::single("clean", LinkConfig::reliable(1)))
+            .seeds(Sweep::seeds(300));
+        let cases: [(Campaign, &dyn BatchDriver); 2] =
+            [(small_campaign(), &Echo), (sevenths, &Sevenths)];
+        for (c, driver) in cases {
+            let reference = c.run_streaming(driver, 1, StreamOptions::default());
+            for threads in [2, 4, 8] {
+                for chunk in [1, 2, 5, 64] {
+                    let opts = StreamOptions {
+                        chunk,
+                        ..StreamOptions::default()
+                    };
+                    assert_eq!(
+                        reference,
+                        c.run_streaming(driver, threads, opts),
+                        "{} threads={threads} chunk={chunk}",
+                        c.name()
+                    );
+                }
             }
         }
     }
@@ -1228,11 +1230,11 @@ mod tests {
     fn streaming_merges_chunks_that_finish_out_of_order() {
         // The first chunk is slow, so later chunks finish first, wait in
         // the pending map (and workers that run too far ahead wait for
-        // the merge to catch up); the report must still fold in order.
+        // the fold to catch up); both reports must still fold in order.
         struct SlowFirst;
         impl BatchDriver for SlowFirst {
             fn supports(&self, protocol: &str) -> bool {
-                Echo.supports(protocol)
+                ScenarioDriver::supports(&Echo, protocol)
             }
             fn run_batch(&self, batch: &[Scenario]) -> Vec<Result<ScenarioResult, ScenarioError>> {
                 if batch[0].name.ends_with("/clean/duplex/default/s0")
@@ -1240,7 +1242,7 @@ mod tests {
                 {
                     thread::sleep(std::time::Duration::from_millis(20));
                 }
-                SoloBatch(Echo).run_batch(batch)
+                Echo.run_batch(batch)
             }
         }
         let c = small_campaign();
@@ -1248,8 +1250,9 @@ mod tests {
             chunk: 1,
             raw_cap: 5,
         };
-        let reference = c.run_streaming(&SoloBatch(Echo), 1, opts);
+        let reference = c.run_streaming(&Echo, 1, opts);
         assert_eq!(reference, c.run_streaming(&SlowFirst, 4, opts));
+        assert_eq!(c.run(&Echo, 1), c.run(&SlowFirst, 4));
     }
 
     #[test]
@@ -1260,14 +1263,14 @@ mod tests {
         struct PanicFirst;
         impl BatchDriver for PanicFirst {
             fn supports(&self, protocol: &str) -> bool {
-                Echo.supports(protocol)
+                ScenarioDriver::supports(&Echo, protocol)
             }
             fn run_batch(&self, batch: &[Scenario]) -> Vec<Result<ScenarioResult, ScenarioError>> {
                 if batch[0].name == "t/p1/default/clean/duplex/default/s0" {
                     thread::sleep(std::time::Duration::from_millis(20));
                     panic!("driver failure");
                 }
-                SoloBatch(Echo).run_batch(batch)
+                Echo.run_batch(batch)
             }
         }
         let opts = StreamOptions {
@@ -1287,8 +1290,8 @@ mod tests {
             chunk: 3,
             raw_cap: 2,
         };
-        let capped = c.run_streaming(&SoloBatch(Echo), 4, opts);
-        let full = c.run_streaming(&SoloBatch(Echo), 1, StreamOptions::default());
+        let capped = c.run_streaming(&Echo, 4, opts);
+        let full = c.run_streaming(&Echo, 1, StreamOptions::default());
         assert_eq!(capped.delivery.count(), 12);
         assert!(capped.delivery.samples().len() <= 2, "reservoir is bounded");
         assert_eq!(capped.delivery.samples(), &full.delivery.samples()[..2]);
@@ -1304,7 +1307,7 @@ mod tests {
             .protocols(Sweep::single("bad", ProtocolSpec::new("unknown")))
             .links(Sweep::single("clean", LinkConfig::reliable(1)))
             .seeds(Sweep::seeds(40));
-        let streamed = c.run_streaming(&SoloBatch(Echo), 2, StreamOptions::default());
+        let streamed = c.run_streaming(&Echo, 2, StreamOptions::default());
         assert_eq!(streamed.errors, 40);
         assert_eq!(streamed.executed, 40);
         assert_eq!(streamed.error_sample.len(), 16, "error sample is bounded");

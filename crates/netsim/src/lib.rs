@@ -60,8 +60,8 @@ mod wheel;
 
 pub use arena::{ArenaStats, PayloadArena, PayloadRef};
 pub use campaign::{
-    BatchDriver, Campaign, CampaignReport, SoloBatch, StreamAggregate, StreamOptions,
-    StreamingReport, Summary, Sweep,
+    BatchDriver, Campaign, CampaignReport, StreamAggregate, StreamOptions, StreamingReport,
+    Summary, Sweep,
 };
 pub use golden::{
     GoldenEvent, GoldenEventKind, GoldenResult, GoldenScenario, GoldenTrace, Verdict,

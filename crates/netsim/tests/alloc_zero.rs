@@ -15,8 +15,7 @@ use std::sync::Mutex;
 
 use netdsl_netsim::scenario::{ProtocolSpec, Scenario, ScenarioDriver, ScenarioError};
 use netdsl_netsim::{
-    Campaign, EventRef, LinkConfig, LinkStats, ScenarioResult, Simulator, SoloBatch, StreamOptions,
-    Sweep,
+    Campaign, EventRef, LinkConfig, LinkStats, ScenarioResult, Simulator, StreamOptions, Sweep,
 };
 
 /// Live heap bytes are tracked process-wide, so the tests in this
@@ -252,7 +251,7 @@ fn streaming_memory_stays_flat_as_the_chunk_count_grows() {
     };
     let (few, many) = (campaign(20), campaign(200));
     let run = |c: &Campaign| {
-        let report = c.run_streaming(&SoloBatch(Echo), 1, opts);
+        let report = c.run_streaming(&Echo, 1, opts);
         assert_eq!(report.errors, 0);
         assert_eq!(report.delivery.samples().len(), 256);
     };
