@@ -9,6 +9,7 @@
 //! Predates that policy axis; kept as the standalone E8 vehicle.
 
 use netdsl_adapt::ArqRto;
+use netdsl_netsim::scenario::Messages;
 use netdsl_netsim::{LinkConfig, TimerToken};
 use netdsl_protocols::arq::session::{SenderStats, SwReceiver};
 use netdsl_protocols::arq::ArqFrame;
@@ -17,11 +18,12 @@ use netdsl_protocols::driver::{Duplex, Endpoint, Io};
 /// Stop-and-wait sender whose timeout adapts to measured RTT.
 #[derive(Debug)]
 pub struct AdaptiveSwSender {
-    messages: Vec<Vec<u8>>,
+    messages: Messages,
     next_msg: usize,
     seq: u8,
     waiting: bool,
     rto: ArqRto,
+    initial_rto: u64,
     max_retries: u32,
     retries: u32,
     attempt: u64,
@@ -31,13 +33,14 @@ pub struct AdaptiveSwSender {
 
 impl AdaptiveSwSender {
     /// Creates a sender with the given initial RTO and bounds.
-    pub fn new(messages: Vec<Vec<u8>>, initial_rto: u64, max_retries: u32) -> Self {
+    pub fn new(messages: impl Into<Messages>, initial_rto: u64, max_retries: u32) -> Self {
         AdaptiveSwSender {
-            messages,
+            messages: messages.into(),
             next_msg: 0,
             seq: 0,
             waiting: false,
             rto: ArqRto::new(initial_rto, 4, 100_000),
+            initial_rto,
             max_retries,
             retries: 0,
             attempt: 0,
@@ -63,7 +66,7 @@ impl AdaptiveSwSender {
 
     /// The messages this sender offers (what a completed transfer must
     /// have delivered).
-    pub fn messages(&self) -> &[Vec<u8>] {
+    pub fn messages(&self) -> &Messages {
         &self.messages
     }
 
@@ -73,7 +76,7 @@ impl AdaptiveSwSender {
         }
         let frame = ArqFrame::Data {
             seq: self.seq,
-            payload: self.messages[self.next_msg].clone(),
+            payload: self.messages.get(self.next_msg).to_vec(),
         }
         .encode();
         io.send(frame);
@@ -134,6 +137,17 @@ impl Endpoint for AdaptiveSwSender {
     fn done(&self) -> bool {
         self.failed || self.next_msg >= self.messages.len()
     }
+
+    fn reset(&mut self) {
+        // As `SwSender::reset`: position, state, retries and the learned
+        // RTO go; stats and the monotone attempt counter stay.
+        self.next_msg = 0;
+        self.seq = 0;
+        self.waiting = false;
+        self.retries = 0;
+        self.failed = false;
+        self.rto = ArqRto::new(self.initial_rto, 4, 100_000);
+    }
 }
 
 /// Outcome of an adaptive-timer transfer.
@@ -149,13 +163,14 @@ pub struct AdaptiveOutcome {
 
 /// Runs a transfer with the adaptive sender over the given link.
 pub fn run_adaptive_transfer(
-    messages: Vec<Vec<u8>>,
+    messages: impl Into<Messages>,
     config: LinkConfig,
     seed: u64,
     initial_rto: u64,
     max_retries: u32,
     deadline: u64,
 ) -> AdaptiveOutcome {
+    let messages: Messages = messages.into();
     let n = messages.len();
     let mut duplex = Duplex::new(
         seed,
@@ -165,7 +180,7 @@ pub fn run_adaptive_transfer(
     );
     let elapsed = duplex.run(deadline);
     AdaptiveOutcome {
-        success: duplex.a().succeeded() && duplex.b().delivered() == duplex.a().messages(),
+        success: duplex.a().succeeded() && duplex.a().messages() == duplex.delivered().copies(),
         elapsed,
         stats: duplex.a().stats(),
     }

@@ -1,11 +1,10 @@
 //! Deterministic workload generators shared by the experiment harnesses.
 
-use netdsl_netsim::scenario::TrafficPattern;
+use netdsl_netsim::scenario::{Messages, TrafficPattern};
 
-/// `n` messages of `size` bytes each: the content of
-/// [`TrafficPattern::generate`], so harnesses and scenarios offer the
-/// same bytes.
-pub fn messages(n: usize, size: usize) -> Vec<Vec<u8>> {
+/// `n` messages of `size` bytes each: [`TrafficPattern::generate`]'s,
+/// so harnesses and scenarios offer the same bytes.
+pub fn messages(n: usize, size: usize) -> Messages {
     TrafficPattern::messages(n, size).generate()
 }
 
@@ -29,7 +28,7 @@ mod tests {
     fn generators_are_deterministic_and_sized() {
         assert_eq!(messages(3, 8), messages(3, 8));
         assert_eq!(messages(3, 8).len(), 3);
-        assert_eq!(messages(3, 8)[1].len(), 8);
+        assert_eq!(messages(3, 8).get(1).len(), 8);
         assert_eq!(file(100), file(100));
         assert_eq!(file(100).len(), 100);
         assert_eq!(loss_sweep().len(), 11);

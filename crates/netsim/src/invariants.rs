@@ -8,8 +8,9 @@
 //!
 //! * **Safety** — nothing wrong was ever accepted: no corrupted payload
 //!   reaches the application, nothing is delivered twice or out of
-//!   order ([`check_delivery`]), and the counters conserve (a link
-//!   cannot deliver more copies than it transmitted).
+//!   order (a suite session checks each delivery as it arrives), and
+//!   the counters conserve (a link cannot deliver more copies than it
+//!   transmitted).
 //! * **Liveness given repair** — if the fault plan ends with the world
 //!   repaired ([`FaultPlan::ends_repaired`]), the transfer either
 //!   completes or reports a *clean bounded-retry failure* strictly
@@ -146,33 +147,6 @@ pub fn check_result(scenario: &Scenario, result: &ScenarioResult) -> InvariantRe
     report
 }
 
-/// Checks the application-level delivery sequence of one receiver:
-/// `delivered` must be a *prefix* of `offered` — in order, no
-/// duplicates, no corrupted or foreign payloads. This is the
-/// strongest safety statement the suite protocols promise (they are
-/// reliable in-order transfer protocols), and tests with access to the
-/// receiver's delivered list use it directly.
-pub fn check_delivery(offered: &[Vec<u8>], delivered: &[Vec<u8>]) -> InvariantReport {
-    let mut report = InvariantReport::default();
-    if delivered.len() > offered.len() {
-        report.violate(format!(
-            "duplicate delivery: {} messages delivered but only {} offered",
-            delivered.len(),
-            offered.len()
-        ));
-    }
-    for (i, (want, got)) in offered.iter().zip(delivered).enumerate() {
-        if want != got {
-            report.violate(format!(
-                "delivery {i} does not match the offered message (corrupted payload accepted \
-                 or out-of-order delivery)"
-            ));
-            break;
-        }
-    }
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,18 +247,5 @@ mod tests {
         r.elapsed = 10_000;
         let broken = scenario().with_fault(Fault::partition(100));
         check_result(&broken, &r).assert_ok("unrepaired world");
-    }
-
-    #[test]
-    fn delivery_prefix_rule() {
-        let offered = vec![vec![1, 2], vec![3, 4], vec![5, 6]];
-        check_delivery(&offered, &offered[..2]).assert_ok("prefix");
-        check_delivery(&offered, &offered).assert_ok("complete");
-
-        let corrupted = vec![vec![1, 2], vec![3, 9]];
-        assert!(!check_delivery(&offered, &corrupted).ok());
-
-        let too_many = vec![vec![1, 2], vec![3, 4], vec![5, 6], vec![5, 6]];
-        assert!(!check_delivery(&offered, &too_many).ok());
     }
 }

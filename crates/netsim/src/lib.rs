@@ -66,15 +66,15 @@ pub use campaign::{
 pub use golden::{
     GoldenEvent, GoldenEventKind, GoldenResult, GoldenScenario, GoldenTrace, Verdict,
 };
-pub use invariants::{check_delivery, check_result, InvariantReport};
+pub use invariants::{check_result, InvariantReport};
 pub use link::LinkConfig;
 pub use netdsl_obs::{
     FlightKind, FlightRecording, LogProgress, NullProgress, ObsConfig, ProgressSink, ProgressUpdate,
 };
 pub use scenario::{
     apply_fault, EngineConfig, EngineConfigError, Fault, FaultAction, FaultKind, FaultNode,
-    FaultPlan, FaultWorld, PlannedFault, ProtocolSpec, RetransmitPolicy, Scenario, ScenarioDriver,
-    ScenarioResult, TopologySpec, TrafficPattern,
+    FaultPlan, FaultWorld, Messages, PlannedFault, ProtocolSpec, RetransmitPolicy, Scenario,
+    ScenarioDriver, ScenarioResult, TopologySpec, TrafficPattern,
 };
 pub use sim::{Event, EventRef, LinkId, NodeId, Simulator, TimerToken};
 pub use stats::{Aggregate, LinkStats};

@@ -368,39 +368,49 @@ impl TrafficPattern {
         (self.count * self.size) as u64
     }
 
-    /// Materialises the messages; content is a fixed function of the
-    /// indices, so every run of the same pattern sees identical bytes.
+    /// Builds the messages, every one a window of a single table of
+    /// `251 + size` bytes, so every run of a pattern sees the same bytes.
     ///
     /// Byte `j` of message `i` is `(131·i + 31·j) mod 251`. The committed
     /// golden fixtures and every recorded benchmark result depend on
-    /// these exact bytes. The function has period 251 in `j`, so each
-    /// message is copied out of one precomputed period, into one
-    /// allocation of its final size.
+    /// these exact bytes. Because 31 · 69 ≡ 131 (mod 251), that is byte
+    /// `69·i mod 251 + j` of the table `31·k mod 251`, so message `i` is
+    /// the `size`-byte window starting there: one allocation, whatever
+    /// the count.
     ///
     /// ```
     /// use netdsl_netsim::scenario::TrafficPattern;
     /// let t = TrafficPattern::messages(3, 8);
     /// assert_eq!(t.generate(), t.generate());
     /// assert_eq!(t.generate().len(), 3);
-    /// assert_eq!(t.generate()[1].len(), 8);
-    /// assert_eq!(t.generate()[1][2], (131 + 2 * 31) % 251);
+    /// assert_eq!(t.generate().get(1).len(), 8);
+    /// assert_eq!(t.generate().get(1)[2], (131 + 2 * 31) % 251);
     /// ```
-    pub fn generate(&self) -> Vec<Vec<u8>> {
-        (0..self.count)
-            .map(|i| {
-                // (131·i + 31·j) mod 251 = 31·(69·i + j) mod 251, because
-                // 31 · 69 ≡ 131 (mod 251): message `i` is the period of
-                // `PAYLOAD_CYCLE` starting at 69·i mod 251.
-                let start = i % PAYLOAD_PERIOD * 69 % PAYLOAD_PERIOD;
-                let period = &PAYLOAD_CYCLE[start..start + PAYLOAD_PERIOD];
-                let mut message = Vec::with_capacity(self.size);
-                while message.len() < self.size {
-                    let take = (self.size - message.len()).min(PAYLOAD_PERIOD);
-                    message.extend_from_slice(&period[..take]);
-                }
-                message
-            })
-            .collect()
+    pub fn generate(&self) -> Messages {
+        let len = PAYLOAD_PERIOD + self.size;
+        let mut table = Vec::with_capacity(len);
+        while table.len() < len {
+            let take = (len - table.len()).min(PAYLOAD_PERIOD);
+            table.extend_from_slice(&PAYLOAD_CYCLE[..take]);
+        }
+        Messages(Source::Table {
+            table,
+            count: self.count,
+            size: self.size,
+        })
+    }
+
+    /// Whether `payload` is message `i` of [`generate`](Self::generate)'s
+    /// output, compared with one static period, not a built message: a
+    /// scenario session's check of every delivery.
+    pub fn is_message(&self, i: usize, payload: &[u8]) -> bool {
+        let start = window_start(i);
+        let period = &PAYLOAD_CYCLE[start..start + PAYLOAD_PERIOD];
+        i < self.count
+            && payload.len() == self.size
+            && payload
+                .chunks(PAYLOAD_PERIOD)
+                .all(|piece| piece == &period[..piece.len()])
     }
 }
 
@@ -418,6 +428,78 @@ const PAYLOAD_CYCLE: [u8; 2 * PAYLOAD_PERIOD] = {
     }
     cycle
 };
+
+/// Where message `i` of a generated pattern starts in its table.
+fn window_start(i: usize) -> usize {
+    i % PAYLOAD_PERIOD * 69 % PAYLOAD_PERIOD
+}
+
+/// The messages a sender offers, lent out one at a time and never
+/// copied: [`TrafficPattern::generate`]'s windows of one table, or any
+/// other content given as a `Vec<Vec<u8>>`. Equality compares content.
+#[derive(Debug, Clone)]
+pub struct Messages(Source);
+
+#[derive(Debug, Clone)]
+enum Source {
+    /// `count` windows of `size` bytes of a generated table.
+    Table {
+        table: Vec<u8>,
+        count: usize,
+        size: usize,
+    },
+    Owned(Vec<Vec<u8>>),
+}
+
+impl Messages {
+    /// Number of messages.
+    pub fn len(&self) -> usize {
+        match &self.0 {
+            Source::Table { count, .. } => *count,
+            Source::Owned(messages) => messages.len(),
+        }
+    }
+
+    /// `true` if there are no messages.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Message `i`; panics if `i >= self.len()`.
+    pub fn get(&self, i: usize) -> &[u8] {
+        match &self.0 {
+            Source::Table { table, count, size } => {
+                assert!(i < *count, "message {i} of {count}");
+                let start = window_start(i);
+                &table[start..start + size]
+            }
+            Source::Owned(messages) => &messages[i],
+        }
+    }
+
+    /// The messages in order.
+    pub fn iter(&self) -> impl Iterator<Item = &[u8]> {
+        (0..self.len()).map(|i| self.get(i))
+    }
+}
+
+impl From<Vec<Vec<u8>>> for Messages {
+    fn from(messages: Vec<Vec<u8>>) -> Self {
+        Messages(Source::Owned(messages))
+    }
+}
+
+impl PartialEq for Messages {
+    fn eq(&self, other: &Messages) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl PartialEq<[Vec<u8>]> for Messages {
+    fn eq(&self, other: &[Vec<u8>]) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter().map(Vec::as_slice))
+    }
+}
 
 impl Default for TrafficPattern {
     fn default() -> Self {
@@ -1242,13 +1324,32 @@ mod tests {
                             .collect()
                     })
                     .collect();
+                let pattern = TrafficPattern::messages(count, size);
                 assert_eq!(
-                    TrafficPattern::messages(count, size).generate(),
-                    oracle,
+                    pattern.generate(),
+                    Messages::from(oracle.clone()),
                     "{count} × {size} B"
                 );
+                for (i, message) in oracle.iter().enumerate() {
+                    assert!(pattern.is_message(i, message), "{count} × {size} B: {i}");
+                }
             }
         }
+    }
+
+    #[test]
+    fn is_message_rejects_any_other_payload() {
+        let pattern = TrafficPattern::messages(300, 600);
+        let messages = pattern.generate();
+        let mut wrong = messages.get(260).to_vec();
+        assert!(pattern.is_message(260, &wrong));
+        assert!(!pattern.is_message(259, &wrong), "another index");
+        assert!(!pattern.is_message(260, &wrong[..599]), "truncated");
+        wrong[555] ^= 1;
+        assert!(!pattern.is_message(260, &wrong), "one byte past the period");
+        assert!(!pattern.is_message(300, messages.get(49)), "past the count");
+        assert_eq!(messages, messages.clone());
+        assert_ne!(messages, TrafficPattern::messages(300, 599).generate());
     }
 
     #[test]

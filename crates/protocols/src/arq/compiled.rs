@@ -21,7 +21,7 @@ use std::sync::OnceLock;
 
 use netdsl_core::fsm::{paper_sender_spec, EventId, StateId, VarId};
 use netdsl_core::fsm_compiled::{lower, CompiledFsm, Stepper};
-use netdsl_netsim::scenario::FramePath;
+use netdsl_netsim::scenario::{FramePath, Messages};
 use netdsl_netsim::TimerToken;
 
 use crate::driver::{Endpoint, Io};
@@ -75,7 +75,7 @@ impl Ids {
 /// [`netdsl_netsim::scenario::FsmPath::Compiled`].
 #[derive(Debug)]
 pub struct FsmSender {
-    messages: Vec<Vec<u8>>,
+    messages: Messages,
     next_msg: usize,
     stepper: Stepper<'static>,
     ids: Ids,
@@ -94,10 +94,10 @@ pub struct FsmSender {
 impl FsmSender {
     /// Creates a sender for `messages` with the given retransmission
     /// timeout (ticks) and retry budget per message.
-    pub fn new(messages: Vec<Vec<u8>>, timeout: u64, max_retries: u32) -> Self {
+    pub fn new(messages: impl Into<Messages>, timeout: u64, max_retries: u32) -> Self {
         let fsm = sender_fsm();
         FsmSender {
-            messages,
+            messages: messages.into(),
             next_msg: 0,
             stepper: Stepper::new(fsm),
             ids: Ids::resolve(fsm),
@@ -124,7 +124,7 @@ impl FsmSender {
     }
 
     /// The messages this sender offers.
-    pub fn messages(&self) -> &[Vec<u8>] {
+    pub fn messages(&self) -> &Messages {
         &self.messages
     }
 
@@ -163,7 +163,7 @@ impl FsmSender {
             return;
         }
         let seq = self.seq();
-        send_data(io, self.path, seq, &self.messages[self.next_msg]);
+        send_data(io, self.path, seq, self.messages.get(self.next_msg));
         self.step(self.ids.send);
         self.stats.frames_sent += 1;
         self.attempt += 1;
@@ -215,6 +215,15 @@ impl Endpoint for FsmSender {
     fn done(&self) -> bool {
         self.stepper.is_terminal() || self.failed
     }
+
+    fn reset(&mut self) {
+        // As `SwSender::reset`: position, machine state and retries go;
+        // the message store, stats and the monotone attempt counter stay.
+        self.next_msg = 0;
+        self.stepper.reset();
+        self.retries = 0;
+        self.failed = false;
+    }
 }
 
 #[cfg(test)]
@@ -246,10 +255,9 @@ mod tests {
             SwReceiver::new(n),
         );
         let elapsed = duplex.run(deadline);
-        let ok = duplex.a().succeeded() && duplex.b().delivered() == duplex.a().messages();
+        let ok = duplex.a().succeeded() && duplex.a().messages() == duplex.delivered().copies();
         let stats = duplex.a().stats();
-        let (_, receiver, _) = duplex.into_parts();
-        (ok, stats, receiver.into_delivered(), elapsed)
+        (ok, stats, duplex.into_delivered(), elapsed)
     }
 
     #[test]
@@ -318,7 +326,7 @@ mod tests {
                 run_fsm(msgs(n), config.clone(), seed, 50, 30, 2_000_000);
             assert_eq!(ts.a().succeeded(), ok, "{config:?}");
             assert_eq!(ts.a().stats(), stats, "{config:?}");
-            assert_eq!(ts.b().delivered(), &delivered[..], "{config:?}");
+            assert_eq!(ts.delivered().copies(), &delivered[..], "{config:?}");
             assert_eq!(ts_elapsed, elapsed, "{config:?}");
             assert_eq!(ts.a().final_seq(), Some((n % 256) as u8), "{config:?}");
         }

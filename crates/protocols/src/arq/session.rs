@@ -7,8 +7,10 @@
 //! and dynamic event sources — every state *change* still goes through a
 //! typed transition.
 
+use std::ops::Range;
+
 use netdsl_adapt::PolicyRto;
-use netdsl_netsim::scenario::FramePath;
+use netdsl_netsim::scenario::{FramePath, Messages};
 use netdsl_netsim::{FlightKind, RetransmitPolicy, TimerToken};
 use netdsl_obs::Counter;
 
@@ -49,7 +51,7 @@ enum St {
 /// acknowledged before the next, with timeout-driven retransmission.
 #[derive(Debug)]
 pub struct SwSender {
-    messages: Vec<Vec<u8>>,
+    messages: Messages,
     next_msg: usize,
     st: St,
     timeout: u64,
@@ -64,9 +66,9 @@ pub struct SwSender {
 impl SwSender {
     /// Creates a sender for `messages` with the given retransmission
     /// timeout (ticks) and retry budget per message.
-    pub fn new(messages: Vec<Vec<u8>>, timeout: u64, max_retries: u32) -> Self {
+    pub fn new(messages: impl Into<Messages>, timeout: u64, max_retries: u32) -> Self {
         SwSender {
-            messages,
+            messages: messages.into(),
             next_msg: 0,
             st: St::Ready(new_sender()),
             timeout,
@@ -104,7 +106,7 @@ impl SwSender {
 
     /// The messages this sender offers (what a completed transfer must
     /// have delivered).
-    pub fn messages(&self) -> &[Vec<u8>] {
+    pub fn messages(&self) -> &Messages {
         &self.messages
     }
 
@@ -138,14 +140,10 @@ impl SwSender {
             return;
         }
         let seq = machine.data().seq;
-        // The wire frame borrows the payload from the message store
-        // (encoded straight into an arena buffer, no clone); the
-        // typestate machine still takes its own copy — the
-        // paper's SEND transition owns the in-flight payload.
-        send_data(io, self.path, seq, &self.messages[self.next_msg]);
-        let waiting = machine.step(Send {
-            payload: self.messages[self.next_msg].clone(),
-        });
+        // The wire frame borrows the payload from the message store,
+        // encoded straight into an arena buffer; SEND copies nothing.
+        send_data(io, self.path, seq, self.messages.get(self.next_msg));
+        let waiting = machine.step(Send);
         self.stats.frames_sent += 1;
         self.attempt += 1;
         self.rto.on_send(io.now(), retransmit);
@@ -235,11 +233,11 @@ impl Endpoint for SwSender {
 }
 
 /// Stop-and-wait receiving endpoint: delivers in-order payloads exactly
-/// once, acknowledging every valid data frame.
+/// once ([`Io::deliver`]), acknowledging every valid data frame.
 #[derive(Debug, Default)]
 pub struct SwReceiver {
     expected: u8,
-    delivered: Vec<Vec<u8>>,
+    delivered: usize,
     acks_sent: u64,
     rejected: u64,
     expect_total: usize,
@@ -263,14 +261,10 @@ impl SwReceiver {
         self
     }
 
-    /// Payloads delivered to the application, in order.
-    pub fn delivered(&self) -> &[Vec<u8>] {
-        &self.delivered
-    }
-
-    /// Takes the delivered payloads out without copying.
-    pub fn into_delivered(self) -> Vec<Vec<u8>> {
-        self.delivered
+    /// The indices of the messages delivered to the application, in
+    /// order: `0..n`.
+    pub fn delivered(&self) -> Range<usize> {
+        0..self.delivered
     }
 
     /// Frames rejected (corrupt, duplicate, or out of order).
@@ -291,9 +285,9 @@ impl Endpoint for SwReceiver {
         ArqFrame::decode_with(self.path, frame, |decoded| match decoded {
             Ok(ArqRef::Data { seq, payload }) => {
                 if seq == self.expected {
-                    // In-order: deliver exactly once (the only payload
-                    // copy a receiver makes), ack, advance.
-                    self.delivered.push(payload.to_vec());
+                    // In-order: deliver exactly once, ack, advance.
+                    io.deliver(payload);
+                    self.delivered += 1;
                     send_ack(io, self.path, seq);
                     self.acks_sent += 1;
                     self.expected = self.expected.wrapping_add(1);
@@ -327,14 +321,14 @@ impl Endpoint for SwReceiver {
     fn on_timer(&mut self, _token: TimerToken, _io: &mut Io<'_>) {}
 
     fn done(&self) -> bool {
-        self.delivered.len() >= self.expect_total
+        self.delivered >= self.expect_total
     }
 
     fn reset(&mut self) {
         // Total state loss: everything delivered so far is gone with
         // the crashed node; only the configuration survives.
         self.expected = 0;
-        self.delivered.clear();
+        self.delivered = 0;
         self.acks_sent = 0;
         self.rejected = 0;
     }
@@ -356,13 +350,14 @@ pub struct TransferOutcome {
 /// Convenience harness: runs a complete stop-and-wait transfer of
 /// `messages` over a link with the given configuration and seed.
 pub fn run_transfer(
-    messages: Vec<Vec<u8>>,
+    messages: impl Into<Messages>,
     config: netdsl_netsim::LinkConfig,
     seed: u64,
     timeout: u64,
     max_retries: u32,
     deadline: u64,
 ) -> TransferOutcome {
+    let messages: Messages = messages.into();
     let n = messages.len();
     let mut duplex = crate::driver::Duplex::new(
         seed,
@@ -371,16 +366,15 @@ pub fn run_transfer(
         SwReceiver::new(n),
     );
     let elapsed = duplex.run(deadline);
-    // Compare by slice against the sender's own message store and move
-    // the delivered payloads out — no full-transfer copies.
-    let success = duplex.a().succeeded() && duplex.b().delivered() == duplex.a().messages();
+    // Compare the collected copies with the sender's own message store,
+    // then move them out.
+    let success = duplex.a().succeeded() && duplex.a().messages() == duplex.delivered().copies();
     let sender = duplex.a().stats();
-    let (_, receiver, _) = duplex.into_parts();
     TransferOutcome {
         success,
         elapsed,
         sender,
-        delivered: receiver.into_delivered(),
+        delivered: duplex.into_delivered(),
     }
 }
 
@@ -463,7 +457,14 @@ mod tests {
 
     #[test]
     fn empty_message_list_finishes_immediately() {
-        let out = run_transfer(vec![], LinkConfig::reliable(1), 0, 10, 1, 100);
+        let out = run_transfer(
+            Vec::<Vec<u8>>::new(),
+            LinkConfig::reliable(1),
+            0,
+            10,
+            1,
+            100,
+        );
         assert!(out.success);
         assert_eq!(out.sender.frames_sent, 0);
     }

@@ -55,8 +55,6 @@ impl State for Sent {
 pub struct SenderData {
     /// Sequence number of the packet being (or about to be) sent.
     pub seq: u8,
-    /// Payload awaiting acknowledgement (set by SEND, cleared by OK).
-    pub pending: Option<Vec<u8>>,
     /// Retransmissions of the current packet so far.
     pub retries: u32,
     /// Total frames handed to the network.
@@ -115,27 +113,25 @@ impl ValidAck {
 
 /// `SEND : List Byte → SendTrans (Ready seq) (Wait seq)`
 ///
-/// Stop-and-wait means no second `SEND` while an acknowledgement is
-/// outstanding — rejected by the type checker:
+/// The payload goes on the wire straight from the sender's message
+/// store; the transition carries only the state change, so it copies
+/// nothing. Stop-and-wait means no second `SEND` while an
+/// acknowledgement is outstanding — rejected by the type checker:
 ///
 /// ```compile_fail
 /// use netdsl_protocols::arq::typestate::{new_sender, Send};
 /// let m = new_sender();
-/// let m = m.step(Send { payload: vec![] }); // Ready → Wait
-/// let m = m.step(Send { payload: vec![] }); // ERROR: Send needs Ready
+/// let m = m.step(Send); // Ready → Wait
+/// let m = m.step(Send); // ERROR: Send needs Ready
 /// ```
 #[derive(Debug)]
-pub struct Send {
-    /// Payload to transmit.
-    pub payload: Vec<u8>,
-}
+pub struct Send;
 
 impl Transition<SenderData> for Send {
     type From = Ready;
     type To = Wait;
 
     fn apply(self, d: &mut SenderData) {
-        d.pending = Some(self.payload);
         d.frames_sent += 1;
     }
 }
@@ -156,7 +152,6 @@ impl Transition<SenderData> for Ok_ {
     fn apply(self, d: &mut SenderData) {
         debug_assert_eq!(self.ack.seq(), d.seq, "witness matches machine index");
         d.seq = d.seq.wrapping_add(1);
-        d.pending = None;
         d.retries = 0;
         d.acked += 1;
     }
@@ -187,7 +182,7 @@ impl Transition<SenderData> for Fail {
 /// use netdsl_protocols::arq::typestate::{new_sender, Send, Ok_, Timeout, ValidAck};
 /// use netdsl_protocols::arq::ArqFrame;
 /// let m = new_sender();
-/// let m = m.step(Send { payload: vec![] }); // Ready → Wait
+/// let m = m.step(Send);                     // Ready → Wait
 /// let ack = ValidAck::validate(&ArqFrame::Ack { seq: 0 }.encode(), 0).unwrap();
 /// let m = m.step(Ok_ { ack });              // Wait → Ready
 /// let m = m.step(Timeout);                  // ERROR: Timeout needs Wait
@@ -277,9 +272,7 @@ pub fn send_packet<C: ArqChannel>(
     .encode();
 
     // SEND : Ready → Wait
-    let mut waiting = machine.step(Send {
-        payload: payload.to_vec(),
-    });
+    let mut waiting = machine.step(Send);
     channel.transmit(&frame);
 
     let mut fails = 0;
@@ -297,9 +290,7 @@ pub fn send_packet<C: ArqChannel>(
                     }
                     let ready = waiting.step(Fail);
                     channel.transmit(&frame);
-                    waiting = ready.step(Send {
-                        payload: payload.to_vec(),
-                    });
+                    waiting = ready.step(Send);
                 }
             },
             // TIMEOUT : Wait → Timeout.
@@ -349,7 +340,7 @@ mod tests {
             NextSent::NextReady(m) => {
                 assert_eq!(m.data().seq, 1);
                 assert_eq!(m.data().acked, 1);
-                assert_eq!(m.data().pending, None);
+                assert_eq!(m.data().frames_sent, 1);
             }
             NextSent::Failure(_) => panic!("should have been acknowledged"),
         }

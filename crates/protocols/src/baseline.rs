@@ -14,6 +14,9 @@
 //! duplicate suppression). The E6 analyser classifies this file's lines
 //! against the DSL implementation's.
 
+use std::ops::Range;
+
+use netdsl_netsim::scenario::Messages;
 use netdsl_netsim::{LinkConfig, TimerToken};
 use netdsl_wire::checksum::arq_check;
 
@@ -108,7 +111,7 @@ pub struct CSender {
     state: i32,
     seq: u8,
     msg_idx: usize,
-    messages: Vec<Vec<u8>>,
+    messages: Messages,
     timeout: u64,
     retries: u32,
     max_retries: u32,
@@ -123,12 +126,12 @@ pub struct CSender {
 
 impl CSender {
     /// Creates a sender for `messages`.
-    pub fn new(messages: Vec<Vec<u8>>, timeout: u64, max_retries: u32) -> Self {
+    pub fn new(messages: impl Into<Messages>, timeout: u64, max_retries: u32) -> Self {
         CSender {
             state: ST_READY,
             seq: 0,
             msg_idx: 0,
-            messages,
+            messages: messages.into(),
             timeout,
             retries: 0,
             max_retries,
@@ -146,7 +149,7 @@ impl CSender {
 
     /// The messages this sender offers (what a completed transfer must
     /// have delivered).
-    pub fn messages(&self) -> &[Vec<u8>] {
+    pub fn messages(&self) -> &Messages {
         &self.messages
     }
 
@@ -158,7 +161,7 @@ impl CSender {
             self.state = ST_DONE;
             return E_OK;
         }
-        let frame = build_frame(KIND_DATA, self.seq, &self.messages[self.msg_idx]);
+        let frame = build_frame(KIND_DATA, self.seq, self.messages.get(self.msg_idx));
         io.send(frame);
         self.frames_sent += 1;
         self.attempt += 1;
@@ -231,13 +234,21 @@ impl Endpoint for CSender {
     fn done(&self) -> bool {
         self.state == ST_DONE || self.state == ST_FAILED
     }
+
+    fn reset(&mut self) {
+        // Every state int by hand; counters and `attempt` survive.
+        self.state = ST_READY;
+        self.seq = 0;
+        self.msg_idx = 0;
+        self.retries = 0;
+    }
 }
 
 /// Stop-and-wait receiver in the traditional style.
 #[derive(Debug, Default)]
 pub struct CReceiver {
     expected: u8,
-    delivered: Vec<Vec<u8>>,
+    delivered: usize,
     expect_total: usize,
     /// Last error code observed.
     pub last_error: i32,
@@ -252,14 +263,9 @@ impl CReceiver {
         }
     }
 
-    /// Payloads delivered in order.
-    pub fn delivered(&self) -> &[Vec<u8>] {
-        &self.delivered
-    }
-
-    /// Takes the delivered payloads out without copying.
-    pub fn into_delivered(self) -> Vec<Vec<u8>> {
-        self.delivered
+    /// The indices of the messages delivered, in order: `0..n`.
+    pub fn delivered(&self) -> Range<usize> {
+        0..self.delivered
     }
 }
 
@@ -279,7 +285,8 @@ impl Endpoint for CReceiver {
             return;
         }
         if seq == self.expected {
-            self.delivered.push(payload);
+            io.deliver(&payload);
+            self.delivered += 1;
             io.send(build_frame(KIND_ACK, seq, &[]));
             self.expected = self.expected.wrapping_add(1);
         } else if seq == self.expected.wrapping_sub(1) {
@@ -290,20 +297,26 @@ impl Endpoint for CReceiver {
     fn on_timer(&mut self, _token: TimerToken, _io: &mut Io<'_>) {}
 
     fn done(&self) -> bool {
-        self.delivered.len() >= self.expect_total
+        self.delivered >= self.expect_total
+    }
+
+    fn reset(&mut self) {
+        self.expected = 0;
+        self.delivered = 0;
     }
 }
 
 /// Runs a complete baseline transfer (mirror of
 /// [`crate::arq::session::run_transfer`]).
 pub fn run_transfer(
-    messages: Vec<Vec<u8>>,
+    messages: impl Into<Messages>,
     config: LinkConfig,
     seed: u64,
     timeout: u64,
     max_retries: u32,
     deadline: u64,
 ) -> (bool, u64, Vec<Vec<u8>>) {
+    let messages: Messages = messages.into();
     let n = messages.len();
     let mut duplex = Duplex::new(
         seed,
@@ -312,11 +325,10 @@ pub fn run_transfer(
         CReceiver::new(n),
     );
     let elapsed = duplex.run(deadline);
-    // Compare by slice and move the delivered payloads out — no
-    // full-transfer copies (the C style stays inside the endpoints).
-    let success = duplex.a().succeeded() && duplex.b().delivered() == duplex.a().messages();
-    let (_, receiver, _) = duplex.into_parts();
-    (success, elapsed, receiver.into_delivered())
+    // Compare the collected copies with the sender's message store, then
+    // move them out (the C style stays inside the endpoints).
+    let success = duplex.a().succeeded() && duplex.a().messages() == duplex.delivered().copies();
+    (success, elapsed, duplex.into_delivered())
 }
 
 #[cfg(test)]
@@ -395,7 +407,7 @@ mod tests {
         );
         duplex.run(1_000_000);
         assert!(duplex.a().succeeded());
-        assert_eq!(duplex.b().delivered(), &msgs(12)[..]);
+        assert_eq!(duplex.delivered().copies(), &msgs(12)[..]);
     }
 
     #[test]
@@ -408,7 +420,7 @@ mod tests {
         );
         duplex.run(1_000_000);
         assert!(duplex.a().succeeded());
-        assert_eq!(duplex.b().delivered(), &msgs(12)[..]);
+        assert_eq!(duplex.delivered().copies(), &msgs(12)[..]);
     }
 
     #[test]

@@ -2,18 +2,22 @@
 //!
 //! An [`Endpoint`] is a mailbox-style protocol participant: it reacts to
 //! delivered frames and timer expiries through an [`Io`] handle that lets
-//! it transmit, arm timers and read the virtual clock. Two endpoints
-//! joined by a duplex link form a session ([`SessionEndpoints`]), and
-//! every session in this crate runs through **one** event loop, the
-//! crate-private pump: [`Duplex`] (one session of any two endpoints),
-//! the suite's solo driver and golden recorder, and the batch driver,
-//! which runs its sessions back to back on one reset simulator, all
-//! call it. A scenario's faults are events in the same queue as its
-//! frames and timers, so each lands on its scheduled tick
-//! (`docs/FAULTS.md` §2).
+//! it transmit, arm timers, read the virtual clock and deliver payloads
+//! to the application. Two endpoints joined by a duplex link form a
+//! session ([`SessionEndpoints`]), and every session in this crate runs
+//! through **one** event loop, the crate-private pump: [`Duplex`] (one
+//! session of any two endpoints), the suite's solo driver and golden
+//! recorder, and the batch driver, which runs its sessions back to back
+//! on one reset simulator, all call it. A scenario's faults are events
+//! in the same queue as its frames and timers, so each lands on its
+//! scheduled tick (`docs/FAULTS.md` §2).
+//!
+//! The session, not its receiver, owns what is delivered: every
+//! [`Io::deliver`] lands in the session's [`Sink`], which checks each
+//! payload as it arrives (`ChkPacket` at the application boundary).
 
 use netdsl_netsim::scenario::{
-    apply_fault, FaultNode, FaultPlan, FaultWorld, PlannedFault, Scenario,
+    apply_fault, FaultNode, FaultPlan, FaultWorld, PlannedFault, Scenario, TrafficPattern,
 };
 use netdsl_netsim::{EventRef, LinkConfig, LinkId, NodeId, Simulator, Tick, TimerToken, Verdict};
 
@@ -21,16 +25,23 @@ use netdsl_netsim::{EventRef, LinkConfig, LinkId, NodeId, Simulator, Tick, Timer
 #[derive(Debug)]
 pub struct Io<'a> {
     sim: &'a mut Simulator,
+    sink: &'a mut Sink,
     node: NodeId,
     out_link: LinkId,
 }
 
 impl<'a> Io<'a> {
-    /// Builds the handle for one endpoint callback. Crate-internal: the
-    /// pump wraps every dispatch in one of these.
-    pub(crate) fn new(sim: &'a mut Simulator, node: NodeId, out_link: LinkId) -> Io<'a> {
+    /// The handle for a callback on `node`, one of `w`'s two: the pump
+    /// wraps every dispatch in one of these.
+    fn on(sim: &'a mut Simulator, sink: &'a mut Sink, w: &FaultWorld, node: NodeId) -> Io<'a> {
+        let out_link = if node == w.node_a {
+            w.link_ab
+        } else {
+            w.link_ba
+        };
         Io {
             sim,
+            sink,
             node,
             out_link,
         }
@@ -66,13 +77,21 @@ impl Io<'_> {
         self.sim.now()
     }
 
+    /// Hands the next in-order payload to the application: the
+    /// session's [`Sink`]. Receivers call it once per message, in order.
+    pub fn deliver(&mut self, payload: &[u8]) {
+        self.sink.deliver(payload);
+    }
+
     /// Attaches a validation verdict and endpoint state digest to the
-    /// frame currently being dispatched. `annotation` runs only while
-    /// the simulator has golden-trace capture on (see
+    /// frame currently being dispatched; `annotation` sees what the
+    /// session has delivered so far. It runs only while the simulator
+    /// has golden-trace capture on (see
     /// [`Simulator::record_golden`](netdsl_netsim::Simulator::record_golden)
     /// and [`crate::golden`]), so the call costs one branch otherwise.
-    pub fn annotate_golden(&mut self, annotation: impl FnOnce() -> (Verdict, u64)) {
-        self.sim.annotate_delivery(annotation);
+    pub fn annotate_golden(&mut self, annotation: impl FnOnce(&Sink) -> (Verdict, u64)) {
+        let sink = &*self.sink;
+        self.sim.annotate_delivery(|| annotation(sink));
     }
 
     /// Records a protocol-level flight event (ARQ timeout, retransmit,
@@ -82,6 +101,80 @@ impl Io<'_> {
     /// unconditionally.
     pub fn flight_event(&mut self, kind: netdsl_netsim::FlightKind, detail: u64) {
         self.sim.flight_protocol_event(kind, self.node, detail);
+    }
+}
+
+/// Where a session's receiver delivers ([`Io::deliver`]). A scenario's
+/// sink checks that each delivery is the offered message at the next
+/// position ([`TrafficPattern::is_message`]) and keeps only a count;
+/// from the first that is not, it keeps copies, so the delivered
+/// sequence stays exact. A [`Duplex::new`] world's sink keeps a copy of
+/// every delivery.
+#[derive(Debug, Default)]
+pub struct Sink {
+    /// The traffic deliveries are checked against; `None` collects.
+    expect: Option<TrafficPattern>,
+    /// Leading deliveries, each the offered message at its position.
+    matched: usize,
+    /// Copies of every delivery after the matched ones.
+    copies: Vec<Vec<u8>>,
+}
+
+impl Sink {
+    fn deliver(&mut self, payload: &[u8]) {
+        match self.expect {
+            Some(traffic)
+                if self.copies.is_empty() && traffic.is_message(self.matched, payload) =>
+            {
+                self.matched += 1;
+            }
+            _ => self.copies.push(payload.to_vec()),
+        }
+    }
+
+    /// Forgets every delivery, gone with the receiver's restarted node.
+    fn clear(&mut self) {
+        self.matched = 0;
+        self.copies.clear();
+    }
+
+    /// Deliveries so far.
+    pub fn len(&self) -> usize {
+        self.matched + self.copies.len()
+    }
+
+    /// `true` before the first delivery.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// `true` while every delivery has been the offered message at its
+    /// position (never for a sink that collects, which checks nothing).
+    pub(crate) fn in_order(&self) -> bool {
+        self.expect.is_some() && self.copies.is_empty()
+    }
+
+    /// Payload bytes delivered.
+    pub(crate) fn payload_bytes(&self) -> u64 {
+        let size = self.expect.map_or(0, |t| t.size);
+        let copied: usize = self.copies.iter().map(Vec::len).sum();
+        (self.matched * size + copied) as u64
+    }
+
+    /// The copies kept: every delivery of a collecting sink, or a
+    /// checking sink's deliveries from its first mismatch on.
+    pub fn copies(&self) -> &[Vec<u8>] {
+        &self.copies
+    }
+
+    /// Folds `f` over every delivery, in order; a checking sink builds
+    /// its matched messages again for it (the golden digests' path).
+    pub(crate) fn fold<T>(&self, init: T, f: impl FnMut(T, &[u8]) -> T) -> T {
+        let offered = self.expect.map(|t| t.generate());
+        let matched = offered.iter().flat_map(|m| m.iter().take(self.matched));
+        matched
+            .chain(self.copies.iter().map(Vec::as_slice))
+            .fold(init, f)
     }
 }
 
@@ -199,12 +292,13 @@ impl<S: SessionEndpoints + ?Sized> SessionEndpoints for Box<S> {
     }
 }
 
-/// One session on its simulator: its endpoints, where they sit, its
-/// deadline and fault plan, and its clock.
+/// One session on its simulator: its endpoints, where they sit, what
+/// they delivered, its deadline and fault plan, and its clock.
 #[derive(Debug)]
 pub(crate) struct Slot<S> {
     pub(crate) ends: S,
     pub(crate) world: FaultWorld,
+    pub(crate) sink: Sink,
     deadline: Tick,
     /// The expanded primitive fault plan. The simulator queue holds one
     /// [`EventRef::Fault`] per action, carrying its index here.
@@ -217,7 +311,7 @@ pub(crate) struct Slot<S> {
 
 impl<S: SessionEndpoints> Slot<S> {
     /// Wires `ends` into `sim` as two new nodes joined by a duplex
-    /// `link`, with no deadline and no faults.
+    /// `link`, with no deadline, no faults and a collecting sink.
     pub(crate) fn wire(sim: &mut Simulator, link: LinkConfig, ends: S) -> Self {
         let node_a = sim.add_node();
         let node_b = sim.add_node();
@@ -230,6 +324,7 @@ impl<S: SessionEndpoints> Slot<S> {
                 link_ab,
                 link_ba,
             },
+            sink: Sink::default(),
             deadline: Tick::MAX,
             faults: Vec::new(),
             now: 0,
@@ -238,13 +333,15 @@ impl<S: SessionEndpoints> Slot<S> {
 
     /// Wires `ends` into `sim` as `scenario`'s session: its
     /// observability request, link, deadline and expanded fault plan,
-    /// each action queued as a fault event on its tick. The faults are
-    /// queued before the endpoints start, so on its tick a fault comes
-    /// before every frame and timer. `sim` is fresh or reset, on
-    /// `scenario`'s seed.
+    /// each action queued as a fault event on its tick, and a sink that
+    /// checks every delivery against its traffic. The faults are queued
+    /// before the endpoints start, so on its tick a fault comes before
+    /// every frame and timer. `sim` is fresh or reset, on `scenario`'s
+    /// seed.
     pub(crate) fn for_scenario(sim: &mut Simulator, scenario: &Scenario, ends: S) -> Self {
         sim.set_obs(scenario.protocol.obs);
         let mut slot = Slot::wire(sim, scenario.link.clone(), ends);
+        slot.sink.expect = Some(scenario.traffic);
         slot.deadline = scenario.deadline;
         slot.faults = FaultPlan::from_scenario(scenario).actions;
         for (index, fault) in slot.faults.iter().enumerate() {
@@ -256,19 +353,22 @@ impl<S: SessionEndpoints> Slot<S> {
     /// Starts both endpoints, A first, before any event is popped.
     pub(crate) fn start(&mut self, sim: &mut Simulator) {
         let w = self.world;
-        self.ends.start_a(&mut Io::new(sim, w.node_a, w.link_ab));
-        self.ends.start_b(&mut Io::new(sim, w.node_b, w.link_ba));
+        let sink = &mut self.sink;
+        self.ends.start_a(&mut Io::on(sim, sink, &w, w.node_a));
+        self.ends.start_b(&mut Io::on(sim, sink, &w, w.node_b));
     }
 
     /// The one event loop. Pops one event at a time with
     /// [`Simulator::step_ref`] and dispatches it: a frame or a timer to
     /// the endpoint on its node, a fault through [`apply_fault`] (a
-    /// restart resets and re-starts its endpoint). It stops once both
+    /// restart resets and re-starts its endpoint, and a restart of B
+    /// also empties the sink). It stops once both
     /// endpoints are done, an event passed the deadline or the queue
     /// drained, so a fault due after that never lands. Returns the
     /// session's clock: the tick of its last dispatched event.
     pub(crate) fn pump(&mut self, sim: &mut Simulator) -> Tick {
         let w = self.world;
+        let sink = &mut self.sink;
         while !self.ends.done() && self.now <= self.deadline {
             let Some(event) = sim.step_ref() else {
                 break;
@@ -280,32 +380,31 @@ impl<S: SessionEndpoints> Slot<S> {
                     // move, not a copy), handed over by reference and
                     // recycled afterwards: no allocation in steady state.
                     let frame = sim.detach_payload(payload);
+                    let io = &mut Io::on(sim, sink, &w, node);
                     if node == w.node_a {
-                        self.ends
-                            .frame_a(&frame, &mut Io::new(sim, w.node_a, w.link_ab));
+                        self.ends.frame_a(&frame, io);
                     } else {
-                        self.ends
-                            .frame_b(&frame, &mut Io::new(sim, w.node_b, w.link_ba));
+                        self.ends.frame_b(&frame, io);
                     }
                     sim.recycle_payload(frame);
                 }
                 EventRef::Timer { node, token } => {
+                    let io = &mut Io::on(sim, sink, &w, node);
                     if node == w.node_a {
-                        self.ends
-                            .timer_a(token, &mut Io::new(sim, w.node_a, w.link_ab));
+                        self.ends.timer_a(token, io);
                     } else {
-                        self.ends
-                            .timer_b(token, &mut Io::new(sim, w.node_b, w.link_ba));
+                        self.ends.timer_b(token, io);
                     }
                 }
                 EventRef::Fault { index } => match apply_fault(sim, &w, &self.faults[index]) {
                     Some(FaultNode::A) => {
                         self.ends.reset_a();
-                        self.ends.start_a(&mut Io::new(sim, w.node_a, w.link_ab));
+                        self.ends.start_a(&mut Io::on(sim, sink, &w, w.node_a));
                     }
                     Some(FaultNode::B) => {
                         self.ends.reset_b();
-                        self.ends.start_b(&mut Io::new(sim, w.node_b, w.link_ba));
+                        sink.clear();
+                        self.ends.start_b(&mut Io::on(sim, sink, &w, w.node_b));
                     }
                     None => {}
                 },
@@ -364,12 +463,16 @@ impl<A: Endpoint, B: Endpoint> Duplex<A, B> {
         &self.sim
     }
 
-    /// Tears the world down into its endpoints (and simulator), so
-    /// callers can move results (e.g. a receiver's delivered payloads)
-    /// out instead of copying them.
-    pub fn into_parts(self) -> (A, B, Simulator) {
-        let (a, b) = self.slot.ends;
-        (a, b, self.sim)
+    /// What B delivered. A [`Duplex::new`] world keeps a copy of every
+    /// delivery ([`Sink::copies`]).
+    pub fn delivered(&self) -> &Sink {
+        &self.slot.sink
+    }
+
+    /// Tears the world down into the copies its sink kept, moved out
+    /// rather than copied.
+    pub fn into_delivered(self) -> Vec<Vec<u8>> {
+        self.slot.sink.copies
     }
 
     /// The A→B link id (for stats lookups).
@@ -444,6 +547,40 @@ mod tests {
         );
         d.run(1000);
         assert!(!d.a().got_pong);
+    }
+
+    #[test]
+    fn delivery_prefix_rule() {
+        let traffic = TrafficPattern::messages(3, 2);
+        let offered = traffic.generate();
+        let sink = |deliveries: &[&[u8]]| {
+            let mut sink = Sink {
+                expect: Some(traffic),
+                ..Sink::default()
+            };
+            deliveries.iter().for_each(|d| sink.deliver(d));
+            sink
+        };
+        let prefix = sink(&[offered.get(0), offered.get(1)]);
+        assert!(prefix.in_order() && prefix.len() == 2 && prefix.copies().is_empty());
+        let complete = sink(&offered.iter().collect::<Vec<_>>());
+        assert!(complete.in_order() && complete.payload_bytes() == 6);
+
+        let corrupted = sink(&[offered.get(0), &[3, 9]]);
+        assert!(!corrupted.in_order());
+        let seen = corrupted.fold(Vec::new(), |mut seen, m| {
+            seen.push(m.to_vec());
+            seen
+        });
+        assert_eq!(seen, [offered.get(0), &[3, 9]]);
+
+        let too_many = sink(&[
+            offered.get(0),
+            offered.get(1),
+            offered.get(2),
+            offered.get(2),
+        ]);
+        assert!(!too_many.in_order() && too_many.len() == 4);
     }
 
     #[test]

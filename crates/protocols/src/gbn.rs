@@ -12,9 +12,10 @@
 //! Selective Repeat). Acks are cumulative.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use netdsl_adapt::PolicyRto;
-use netdsl_netsim::scenario::FramePath;
+use netdsl_netsim::scenario::{FramePath, Messages};
 use netdsl_netsim::{LinkConfig, RetransmitPolicy, Tick, TimerToken};
 
 use crate::driver::{Duplex, Endpoint, Io};
@@ -23,7 +24,7 @@ use crate::window::{send_ack, send_data, WindowFrame, WindowOutcome, WindowRef, 
 /// Go-Back-N sending endpoint.
 #[derive(Debug)]
 pub struct GbnSender {
-    messages: Vec<Vec<u8>>,
+    messages: Messages,
     window: u32,
     timeout: u64,
     max_retries: u32,
@@ -51,10 +52,10 @@ impl GbnSender {
     /// # Panics
     ///
     /// Panics if `window == 0` (configuration bug).
-    pub fn new(messages: Vec<Vec<u8>>, window: u32, timeout: u64, max_retries: u32) -> Self {
+    pub fn new(messages: impl Into<Messages>, window: u32, timeout: u64, max_retries: u32) -> Self {
         assert!(window > 0, "window must be at least 1");
         GbnSender {
-            messages,
+            messages: messages.into(),
             window,
             timeout,
             max_retries,
@@ -95,7 +96,7 @@ impl GbnSender {
 
     /// The messages this sender offers (what a completed transfer must
     /// have delivered).
-    pub fn messages(&self) -> &[Vec<u8>] {
+    pub fn messages(&self) -> &Messages {
         &self.messages
     }
 
@@ -112,7 +113,7 @@ impl GbnSender {
     fn transmit(&mut self, seq: u32, io: &mut Io<'_>) {
         // The payload is borrowed straight from the message store — a
         // retransmission costs no clone.
-        send_data(io, self.path, seq, &self.messages[seq as usize]);
+        send_data(io, self.path, seq, self.messages.get(seq as usize));
         self.stats.frames_sent += 1;
     }
 
@@ -211,7 +212,7 @@ impl Endpoint for GbnSender {
 #[derive(Debug, Default)]
 pub struct GbnReceiver {
     expected: u32,
-    delivered: Vec<Vec<u8>>,
+    delivered: usize,
     expect_total: usize,
     out_of_order: u64,
     path: FramePath,
@@ -233,14 +234,9 @@ impl GbnReceiver {
         self
     }
 
-    /// Payloads delivered in order.
-    pub fn delivered(&self) -> &[Vec<u8>] {
-        &self.delivered
-    }
-
-    /// Takes the delivered payloads out without copying.
-    pub fn into_delivered(self) -> Vec<Vec<u8>> {
-        self.delivered
+    /// The indices of the messages delivered, in order: `0..n`.
+    pub fn delivered(&self) -> Range<usize> {
+        0..self.delivered
     }
 
     /// Frames discarded as out of order (GBN's inefficiency, measured).
@@ -258,7 +254,8 @@ impl Endpoint for GbnReceiver {
                 return; // corrupt frames never reach protocol logic
             };
             if seq == self.expected {
-                self.delivered.push(payload.to_vec());
+                io.deliver(payload);
+                self.delivered += 1;
                 self.expected += 1;
                 send_ack(io, self.path, seq);
             } else {
@@ -275,12 +272,12 @@ impl Endpoint for GbnReceiver {
     fn on_timer(&mut self, _token: TimerToken, _io: &mut Io<'_>) {}
 
     fn done(&self) -> bool {
-        self.delivered.len() >= self.expect_total
+        self.delivered >= self.expect_total
     }
 
     fn reset(&mut self) {
         self.expected = 0;
-        self.delivered.clear();
+        self.delivered = 0;
         self.out_of_order = 0;
     }
 }
@@ -289,7 +286,7 @@ impl Endpoint for GbnReceiver {
 /// [`run_transfer`](crate::arq::session::run_transfer) for the
 /// stop-and-wait equivalent).
 pub fn run_transfer(
-    messages: Vec<Vec<u8>>,
+    messages: impl Into<Messages>,
     window: u32,
     config: LinkConfig,
     seed: u64,
@@ -297,6 +294,7 @@ pub fn run_transfer(
     max_retries: u32,
     deadline: u64,
 ) -> WindowOutcome {
+    let messages: Messages = messages.into();
     let n = messages.len();
     let mut duplex = Duplex::new(
         seed,
@@ -305,16 +303,15 @@ pub fn run_transfer(
         GbnReceiver::new(n),
     );
     let elapsed = duplex.run(deadline);
-    // Compare by slice against the sender's own message store and move
-    // the delivered payloads out — no full-transfer copies.
-    let success = duplex.a().succeeded() && duplex.b().delivered() == duplex.a().messages();
+    // Compare the collected copies with the sender's own message store,
+    // then move them out.
+    let success = duplex.a().succeeded() && duplex.a().messages() == duplex.delivered().copies();
     let stats = duplex.a().stats();
-    let (_, receiver, _) = duplex.into_parts();
     WindowOutcome {
         success,
         elapsed,
         stats,
-        delivered: receiver.into_delivered(),
+        delivered: duplex.into_delivered(),
     }
 }
 
@@ -396,7 +393,15 @@ mod tests {
 
     #[test]
     fn empty_transfer_succeeds_trivially() {
-        let out = run_transfer(vec![], 4, LinkConfig::reliable(1), 0, 10, 1, 100);
+        let out = run_transfer(
+            Vec::<Vec<u8>>::new(),
+            4,
+            LinkConfig::reliable(1),
+            0,
+            10,
+            1,
+            100,
+        );
         assert!(out.success);
     }
 }

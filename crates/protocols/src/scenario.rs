@@ -11,8 +11,15 @@
 //! [`FaultPlan`]), and reports a protocol-independent
 //! [`ScenarioResult`].
 //!
+//! No session holds a copy of its transfer. The sender borrows each
+//! message from the one table [`TrafficPattern::generate`] builds, and
+//! the session's [`Sink`] checks every payload the receiver delivers
+//! against the scenario's traffic as it arrives, so the result folds
+//! from the sink's count rather than from a comparison of two lists.
+//!
 //! [`Fault`]: netdsl_netsim::scenario::Fault
 //! [`FaultPlan`]: netdsl_netsim::scenario::FaultPlan
+//! [`TrafficPattern::generate`]: netdsl_netsim::scenario::TrafficPattern::generate
 //!
 //! ```
 //! use netdsl_netsim::scenario::{ProtocolSpec, Scenario, ScenarioDriver, TrafficPattern};
@@ -31,8 +38,10 @@
 //! assert_eq!(result.messages_delivered, 10);
 //! ```
 
+use std::ops::Range;
+
 use netdsl_netsim::scenario::{
-    EngineConfigError, FsmPath, ProtocolSpec, RetransmitPolicy, Scenario, ScenarioDriver,
+    EngineConfigError, FsmPath, Messages, ProtocolSpec, RetransmitPolicy, Scenario, ScenarioDriver,
     ScenarioError, ScenarioResult, TopologySpec,
 };
 use netdsl_netsim::{Simulator, Tick, TimerToken};
@@ -40,7 +49,7 @@ use netdsl_netsim::{Simulator, Tick, TimerToken};
 use crate::arq::compiled::FsmSender;
 use crate::arq::session::{SwReceiver, SwSender};
 use crate::baseline::{CReceiver, CSender};
-use crate::driver::{Duplex, Endpoint, Io, SessionEndpoints, Slot};
+use crate::driver::{Duplex, Endpoint, Io, SessionEndpoints, Sink, Slot};
 use crate::gbn::{GbnReceiver, GbnSender};
 use crate::golden::Observable;
 use crate::sr::{SrReceiver, SrSender};
@@ -70,49 +79,53 @@ impl SuiteDriver {
 }
 
 /// Runs `a` and `b` as `scenario`'s one session — its seed, link,
-/// observability request, deadline and fault plan —
-/// through the pump, and folds the outcome into the driver-independent
-/// result shape. `stats_of` extracts
-/// `(sender_succeeded, frames_sent, retransmissions)`; `offered_of` /
-/// `delivered_of` borrow the offered and delivered message slices from
-/// the endpoints, so the result is computed without copying a single
-/// transfer.
+/// observability request, deadline and fault plan, with a sink checking
+/// every delivery against its traffic — through the pump, and folds the
+/// outcome into the driver-independent result shape. `stats_of`
+/// extracts `(sender_succeeded, frames_sent, retransmissions)`;
+/// `messages_of` borrows the sender's messages, which count as offered;
+/// `delivered_of` reads the receiver's own count of deliveries, which
+/// must agree with the sink's for the session to succeed.
 pub fn drive_duplex<A: Endpoint, B: Endpoint>(
     scenario: &Scenario,
     a: A,
     b: B,
     stats_of: impl FnOnce(&Duplex<A, B>) -> (bool, u64, u64),
-    offered_of: impl Fn(&A) -> &[Vec<u8>],
-    delivered_of: impl Fn(&B) -> &[Vec<u8>],
+    messages_of: impl Fn(&A) -> &Messages,
+    delivered_of: impl Fn(&B) -> Range<usize>,
 ) -> ScenarioResult {
     let mut duplex = Duplex::for_scenario(scenario, a, b);
     let elapsed = duplex.run(scenario.deadline);
+    let (succeeded, frames_sent, retransmissions) = stats_of(&duplex);
+    let agree = delivered_of(duplex.b()).len() == duplex.delivered().len();
     fold(
         duplex.sim(),
         elapsed,
-        stats_of(&duplex),
-        offered_of(duplex.a()),
-        delivered_of(duplex.b()),
+        (succeeded && agree, frames_sent, retransmissions),
+        messages_of(duplex.a()).len(),
+        duplex.delivered(),
     )
 }
 
 /// The one [`ScenarioResult`] fold, taken when a session closes.
-/// `outcome` is `(sender_succeeded, frames_sent, retransmissions)`; the
-/// link counters are those of the session's simulator.
+/// `outcome` is `(sender_succeeded, frames_sent, retransmissions)`, and
+/// the session succeeds if the sender did and the sink saw exactly the
+/// `offered` messages, each at its position. The link counters are those
+/// of the session's simulator.
 fn fold(
     sim: &Simulator,
     elapsed: Tick,
     outcome: (bool, u64, u64),
-    offered: &[Vec<u8>],
-    delivered: &[Vec<u8>],
+    offered: usize,
+    delivered: &Sink,
 ) -> ScenarioResult {
     let (sender_succeeded, frames_sent, retransmissions) = outcome;
     ScenarioResult {
-        success: sender_succeeded && delivered == offered,
+        success: sender_succeeded && delivered.in_order() && delivered.len() == offered,
         elapsed,
-        messages_offered: offered.len() as u64,
+        messages_offered: offered as u64,
         messages_delivered: delivered.len() as u64,
-        payload_bytes: delivered.iter().map(|m| m.len() as u64).sum(),
+        payload_bytes: delivered.payload_bytes(),
         frames_sent,
         retransmissions,
         link: sim.total_stats(),
@@ -129,14 +142,13 @@ pub(crate) fn run_session(
     let mut slot = Slot::for_scenario(sim, scenario, ends);
     slot.start(sim);
     let elapsed = slot.pump(sim);
-    let ends = &slot.ends;
     let ab_sent = sim.link_stats(slot.world.link_ab).sent;
     fold(
         sim,
         elapsed,
-        ends.outcome(ab_sent),
-        ends.offered(),
-        ends.delivered(),
+        slot.ends.outcome(ab_sent),
+        scenario.traffic.count,
+        &slot.sink,
     )
 }
 
@@ -200,20 +212,16 @@ pub fn validate_engine(spec: &ProtocolSpec) -> Result<(), EngineConfigError> {
 }
 
 /// A suite session: its endpoints plus what the result fold reads off
-/// them.
+/// them (what they delivered, the fold reads off the session's sink).
 pub trait SuiteSession: SessionEndpoints {
     /// `(sender_succeeded, frames_sent, retransmissions)`. `ab_sent` is
     /// the session's A→B link send counter, for endpoints (the baseline)
     /// that keep no counters of their own.
     fn outcome(&self, ab_sent: u64) -> (bool, u64, u64);
-    /// The messages the sender offered.
-    fn offered(&self) -> &[Vec<u8>];
-    /// The messages the receiver delivered, in order.
-    fn delivered(&self) -> &[Vec<u8>];
 }
 
-/// The one [`SuiteSession`] implementation: two suite endpoints plus
-/// plain-function extractors (monomorphic per endpoint pair, no
+/// The one [`SuiteSession`] implementation: two suite endpoints plus a
+/// plain-function outcome extractor (monomorphic per endpoint pair, no
 /// captures). Every frame it hands over is annotated for the golden
 /// recorder through [`Io::annotate_golden`], which costs one branch
 /// when capture is off.
@@ -221,26 +229,12 @@ pub struct Pair<A, B> {
     a: A,
     b: B,
     stats: fn(&A, &B, u64) -> (bool, u64, u64),
-    offered: fn(&A) -> &[Vec<u8>],
-    delivered: fn(&B) -> &[Vec<u8>],
 }
 
 impl<A: Observable, B: Observable> Pair<A, B> {
-    /// Bundles two endpoints with their outcome extractors.
-    pub fn new(
-        a: A,
-        b: B,
-        stats: fn(&A, &B, u64) -> (bool, u64, u64),
-        offered: fn(&A) -> &[Vec<u8>],
-        delivered: fn(&B) -> &[Vec<u8>],
-    ) -> Self {
-        Pair {
-            a,
-            b,
-            stats,
-            offered,
-            delivered,
-        }
+    /// Bundles two endpoints with their outcome extractor.
+    pub fn new(a: A, b: B, stats: fn(&A, &B, u64) -> (bool, u64, u64)) -> Self {
+        Pair { a, b, stats }
     }
 }
 
@@ -254,12 +248,12 @@ impl<A: Observable, B: Observable> SessionEndpoints for Pair<A, B> {
     fn frame_a(&mut self, frame: &[u8], io: &mut Io<'_>) {
         self.a.on_frame(frame, io);
         let a = &self.a;
-        io.annotate_golden(|| a.annotation(frame));
+        io.annotate_golden(|delivered| a.annotation(frame, delivered));
     }
     fn frame_b(&mut self, frame: &[u8], io: &mut Io<'_>) {
         self.b.on_frame(frame, io);
         let b = &self.b;
-        io.annotate_golden(|| b.annotation(frame));
+        io.annotate_golden(|delivered| b.annotation(frame, delivered));
     }
     fn timer_a(&mut self, token: TimerToken, io: &mut Io<'_>) {
         self.a.on_timer(token, io);
@@ -282,12 +276,6 @@ impl<A: Observable, B: Observable> SuiteSession for Pair<A, B> {
     fn outcome(&self, ab_sent: u64) -> (bool, u64, u64) {
         (self.stats)(&self.a, &self.b, ab_sent)
     }
-    fn offered(&self) -> &[Vec<u8>] {
-        (self.offered)(&self.a)
-    }
-    fn delivered(&self) -> &[Vec<u8>] {
-        (self.delivered)(&self.b)
-    }
 }
 
 /// Builds the endpoints of one suite scenario — the **only** place a
@@ -304,9 +292,8 @@ pub fn suite_session(scenario: &Scenario) -> Result<Box<dyn SuiteSession>, Scena
     }
     let spec = &scenario.protocol;
     validate_engine(spec)?;
-    // Generated once and moved into the sender, which serves as the
-    // offered-message store for the result comparison — no
-    // per-scenario clone of the whole transfer.
+    // One table the sender lends every message from; the session's
+    // sink checks deliveries against the traffic itself.
     let messages = scenario.traffic.generate();
     let n = messages.len();
     Ok(match spec.name.as_str() {
@@ -324,8 +311,6 @@ pub fn suite_session(scenario: &Scenario) -> Result<Box<dyn SuiteSession>, Scena
                     let s = a.stats();
                     (a.succeeded(), s.frames_sent, s.retransmissions)
                 },
-                SwSender::messages,
-                SwReceiver::delivered,
             )),
             FsmPath::Compiled => Box::new(Pair::new(
                 FsmSender::new(messages, spec.timeout, spec.max_retries)
@@ -335,8 +320,6 @@ pub fn suite_session(scenario: &Scenario) -> Result<Box<dyn SuiteSession>, Scena
                     let s = a.stats();
                     (a.succeeded(), s.frames_sent, s.retransmissions)
                 },
-                FsmSender::messages,
-                SwReceiver::delivered,
             )),
         },
         GO_BACK_N => Box::new(Pair::new(
@@ -348,8 +331,6 @@ pub fn suite_session(scenario: &Scenario) -> Result<Box<dyn SuiteSession>, Scena
                 let s = a.stats();
                 (a.succeeded(), s.frames_sent, s.retransmissions)
             },
-            GbnSender::messages,
-            GbnReceiver::delivered,
         )),
         SELECTIVE_REPEAT => Box::new(Pair::new(
             SrSender::new(messages, spec.window, spec.timeout, spec.max_retries)
@@ -360,8 +341,6 @@ pub fn suite_session(scenario: &Scenario) -> Result<Box<dyn SuiteSession>, Scena
                 let s = a.stats();
                 (a.succeeded(), s.frames_sent, s.retransmissions)
             },
-            SrSender::messages,
-            SrReceiver::delivered,
         )),
         BASELINE => Box::new(Pair::new(
             CSender::new(messages, spec.timeout, spec.max_retries),
@@ -377,8 +356,6 @@ pub fn suite_session(scenario: &Scenario) -> Result<Box<dyn SuiteSession>, Scena
                     ab_sent.saturating_sub(b.delivered().len() as u64),
                 )
             },
-            CSender::messages,
-            CReceiver::delivered,
         )),
         other => return Err(ScenarioError::UnknownProtocol(other.to_string())),
     })

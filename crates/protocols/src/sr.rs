@@ -6,11 +6,11 @@
 //! the contiguous prefix — exactly-once, in-order delivery to the
 //! application is preserved (property-tested in `tests/`).
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use netdsl_adapt::PolicyRto;
-use netdsl_netsim::scenario::FramePath;
+use netdsl_netsim::scenario::{FramePath, Messages};
 use netdsl_netsim::{LinkConfig, RetransmitPolicy, Tick, TimerToken};
 
 use crate::driver::{Duplex, Endpoint, Io};
@@ -19,7 +19,7 @@ use crate::window::{send_ack, send_data, WindowFrame, WindowOutcome, WindowRef, 
 /// Selective Repeat sending endpoint.
 #[derive(Debug)]
 pub struct SrSender {
-    messages: Vec<Vec<u8>>,
+    messages: Messages,
     window: u32,
     timeout: u64,
     max_retries: u32,
@@ -27,8 +27,10 @@ pub struct SrSender {
     base: u32,
     /// Next never-sent sequence number.
     next: u32,
-    /// Per-outstanding-packet retry counts (absent = acknowledged).
-    outstanding: BTreeMap<u32, u32>,
+    /// Retry counts of the packets in `base..next`, `seq` in slot
+    /// `seq % window` (`None` once acknowledged): that range never spans
+    /// more than a window, so the slots are allocated once.
+    outstanding: Vec<Option<u32>>,
     stats: WindowStats,
     failed: bool,
     path: FramePath,
@@ -46,16 +48,16 @@ impl SrSender {
     /// # Panics
     ///
     /// Panics if `window == 0`.
-    pub fn new(messages: Vec<Vec<u8>>, window: u32, timeout: u64, max_retries: u32) -> Self {
+    pub fn new(messages: impl Into<Messages>, window: u32, timeout: u64, max_retries: u32) -> Self {
         assert!(window > 0, "window must be at least 1");
         SrSender {
-            messages,
+            messages: messages.into(),
             window,
             timeout,
             max_retries,
             base: 0,
             next: 0,
-            outstanding: BTreeMap::new(),
+            outstanding: vec![None; window as usize],
             stats: WindowStats::default(),
             failed: false,
             path: FramePath::default(),
@@ -89,7 +91,7 @@ impl SrSender {
 
     /// The messages this sender offers (what a completed transfer must
     /// have delivered).
-    pub fn messages(&self) -> &[Vec<u8>] {
+    pub fn messages(&self) -> &Messages {
         &self.messages
     }
 
@@ -106,16 +108,22 @@ impl SrSender {
     fn transmit(&mut self, seq: u32, io: &mut Io<'_>) {
         // The payload is borrowed straight from the message store — a
         // retransmission costs no clone.
-        send_data(io, self.path, seq, &self.messages[seq as usize]);
+        send_data(io, self.path, seq, self.messages.get(seq as usize));
         self.stats.frames_sent += 1;
         // Per-packet timer: token is the sequence number itself.
         io.set_timer(self.rto.rto(), u64::from(seq));
     }
 
+    /// The retry count of outstanding packet `seq`.
+    fn slot(&mut self, seq: u32) -> &mut Option<u32> {
+        let window = self.outstanding.len();
+        &mut self.outstanding[seq as usize % window]
+    }
+
     fn fill_window(&mut self, io: &mut Io<'_>) {
         while self.next < self.base + self.window && (self.next as usize) < self.messages.len() {
             let seq = self.next;
-            self.outstanding.insert(seq, 0);
+            *self.slot(seq) = Some(0);
             self.transmit(seq, io);
             if self.rto.is_adaptive() {
                 self.send_times.insert(seq, io.now());
@@ -134,14 +142,14 @@ impl Endpoint for SrSender {
         let Ok(WindowFrame::Ack { seq }) = WindowFrame::decode_via(self.path, frame) else {
             return;
         };
-        if self.outstanding.remove(&seq).is_some() {
+        if (self.base..self.next).contains(&seq) && self.slot(seq).take().is_some() {
             if let Some(sent) = self.send_times.remove(&seq) {
                 self.rto.on_sample(io.now() - sent);
             }
             self.stats.delivered += 1;
             io.cancel_timer(u64::from(seq));
             // Advance base over the acknowledged prefix.
-            while self.base < self.next && !self.outstanding.contains_key(&self.base) {
+            while self.base < self.next && self.slot(self.base).is_none() {
                 self.base += 1;
             }
             self.fill_window(io);
@@ -150,12 +158,16 @@ impl Endpoint for SrSender {
 
     fn on_timer(&mut self, token: TimerToken, io: &mut Io<'_>) {
         let seq = token as u32;
-        let Some(retries) = self.outstanding.get_mut(&seq) else {
+        if !(self.base..self.next).contains(&seq) {
+            return; // acknowledged long ago: stale timer
+        }
+        let Some(retries) = self.slot(seq) else {
             return; // acknowledged in the meantime: stale timer
         };
         *retries += 1;
+        let retries = *retries;
         self.rto.on_timeout();
-        if *retries > self.max_retries {
+        if retries > self.max_retries {
             self.failed = true;
             return;
         }
@@ -176,7 +188,7 @@ impl Endpoint for SrSender {
         // can never fire again thanks to the crash watermark).
         self.base = 0;
         self.next = 0;
-        self.outstanding.clear();
+        self.outstanding.fill(None);
         self.failed = false;
         self.send_times.clear();
         self.rto = PolicyRto::from_policy(&self.policy, self.timeout);
@@ -189,8 +201,11 @@ impl Endpoint for SrSender {
 pub struct SrReceiver {
     expected: u32,
     window: u32,
-    buffer: BTreeMap<u32, Vec<u8>>,
-    delivered: Vec<Vec<u8>>,
+    /// Out-of-order payloads awaiting the gap before them: `seq` sits in
+    /// slot `seq % window`, flagged while it holds one. The buffers are
+    /// reused, so a session allocates at most one window of them.
+    buffer: Vec<(bool, Vec<u8>)>,
+    delivered: usize,
     expect_total: usize,
     buffered_count: u64,
     path: FramePath,
@@ -202,6 +217,7 @@ impl SrReceiver {
     pub fn new(expect_total: usize, window: u32) -> Self {
         SrReceiver {
             window,
+            buffer: vec![(false, Vec::new()); window as usize],
             expect_total,
             ..SrReceiver::default()
         }
@@ -214,14 +230,9 @@ impl SrReceiver {
         self
     }
 
-    /// Payloads delivered in order.
-    pub fn delivered(&self) -> &[Vec<u8>] {
-        &self.delivered
-    }
-
-    /// Takes the delivered payloads out without copying.
-    pub fn into_delivered(self) -> Vec<Vec<u8>> {
-        self.delivered
+    /// The indices of the messages delivered, in order: `0..n`.
+    pub fn delivered(&self) -> Range<usize> {
+        0..self.delivered
     }
 
     /// Frames accepted out of order (buffered rather than discarded —
@@ -240,27 +251,27 @@ impl Endpoint for SrReceiver {
                 return;
             };
             if seq >= self.expected && seq < self.expected + self.window {
+                let window = self.window as usize;
                 if seq == self.expected {
                     // Deliver it, then the contiguous prefix it unblocked.
-                    self.delivered.push(payload.to_vec());
+                    io.deliver(payload);
+                    self.delivered += 1;
                     self.expected += 1;
-                    while let Some(p) = self.buffer.remove(&self.expected) {
-                        self.delivered.push(p);
+                    while let (held @ true, p) = &mut self.buffer[self.expected as usize % window] {
+                        *held = false;
+                        io.deliver(p);
+                        self.delivered += 1;
                         self.expected += 1;
                     }
                 } else {
-                    match self.buffer.entry(seq) {
-                        Entry::Vacant(slot) => {
-                            self.buffered_count += 1;
-                            slot.insert(payload.to_vec());
-                        }
-                        // A duplicate refreshes the buffered copy in place.
-                        Entry::Occupied(mut slot) => {
-                            let kept = slot.get_mut();
-                            kept.clear();
-                            kept.extend_from_slice(payload);
-                        }
+                    let (held, kept) = &mut self.buffer[seq as usize % window];
+                    if !*held {
+                        *held = true;
+                        self.buffered_count += 1;
                     }
+                    // A duplicate refreshes the buffered copy in place.
+                    kept.clear();
+                    kept.extend_from_slice(payload);
                 }
                 send_ack(io, self.path, seq);
             } else if seq < self.expected {
@@ -275,20 +286,22 @@ impl Endpoint for SrReceiver {
     fn on_timer(&mut self, _token: TimerToken, _io: &mut Io<'_>) {}
 
     fn done(&self) -> bool {
-        self.delivered.len() >= self.expect_total
+        self.delivered >= self.expect_total
     }
 
     fn reset(&mut self) {
         self.expected = 0;
-        self.buffer.clear();
-        self.delivered.clear();
+        for (held, _) in &mut self.buffer {
+            *held = false;
+        }
+        self.delivered = 0;
         self.buffered_count = 0;
     }
 }
 
 /// Runs a complete Selective Repeat transfer.
 pub fn run_transfer(
-    messages: Vec<Vec<u8>>,
+    messages: impl Into<Messages>,
     window: u32,
     config: LinkConfig,
     seed: u64,
@@ -296,6 +309,7 @@ pub fn run_transfer(
     max_retries: u32,
     deadline: u64,
 ) -> WindowOutcome {
+    let messages: Messages = messages.into();
     let n = messages.len();
     let mut duplex = Duplex::new(
         seed,
@@ -304,16 +318,15 @@ pub fn run_transfer(
         SrReceiver::new(n, window),
     );
     let elapsed = duplex.run(deadline);
-    // Compare by slice against the sender's own message store and move
-    // the delivered payloads out — no full-transfer copies.
-    let success = duplex.a().succeeded() && duplex.b().delivered() == duplex.a().messages();
+    // Compare the collected copies with the sender's own message store,
+    // then move them out.
+    let success = duplex.a().succeeded() && duplex.a().messages() == duplex.delivered().copies();
     let stats = duplex.a().stats();
-    let (_, receiver, _) = duplex.into_parts();
     WindowOutcome {
         success,
         elapsed,
         stats,
-        delivered: receiver.into_delivered(),
+        delivered: duplex.into_delivered(),
     }
 }
 
@@ -381,7 +394,7 @@ mod tests {
         );
         duplex.run(10_000_000);
         assert!(duplex.a().succeeded());
-        assert_eq!(duplex.b().delivered(), &msgs(40)[..], "order restored");
+        assert_eq!(duplex.delivered().copies(), &msgs(40)[..], "order restored");
         assert!(
             duplex.b().buffered_count() > 0,
             "jitter should have produced out-of-order buffering"

@@ -6,8 +6,12 @@
 //! * one-message stop-and-wait sessions, run warm one at a time through
 //!   the solo driver or as one batch, stay within a pinned number of
 //!   allocations per session — the ones a session inherently owns;
-//! * generating a session's traffic allocates the message list and one
-//!   buffer per message, never a regrowth;
+//! * generating a session's traffic allocates one table, whatever the
+//!   message count;
+//! * a warm clean-link session of any windowed suite protocol, fixed or
+//!   adaptive, allocates as often for 5,000 messages as for 500, and a
+//!   selective-repeat receiver on an impaired link adds at most one
+//!   window of reorder buffers;
 //! * go-back-N's adaptive RTO bookkeeping allocates no more per
 //!   cumulative ACK than the fixed policy.
 
@@ -23,7 +27,7 @@ use netdsl_netsim::{LinkConfig, RetransmitPolicy};
 use netdsl_protocols::arq::ArqFrame;
 use netdsl_protocols::codec::{arq_codec, window_codec};
 use netdsl_protocols::multiplex::MultiSessionDriver;
-use netdsl_protocols::scenario::{SuiteDriver, GO_BACK_N, STOP_AND_WAIT};
+use netdsl_protocols::scenario::{SuiteDriver, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
 use netdsl_protocols::window::WindowFrame;
 
 /// System allocator wrapper counting allocation entry points (alloc,
@@ -108,19 +112,17 @@ fn warm_compiled_encode_allocates_nothing() {
 
 /// Allocations one session of the sessions below inherently owns:
 ///
-/// * 2 — the offered traffic (`TrafficPattern::generate`: the message
-///   list and its one message);
-/// * 1 — the boxed endpoint pair;
-/// * 1 — the stop-and-wait sender's typestate `Send`, which owns a copy
-///   of the in-flight payload;
-/// * 2 — the receiver's delivered list and the one payload copy it keeps.
+/// * 1 — the offered traffic (`TrafficPattern::generate`: one table
+///   every message is a window of);
+/// * 1 — the boxed endpoint pair.
 ///
-/// Everything else — simulator tables, arena (including the buffer the
-/// receiver encodes its ACK into while the data frame is out for
-/// delivery), wheel, frame encoding and decoding — is recycled once
-/// warm; the batch's result vector adds well under one allocation per
-/// session.
-const ALLOCS_PER_SESSION: u64 = 6;
+/// The typestate `SEND` copies no payload, and the session's sink checks
+/// each delivery against the traffic without keeping it. Everything
+/// else — simulator tables, arena (including the buffer the receiver
+/// encodes its ACK into while the data frame is out for delivery),
+/// wheel, frame encoding and decoding — is recycled once warm; the
+/// batch's result vector adds well under one allocation per session.
+const ALLOCS_PER_SESSION: u64 = 2;
 
 /// 512 one-message stop-and-wait sessions on clean links.
 fn sessions() -> Vec<Scenario> {
@@ -176,12 +178,91 @@ fn warm_solo_runs_stay_within_the_per_session_budget() {
 }
 
 #[test]
-fn generated_traffic_allocates_the_list_and_one_buffer_per_message() {
+fn generated_traffic_allocates_one_table() {
     let traffic = TrafficPattern::messages(300, 600);
-    let mut messages = Vec::new();
-    let n = allocations_in(|| messages = traffic.generate());
-    assert_eq!(messages.len(), 300);
-    assert_eq!(n, 301, "generate() allocated {n} times for 300 messages");
+    let mut messages = None;
+    let n = allocations_in(|| messages = Some(traffic.generate()));
+    assert_eq!(messages.map(|m| m.len()), Some(300));
+    assert_eq!(n, 1, "generate() allocated {n} times for 300 messages");
+}
+
+/// Allocations of one warm solo session of `traffic` over `link`, and
+/// its result. Two runs of the same session warm it first: the arena
+/// settles which recycled buffer backs which frame only on the second.
+fn session_allocations(
+    spec: &ProtocolSpec,
+    link: LinkConfig,
+    traffic: TrafficPattern,
+) -> (u64, ScenarioResult) {
+    let scenario = Scenario::new(spec.clone(), link)
+        .with_traffic(traffic)
+        .with_seed(5);
+    let driver = SuiteDriver::new();
+    check((0..2).map(|_| driver.run(&scenario)).collect());
+    let mut result = None;
+    let n = allocations_in(|| result = Some(driver.run(&scenario)));
+    let result = result.expect("ran").expect("session runs");
+    assert!(result.success, "{result:?}");
+    (n, result)
+}
+
+const ADAPTIVE: RetransmitPolicy = RetransmitPolicy::AdaptiveRto {
+    min_rto: 4,
+    max_rto: 2_000,
+};
+
+#[test]
+fn warm_sessions_allocate_the_same_for_any_message_count() {
+    for (name, window) in [
+        (STOP_AND_WAIT, 1),
+        (GO_BACK_N, 4),
+        (GO_BACK_N, 16),
+        (SELECTIVE_REPEAT, 4),
+        (SELECTIVE_REPEAT, 16),
+    ] {
+        for policy in [RetransmitPolicy::Fixed, ADAPTIVE] {
+            let spec = ProtocolSpec::new(name)
+                .with_window(window)
+                .with_timeout(150)
+                .with_retransmit(policy);
+            let clean = LinkConfig::reliable(3);
+            let (few, _) =
+                session_allocations(&spec, clean.clone(), TrafficPattern::messages(500, 64));
+            let (many, _) = session_allocations(&spec, clean, TrafficPattern::messages(5_000, 64));
+            assert_eq!(
+                few,
+                many,
+                "{name} window {window} {}: {few} allocations for 500 messages, {many} for 5,000",
+                policy.as_str()
+            );
+        }
+    }
+}
+
+#[test]
+fn selective_repeat_reorder_buffers_stay_within_one_window() {
+    // bulk-large's session: every loss on its light link holds later
+    // payloads in the receiver's reorder slots, whose buffers are
+    // reused, so the link adds at most a window of them. A corrupted
+    // frame costs one allocation more: the codec's rejection carries
+    // the name of the field that failed.
+    let spec = ProtocolSpec::new(SELECTIVE_REPEAT)
+        .with_window(16)
+        .with_timeout(16);
+    let bulk = TrafficPattern::messages(500, 1_400);
+    let (clean, _) = session_allocations(&spec, LinkConfig::reliable(2), bulk);
+    let light = LinkConfig::lossy(2, 0.01).with_corrupt(0.002);
+    let (impaired, result) = session_allocations(&spec, light, bulk);
+    assert!(
+        result.link.lost > 0 && result.retransmissions > 0,
+        "{result:?}"
+    );
+    let rejected = result.link.corrupted;
+    assert!(
+        impaired <= clean + 16 + rejected,
+        "sr16 allocated {impaired} times on bulk-large's link ({rejected} frames corrupted), \
+         {clean} on a clean one"
+    );
 }
 
 /// 64 go-back-N (window 4) sessions of 32 × 16 B on clean links.
@@ -210,10 +291,7 @@ fn adaptive_go_back_n_allocates_nothing_per_cumulative_ack() {
         n as f64 / batch.len() as f64
     };
     let fixed = per_session(RetransmitPolicy::Fixed);
-    let adaptive = per_session(RetransmitPolicy::AdaptiveRto {
-        min_rto: 4,
-        max_rto: 2_000,
-    });
+    let adaptive = per_session(ADAPTIVE);
     // The RTT-sample map's first leaf is the only allocation the
     // adaptive policy may add; 32 cumulative ACKs must add none.
     assert!(

@@ -13,8 +13,8 @@ use netdsl::protocols::golden::record_with_flight;
 use netdsl::protocols::multiplex::MultiSessionDriver;
 use netdsl::protocols::scenario::{SuiteDriver, BASELINE, STOP_AND_WAIT};
 use netdsl::scenario::{
-    Fault, FaultDirection, FaultNode, ProtocolSpec, Scenario, ScenarioDriver, ScenarioResult,
-    TrafficPattern,
+    EngineConfig, Fault, FaultDirection, FaultNode, FsmPath, ProtocolSpec, Scenario,
+    ScenarioDriver, ScenarioResult, TrafficPattern,
 };
 
 /// Runs `scenario` solo and as a one-session batch, asserts the two
@@ -113,6 +113,53 @@ fn crash_and_restart_one_tick_apart_kill_the_frame_in_flight() {
             (3, FlightKind::Drop)
         ]
     );
+}
+
+#[test]
+fn a_crash_restart_lands_alike_on_every_stop_and_wait_implementation() {
+    // Either node crashes and restarts, mid-transfer or before it
+    // starts, on a clean and a lossy link. Every stop-and-wait
+    // implementation resets on restart, so the compiled-FSM sender
+    // replays the typestate one exactly, and the baseline, which keeps
+    // no counters of its own, matches it on everything it observes.
+    let compiled = EngineConfig {
+        fsm_path: FsmPath::Compiled,
+        ..EngineConfig::default()
+    };
+    let mut cases = 0;
+    for node in [FaultNode::A, FaultNode::B] {
+        for link in [LinkConfig::reliable(3), LinkConfig::lossy(3, 0.2)] {
+            for (crash, restart) in [(1, 2), (40, 90), (15, 250)] {
+                for seed in 1..=6 {
+                    let scenario = |protocol: ProtocolSpec| {
+                        Scenario::new(protocol.with_timeout(40).with_retries(30), link.clone())
+                            .with_traffic(TrafficPattern::messages(8, 12))
+                            .with_fault(Fault::crash(crash, node))
+                            .with_fault(Fault::restart(restart, node))
+                            .with_seed(seed)
+                    };
+                    let sw = ProtocolSpec::new(STOP_AND_WAIT);
+                    let typestate = solo_and_batched(&scenario(sw.clone()));
+                    let fsm = solo_and_batched(&scenario(sw.with_engine(compiled)));
+                    let case = format!("{node:?} {crash}/{restart} seed {seed} on {link:?}");
+                    assert_eq!(fsm, typestate, "compiled FSM, {case}");
+                    let c = solo_and_batched(&scenario(ProtocolSpec::new(BASELINE)));
+                    assert_eq!(
+                        (c.success, c.messages_delivered, c.elapsed, c.link),
+                        (
+                            typestate.success,
+                            typestate.messages_delivered,
+                            typestate.elapsed,
+                            typestate.link
+                        ),
+                        "baseline, {case}"
+                    );
+                    cases += usize::from(typestate.success);
+                }
+            }
+        }
+    }
+    assert!(cases > 0, "some restarted session completes");
 }
 
 #[test]

@@ -162,7 +162,7 @@ fn every_fixture_fault_lands_on_its_scheduled_tick() {
             .collect();
         assert_eq!(landed, due, "{}: faults off their ticks", scenario.name);
     }
-    assert_eq!(carrying, 5, "fault-bearing fixtures");
+    assert_eq!(carrying, 6, "fault-bearing fixtures");
 }
 
 #[test]
@@ -362,4 +362,138 @@ fn engine_combo_axes_cover_both_values_of_every_axis() {
     for fsm in [FsmPath::Typestate, FsmPath::Compiled] {
         assert!(combos.iter().any(|c| c.fsm_path == fsm));
     }
+}
+
+/// FNV-1a over every field of every result of a grid the fixtures miss,
+/// in order. Recorded once; a change that moves any session's counters,
+/// ticks or link statistics moves it.
+const RESULTS_DIGEST: u64 = 0x8625_7305_8243_0df4;
+
+/// The grid: stop-and-wait on both FSM paths, go-back-N and selective
+/// repeat with window 8, and the baseline × both frame paths × fixed and
+/// adaptive retransmission (where the protocol has it) × an impaired
+/// and a clean link × no fault, a receiver and a sender crash-restart, a
+/// flap and a burst × one 8-byte message, 40 × 300 B (past the 251-byte
+/// payload period) and 300 × 16 B (message index past 251).
+fn results_grid() -> Vec<Scenario> {
+    use netdsl::scenario::{Fault, FaultNode, RetransmitPolicy};
+    let adaptive = RetransmitPolicy::AdaptiveRto {
+        min_rto: 4,
+        max_rto: 2_000,
+    };
+    let mut protocols = Vec::new();
+    for frame_path in [FramePath::Compiled, FramePath::Interpreted] {
+        let engine = |fsm_path| EngineConfig {
+            frame_path,
+            fsm_path,
+            ..EngineConfig::default()
+        };
+        let typestate = engine(FsmPath::Typestate);
+        let sw = ProtocolSpec::new(STOP_AND_WAIT).with_timeout(60);
+        let gbn = ProtocolSpec::new(GO_BACK_N)
+            .with_window(8)
+            .with_timeout(120);
+        let sr = ProtocolSpec::new(SELECTIVE_REPEAT)
+            .with_window(8)
+            .with_timeout(120);
+        for spec in [sw.clone(), gbn, sr] {
+            protocols.push(spec.clone().with_engine(typestate));
+            protocols.push(spec.with_engine(typestate).with_retransmit(adaptive));
+        }
+        protocols.push(sw.with_engine(engine(FsmPath::Compiled)));
+        protocols.push(
+            ProtocolSpec::new(BASELINE)
+                .with_timeout(60)
+                .with_engine(typestate),
+        );
+    }
+    let links = [
+        LinkConfig::reliable(3)
+            .with_loss(0.1)
+            .with_jitter(6)
+            .with_duplicate(0.05)
+            .with_corrupt(0.05),
+        LinkConfig::reliable(3),
+    ];
+    let crash = |node| vec![Fault::crash(40, node), Fault::restart(90, node)];
+    let faults = [
+        vec![],
+        crash(FaultNode::B),
+        crash(FaultNode::A),
+        vec![Fault::flap(
+            20,
+            FaultDirection::Forward,
+            LinkConfig::lossy(1, 1.0),
+            60,
+            40,
+            2,
+        )],
+        vec![Fault::burst(
+            30,
+            FaultDirection::Both,
+            LinkConfig::reliable(3).with_corrupt(0.8),
+            100,
+        )],
+    ];
+    let traffic = [
+        TrafficPattern::messages(1, 8),
+        TrafficPattern::messages(40, 300),
+        TrafficPattern::messages(300, 16),
+    ];
+    let mut grid = Vec::new();
+    for protocol in &protocols {
+        for link in &links {
+            for schedule in &faults {
+                for pattern in traffic {
+                    let scenario = Scenario::new(protocol.clone().with_retries(40), link.clone())
+                        .with_traffic(pattern)
+                        .with_seed(1_000 + grid.len() as u64)
+                        .with_deadline(2_000_000);
+                    grid.push(
+                        schedule
+                            .iter()
+                            .fold(scenario, |s, f| s.with_fault(f.clone())),
+                    );
+                }
+            }
+        }
+    }
+    grid
+}
+
+#[test]
+fn results_over_the_wide_grid_keep_their_digest() {
+    use netdsl::netsim::golden::Digest;
+    let grid = results_grid();
+    assert_eq!(grid.len(), 480);
+    let solo = netdsl::protocols::scenario::SuiteDriver::new();
+    let batched = MultiSessionDriver::new().run_batch(&grid);
+    let mut digest = Digest::new();
+    for (scenario, got) in grid.iter().zip(batched) {
+        let r = solo.run(scenario).unwrap();
+        assert_eq!(
+            got.unwrap(),
+            r,
+            "{}: batch diverges from solo",
+            scenario.name
+        );
+        digest = digest
+            .u64(r.success as u64)
+            .u64(r.elapsed)
+            .u64(r.messages_offered)
+            .u64(r.messages_delivered)
+            .u64(r.payload_bytes)
+            .u64(r.frames_sent)
+            .u64(r.retransmissions)
+            .u64(r.link.sent)
+            .u64(r.link.delivered)
+            .u64(r.link.lost)
+            .u64(r.link.duplicated)
+            .u64(r.link.corrupted);
+    }
+    let digest = digest.finish();
+    assert_eq!(
+        digest, RESULTS_DIGEST,
+        "a session's results moved: {digest:#018x}"
+    );
 }
