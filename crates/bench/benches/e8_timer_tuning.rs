@@ -12,18 +12,15 @@
 //!
 //! The sweep is one declarative [`Campaign`] (built by
 //! [`harnesses::e8_campaign`]; `BENCH_QUICK=1` shrinks the transfers)
-//! over a [`DriverSet`]: the fixed-timer senders come from the protocol
-//! suite, the adaptive sender from this crate's `AdaptiveDriver` — the
-//! two compose without either crate knowing about the other. The run is
+//! run by the protocol suite's driver: every cell is its stop-and-wait
+//! sender, the fixed ones under `RetransmitPolicy::Fixed` and the
+//! adaptive one under `RetransmitPolicy::AdaptiveRto`. The run is
 //! serialized as `bench-results/BENCH_e8_timer_tuning.json`.
 //!
 //! [`Campaign`]: netdsl_netsim::campaign::Campaign
-//! [`DriverSet`]: netdsl_netsim::scenario::DriverSet
 
-use netdsl_bench::campaign_drivers::AdaptiveDriver;
 use netdsl_bench::harnesses::{self, E8_DELAYS, E8_LOSSES, E8_PROTOCOLS};
 use netdsl_bench::report::{self, BenchReport};
-use netdsl_netsim::scenario::DriverSet;
 use netdsl_protocols::scenario::SuiteDriver;
 
 const THREADS: usize = 4;
@@ -38,10 +35,7 @@ fn main() {
         "delay / loss", E8_PROTOCOLS[0], E8_PROTOCOLS[1], E8_PROTOCOLS[2], E8_PROTOCOLS[3]
     );
 
-    let driver = DriverSet::new()
-        .with(SuiteDriver::new())
-        .with(AdaptiveDriver::new());
-    let run = campaign.run(&driver, THREADS);
+    let run = campaign.run(&SuiteDriver::new(), THREADS);
     let cells = run.group_by(|s| format!("{}|{}", s.labels.link, s.labels.protocol));
 
     for delay in E8_DELAYS {

@@ -1,23 +1,23 @@
 //! Campaign drivers that compose crates the protocol suite cannot.
 //!
 //! The `protocols` and `adapt` crates deliberately do not depend on each
-//! other, so the scenario drivers that combine them live here:
+//! other, so the scenario driver that combines them lives here:
+//! [`RelayDriver`] — source-routed relaying over parallel paths with
+//! trust-learning / random / fixed path selection ([`TRUST_LEARNING`],
+//! [`RANDOM_PATH`], [`FIXED_PATH`]), the E9 environment. (Adaptive
+//! retransmission needs no driver of its own: it is the suite's
+//! `RetransmitPolicy::AdaptiveRto`, see
+//! [`adaptive_stop_and_wait`](crate::adaptive_arq::adaptive_stop_and_wait).)
 //!
-//! * [`AdaptiveDriver`] — stop-and-wait with the RFC 6298-style adaptive
-//!   retransmission timer ([`ADAPTIVE_SW`]), the E8 contender;
-//! * [`RelayDriver`] — source-routed relaying over parallel paths with
-//!   trust-learning / random / fixed path selection ([`TRUST_LEARNING`],
-//!   [`RANDOM_PATH`], [`FIXED_PATH`]), the E9 environment.
-//!
-//! Combine them with the protocol suite through
+//! Combine it with the protocol suite through
 //! [`DriverSet`](netdsl_netsim::scenario::DriverSet):
 //!
 //! ```
-//! use netdsl_bench::campaign_drivers::AdaptiveDriver;
+//! use netdsl_bench::campaign_drivers::RelayDriver;
 //! use netdsl_netsim::scenario::DriverSet;
 //! use netdsl_protocols::scenario::SuiteDriver;
 //!
-//! let driver = DriverSet::new().with(SuiteDriver::new()).with(AdaptiveDriver::new());
+//! let driver = DriverSet::new().with(SuiteDriver::new()).with(RelayDriver::new());
 //! ```
 
 use netdsl_adapt::trust::{run_relay_session_over, Policy};
@@ -25,16 +25,6 @@ use netdsl_netsim::scenario::{
     Scenario, ScenarioDriver, ScenarioError, ScenarioResult, TopologySpec,
 };
 use netdsl_netsim::LinkStats;
-use netdsl_protocols::arq::session::SwReceiver;
-use netdsl_protocols::scenario::drive_duplex;
-
-use crate::adaptive_arq::AdaptiveSwSender;
-
-/// Protocol key for stop-and-wait with the adaptive retransmission
-/// timer; [`ProtocolSpec::timeout`] is the *initial* RTO.
-///
-/// [`ProtocolSpec::timeout`]: netdsl_netsim::scenario::ProtocolSpec
-pub const ADAPTIVE_SW: &str = "adaptive-sw";
 
 /// Protocol key for ε-greedy trust-learning path selection.
 pub const TRUST_LEARNING: &str = "trust-learning";
@@ -42,54 +32,6 @@ pub const TRUST_LEARNING: &str = "trust-learning";
 pub const RANDOM_PATH: &str = "random-path";
 /// Protocol key for always using path 0.
 pub const FIXED_PATH: &str = "fixed-path";
-
-/// [`ScenarioDriver`] for [`ADAPTIVE_SW`] (duplex topologies only).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct AdaptiveDriver;
-
-impl AdaptiveDriver {
-    /// A new stateless driver.
-    pub fn new() -> Self {
-        AdaptiveDriver
-    }
-}
-
-impl ScenarioDriver for AdaptiveDriver {
-    fn supports(&self, protocol: &str) -> bool {
-        protocol == ADAPTIVE_SW
-    }
-
-    fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, ScenarioError> {
-        if scenario.topology != TopologySpec::Duplex {
-            return Err(ScenarioError::UnsupportedTopology(format!(
-                "{ADAPTIVE_SW} runs duplex topologies only, got {:?}",
-                scenario.topology
-            )));
-        }
-        if scenario.protocol.name != ADAPTIVE_SW {
-            return Err(ScenarioError::UnknownProtocol(
-                scenario.protocol.name.clone(),
-            ));
-        }
-        let messages = scenario.traffic.generate();
-        let n = messages.len();
-        Ok(drive_duplex(
-            scenario,
-            AdaptiveSwSender::new(
-                messages,
-                scenario.protocol.timeout,
-                scenario.protocol.max_retries,
-            ),
-            SwReceiver::new(n),
-            |d| {
-                let s = d.a().stats();
-                (d.a().succeeded(), s.frames_sent, s.retransmissions)
-            },
-            AdaptiveSwSender::messages,
-            SwReceiver::delivered,
-        ))
-    }
-}
 
 /// [`ScenarioDriver`] for the relay-path policies; requires a
 /// [`TopologySpec::ParallelPaths`] topology, whose `compromised` count
@@ -171,15 +113,17 @@ mod tests {
 
     #[test]
     fn adaptive_driver_completes_a_lossy_transfer() {
+        // The composed set hands adaptive stop-and-wait to the suite.
         let s = Scenario::new(
-            ProtocolSpec::new(ADAPTIVE_SW)
-                .with_timeout(300)
-                .with_retries(100),
+            crate::adaptive_arq::adaptive_stop_and_wait(300, 100),
             LinkConfig::lossy(5, 0.2),
         )
         .with_traffic(TrafficPattern::messages(10, 16))
         .with_seed(3);
-        let r = AdaptiveDriver::new().run(&s).unwrap();
+        let set = DriverSet::new()
+            .with(SuiteDriver::new())
+            .with(RelayDriver::new());
+        let r = set.run(&s).unwrap();
         assert!(r.success, "{r:?}");
         assert_eq!(r.messages_delivered, 10);
     }
@@ -214,9 +158,8 @@ mod tests {
     fn driver_set_composes_suite_and_extensions() {
         let set = DriverSet::new()
             .with(SuiteDriver::new())
-            .with(AdaptiveDriver::new())
             .with(RelayDriver::new());
-        for name in [STOP_AND_WAIT, ADAPTIVE_SW, TRUST_LEARNING] {
+        for name in [STOP_AND_WAIT, TRUST_LEARNING] {
             assert!(set.supports(name), "{name}");
         }
         assert!(!set.supports("nonesuch"));

@@ -17,7 +17,8 @@ use netdsl_netsim::scenario::{
 use netdsl_netsim::LinkConfig;
 use netdsl_protocols::scenario::{GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
 
-use crate::campaign_drivers::{ADAPTIVE_SW, FIXED_PATH, RANDOM_PATH, TRUST_LEARNING};
+use crate::adaptive_arq::adaptive_stop_and_wait;
+use crate::campaign_drivers::{FIXED_PATH, RANDOM_PATH, TRUST_LEARNING};
 use crate::workload;
 
 /// Picks `full` or `small` by mode — the builders' only quick/full knob.
@@ -98,7 +99,9 @@ pub const E8_DELAYS: [u64; 3] = [5, 30, 75];
 /// Loss rates swept by [`e8_campaign`].
 pub const E8_LOSSES: [f64; 2] = [0.0, 0.1];
 
-/// E8 — fixed vs adaptive retransmission timers across delay × loss.
+/// E8 — fixed vs adaptive retransmission timers across delay × loss,
+/// every cell the suite's stop-and-wait sender: the adaptive one is
+/// [`adaptive_stop_and_wait`] from an initial RTO of 150 ticks.
 /// Quick mode shrinks the transfer from 40 to 10 messages.
 pub fn e8_campaign(quick: bool) -> Campaign {
     let messages = pick(quick, 40, 10);
@@ -114,12 +117,7 @@ pub fn e8_campaign(quick: bool) -> Campaign {
                 (E8_PROTOCOLS[1], fixed(150)),
                 (E8_PROTOCOLS[2], fixed(600)),
             ])
-            .and(
-                E8_PROTOCOLS[3],
-                ProtocolSpec::new(ADAPTIVE_SW)
-                    .with_timeout(150)
-                    .with_retries(400),
-            ),
+            .and(E8_PROTOCOLS[3], adaptive_stop_and_wait(150, 400)),
         )
         .links(Sweep::grid(E8_DELAYS.into_iter().flat_map(|delay| {
             E8_LOSSES.into_iter().map(move |loss| {
@@ -314,6 +312,30 @@ mod tests {
                 assert_eq!(f.name, q.name, "{name}: scenario names");
                 assert_eq!(f.labels, q.labels, "{name}: axis labels");
                 assert_eq!(f.seed, q.seed, "{name}: derived seeds");
+            }
+        }
+    }
+
+    #[test]
+    fn e8_adaptive_cells_complete_on_the_suite_driver() {
+        // The adaptive cell is the suite's stop-and-wait sender under
+        // AdaptiveRto: it completes every delay × loss cell, and on a
+        // clean link whose RTT its initial RTO covers it never
+        // retransmits.
+        use netdsl_netsim::scenario::ScenarioDriver;
+        use netdsl_protocols::scenario::SuiteDriver;
+        let campaign = e8_campaign(true);
+        let adaptive: Vec<_> = campaign
+            .scenarios()
+            .into_iter()
+            .filter(|s| s.labels.protocol == E8_PROTOCOLS[3])
+            .collect();
+        assert_eq!(adaptive.len(), E8_DELAYS.len() * E8_LOSSES.len());
+        for s in &adaptive {
+            let r = SuiteDriver::new().run(s).unwrap();
+            assert!(r.success, "{}: {r:?}", s.name);
+            if s.link.loss == 0.0 && 2 * s.link.delay < 150 {
+                assert_eq!(r.retransmissions, 0, "{}", s.name);
             }
         }
     }

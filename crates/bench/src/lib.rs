@@ -9,14 +9,13 @@
 //! * [`loc`] — the source-line classifier behind experiment E6 (the
 //!   paper's "50% or more of the code will deal with error checking"
 //!   claim);
-//! * [`adaptive_arq`] — a stop-and-wait sender driven by the adaptive
-//!   [`RtoEstimator`](netdsl_adapt::timers::RtoEstimator), used by
-//!   experiment E8 against fixed-timer senders;
+//! * [`adaptive_arq`] — the adaptive stop-and-wait spec of experiment
+//!   E8 (the suite's sender under `RetransmitPolicy::AdaptiveRto`);
 //! * [`arq_model`] — the sender × channel × receiver product model the
 //!   E5 composition rows are checked on;
 //! * [`campaign_drivers`] — [`ScenarioDriver`](netdsl_netsim::scenario::ScenarioDriver)
-//!   plug-ins (adaptive timers, trust relaying) that compose the
-//!   `protocols` and `adapt` crates for declarative campaign sweeps;
+//!   plug-ins (trust relaying) that compose the `protocols` and `adapt`
+//!   crates for declarative campaign sweeps;
 //! * [`codec_specs`] — the shared spec set and frame corpora behind
 //!   experiment E12 (compiled vs interpretive codec throughput);
 //! * [`harnesses`] — the campaign builders behind E4/E8/E9/E11, shared

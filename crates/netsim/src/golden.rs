@@ -16,16 +16,21 @@
 //! transcript per fixture, which every supported codec × FSM
 //! combination must replay byte-identically (`tests/golden_parity.rs`).
 //!
-//! Recording is driven by [`Simulator::record_golden`]
-//! (crate-side hooks) and the `netdsl-protocols` recorder, which
-//! annotates deliveries with verdicts and digests; the committed corpus
-//! under `tests/golden/` is regenerated by the `tools/golden` binary
-//! (`--check` mode gates CI). See `docs/ARCHITECTURE.md`.
+//! A transcript is not captured separately: it is the [`project`]ion
+//! of the simulator's one recorder run in transcript mode
+//! ([`FlightMode::Transcript`]), which keeps every frame's wire bytes
+//! and a digest event after each delivery. The `netdsl-protocols`
+//! recorder supplies the protocol's reference frame validator, which
+//! the projection runs on each delivered frame for its verdict. The
+//! committed corpus under `tests/golden/` is regenerated by the
+//! `tools/golden` binary (`--check` mode gates CI). See
+//! `docs/ARCHITECTURE.md`.
 //!
-//! [`Simulator::record_golden`]: crate::Simulator::record_golden
+//! [`FlightMode::Transcript`]: netdsl_obs::FlightMode::Transcript
 
 use std::fmt;
 
+use netdsl_obs::{FlightKind, FlightRecording};
 use serde::json::Value;
 
 use crate::link::LinkConfig;
@@ -39,40 +44,14 @@ use crate::Tick;
 /// Schema identifier embedded in every serialized golden trace.
 pub const SCHEMA: &str = "netdsl-golden/1";
 
-/// What happened to a frame at one point of its journey.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum GoldenEventKind {
-    /// A frame was handed to a link by a sender.
-    Sent,
-    /// The loss process dropped the frame.
-    Lost,
-    /// The corruption process flipped a bit in one delivered copy.
-    Corrupted,
-    /// A frame copy reached the receiving endpoint.
-    Delivered,
-}
-
-impl GoldenEventKind {
-    /// Canonical serialized label.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            GoldenEventKind::Sent => "sent",
-            GoldenEventKind::Lost => "lost",
-            GoldenEventKind::Corrupted => "corrupted",
-            GoldenEventKind::Delivered => "delivered",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "sent" => GoldenEventKind::Sent,
-            "lost" => GoldenEventKind::Lost,
-            "corrupted" => GoldenEventKind::Corrupted,
-            "delivered" => GoldenEventKind::Delivered,
-            _ => return None,
-        })
-    }
-}
+/// The frame event kinds a transcript keeps, with their serialized
+/// labels.
+const FRAME_KINDS: [(FlightKind, &str); 4] = [
+    (FlightKind::Send, "sent"),
+    (FlightKind::Drop, "lost"),
+    (FlightKind::Corrupt, "corrupted"),
+    (FlightKind::Deliver, "delivered"),
+];
 
 /// Outcome of frame validation at the receiving endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,14 +84,16 @@ impl Verdict {
 ///
 /// `bytes` holds the wire bytes as they crossed that point (the
 /// possibly-corrupted copy for deliveries); `verdict` and `digest` are
-/// only present on [`GoldenEventKind::Delivered`] events, filled in by
-/// the protocol-layer recorder after the endpoint processed the frame.
+/// only present on [`FlightKind::Deliver`] events: the validator's
+/// answer on the delivered bytes, and the digest the endpoint took
+/// after it processed the frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GoldenEvent {
     /// Virtual time of the event.
     pub at: Tick,
-    /// What happened.
-    pub kind: GoldenEventKind,
+    /// What happened: a `Send`, `Drop`, `Corrupt` or `Deliver`
+    /// (serialized as `sent`, `lost`, `corrupted`, `delivered`).
+    pub kind: FlightKind,
     /// Raw index of the link involved (0 = a→b, 1 = b→a on a duplex).
     pub link: usize,
     /// Wire bytes (empty for loss/corruption markers).
@@ -126,9 +107,13 @@ pub struct GoldenEvent {
 
 impl GoldenEvent {
     fn to_json(&self) -> Value {
+        let label = FRAME_KINDS
+            .iter()
+            .find(|(kind, _)| *kind == self.kind)
+            .map_or(self.kind.as_str(), |(_, label)| label);
         let mut v = Value::object()
             .set("at", self.at as f64)
-            .set("kind", self.kind.as_str())
+            .set("kind", label)
             .set("link", self.link);
         if !self.bytes.is_empty() {
             v = v.set("bytes", hex_encode(&self.bytes));
@@ -143,7 +128,10 @@ impl GoldenEvent {
     }
 
     fn from_json(v: &Value) -> Result<Self, GoldenError> {
-        let kind = GoldenEventKind::from_str(get_str(v, "kind")?)
+        let label = get_str(v, "kind")?;
+        let (kind, _) = FRAME_KINDS
+            .into_iter()
+            .find(|(_, l)| *l == label)
             .ok_or_else(|| GoldenError::invalid("unknown event kind"))?;
         let bytes = match v.get("bytes") {
             Some(b) => hex_decode(
@@ -177,6 +165,56 @@ impl GoldenEvent {
             digest,
         })
     }
+}
+
+/// Projects a transcript recording onto its frame events: every
+/// `Send`, `Drop`, `Corrupt` and `Deliver` in recording order, sends
+/// and deliveries with their wire bytes, and each delivery with
+/// `frame_ok`'s verdict on its bytes and the digest event that follows
+/// it. Timer, protocol and fault events are left out.
+///
+/// # Panics
+///
+/// Panics if `recording` holds fewer wire bytes than its sends and
+/// deliveries claim: it was not recorded in transcript mode.
+pub fn project(recording: &FlightRecording, frame_ok: impl Fn(&[u8]) -> bool) -> Vec<GoldenEvent> {
+    let mut wire = recording.wire.as_slice();
+    let mut events: Vec<GoldenEvent> = Vec::new();
+    let mut last_delivery: Option<usize> = None;
+    for e in &recording.events {
+        let bytes = match e.kind {
+            FlightKind::Send | FlightKind::Deliver => {
+                let (bytes, rest) = wire.split_at(e.detail as usize);
+                wire = rest;
+                bytes.to_vec()
+            }
+            FlightKind::Drop | FlightKind::Corrupt => Vec::new(),
+            FlightKind::Digest => {
+                if let Some(i) = last_delivery.take() {
+                    events[i].digest = Some(e.detail);
+                }
+                continue;
+            }
+            _ => continue,
+        };
+        let verdict = (e.kind == FlightKind::Deliver).then(|| {
+            last_delivery = Some(events.len());
+            if frame_ok(&bytes) {
+                Verdict::Valid
+            } else {
+                Verdict::Corrupt
+            }
+        });
+        events.push(GoldenEvent {
+            at: e.at,
+            kind: e.kind,
+            link: e.subject as usize,
+            bytes,
+            verdict,
+            digest: None,
+        });
+    }
+    events
 }
 
 /// The scenario inputs a golden trace was recorded from — everything
@@ -735,7 +773,7 @@ mod tests {
             events: vec![
                 GoldenEvent {
                     at: 0,
-                    kind: GoldenEventKind::Sent,
+                    kind: FlightKind::Send,
                     link: 0,
                     bytes: vec![1, 0, 0xab, 0xcd],
                     verdict: None,
@@ -743,7 +781,7 @@ mod tests {
                 },
                 GoldenEvent {
                     at: 3,
-                    kind: GoldenEventKind::Delivered,
+                    kind: FlightKind::Deliver,
                     link: 0,
                     bytes: vec![1, 0, 0xab, 0xcd],
                     verdict: Some(Verdict::Valid),
@@ -808,6 +846,77 @@ mod tests {
         assert!(GoldenTrace::from_json_str(&bad_hex).is_err());
         let bad_verdict = good.replace("\"valid\"", "\"maybe\"");
         assert!(GoldenTrace::from_json_str(&bad_verdict).is_err());
+    }
+
+    #[test]
+    fn projection_keeps_frame_events_with_verdicts_and_digests() {
+        use netdsl_obs::FlightEvent;
+        let ev = |at, kind, subject, detail| FlightEvent {
+            at,
+            kind,
+            subject,
+            detail,
+        };
+        // A send, its delivery, the receiver's ack (sent while it
+        // handles the delivery, before its digest), a loss and a
+        // corrupted delivery the validator refuses.
+        let recording = FlightRecording {
+            capacity: 8,
+            recorded: 8,
+            dropped: 0,
+            events: vec![
+                ev(0, FlightKind::Send, 0, 2),
+                ev(0, FlightKind::TimerSet, 0, 1),
+                ev(3, FlightKind::Deliver, 0, 2),
+                ev(3, FlightKind::Send, 1, 1),
+                ev(3, FlightKind::Drop, 1, 0),
+                ev(3, FlightKind::Digest, 1, 0xd1),
+                ev(5, FlightKind::Corrupt, 0, 0),
+                ev(8, FlightKind::Deliver, 0, 2),
+            ],
+            wire: vec![1, 2, 1, 2, 9, 1, 3],
+        };
+        let events = project(&recording, |frame| frame[0] == 1);
+        let shape: Vec<_> = events
+            .iter()
+            .map(|e| {
+                (
+                    e.at,
+                    e.kind,
+                    e.link,
+                    e.bytes.as_slice(),
+                    e.verdict,
+                    e.digest,
+                )
+            })
+            .collect();
+        assert_eq!(
+            shape,
+            [
+                (0, FlightKind::Send, 0, &[1, 2][..], None, None),
+                (
+                    3,
+                    FlightKind::Deliver,
+                    0,
+                    &[1, 2],
+                    Some(Verdict::Valid),
+                    Some(0xd1)
+                ),
+                (3, FlightKind::Send, 1, &[9], None, None),
+                (3, FlightKind::Drop, 1, &[], None, None),
+                (5, FlightKind::Corrupt, 0, &[], None, None),
+                (
+                    8,
+                    FlightKind::Deliver,
+                    0,
+                    &[1, 3],
+                    Some(Verdict::Valid),
+                    None
+                ),
+            ]
+        );
+        let refused = project(&recording, |frame| frame == [1, 2]);
+        assert_eq!(refused[5].verdict, Some(Verdict::Corrupt));
     }
 
     #[test]

@@ -63,13 +63,12 @@ pub use campaign::{
     BatchDriver, Campaign, CampaignReport, StreamAggregate, StreamOptions, StreamingReport,
     Summary, Sweep,
 };
-pub use golden::{
-    GoldenEvent, GoldenEventKind, GoldenResult, GoldenScenario, GoldenTrace, Verdict,
-};
+pub use golden::{GoldenEvent, GoldenResult, GoldenScenario, GoldenTrace, Verdict};
 pub use invariants::{check_result, InvariantReport};
 pub use link::LinkConfig;
 pub use netdsl_obs::{
-    FlightKind, FlightRecording, LogProgress, NullProgress, ObsConfig, ProgressSink, ProgressUpdate,
+    FlightKind, FlightMode, FlightRecording, LogProgress, NullProgress, ObsConfig, ProgressSink,
+    ProgressUpdate,
 };
 pub use scenario::{
     apply_fault, EngineConfig, EngineConfigError, Fault, FaultAction, FaultKind, FaultNode,

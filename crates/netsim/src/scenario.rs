@@ -100,11 +100,13 @@ pub struct EngineConfig {
     pub frame_path: FramePath,
     /// Which control-FSM engine endpoints should use.
     pub fsm_path: FsmPath,
-    /// What the engine should observe while running ([`ObsConfig`]).
-    /// Unlike the two engine axes this is **not** a parity axis — it
-    /// must never change a run's transcript or result (pinned by the
-    /// flight-parity suite, overhead measured by bench E16) — so
-    /// [`EngineConfig::label`] and golden fixtures ignore it.
+    /// What the engine should observe while running ([`ObsConfig`]):
+    /// metrics, and no flight recorder, a ring or a transcript. Unlike
+    /// the two engine axes this is **not** a parity axis — it must never
+    /// change a run's result, and a ring records what a transcript does
+    /// less its digests (pinned by `tests/flight_parity.rs`, overhead
+    /// measured by bench E16) — so [`EngineConfig::label`] and golden
+    /// fixtures ignore it.
     pub obs: ObsConfig,
 }
 

@@ -32,7 +32,6 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
 
 use crate::arena::{PayloadArena, PayloadRef};
-use crate::golden::{GoldenEvent, GoldenEventKind, Verdict};
 use crate::link::LinkConfig;
 use crate::stats::LinkStats;
 use crate::wheel::TimerWheel;
@@ -216,15 +215,6 @@ static TIMERS_CANCELLED: Counter = Counter::new("sim.timers_cancelled");
 static FRAME_BYTES: Histogram = Histogram::new("sim.frame_bytes");
 static FAULTS_INJECTED: Counter = Counter::new("fault.injected");
 
-/// Golden-trace capture state, boxed behind an `Option` so the hot path
-/// pays one predictable branch when recording is off (the default).
-#[derive(Debug, Default)]
-struct GoldenLog {
-    events: Vec<GoldenEvent>,
-    /// Index of the most recent `Delivered` event, pending annotation.
-    last_delivery: Option<usize>,
-}
-
 /// A deterministic discrete-event network simulator.
 ///
 /// See the [crate docs](crate) for an end-to-end example.
@@ -241,9 +231,9 @@ pub struct Simulator {
     /// [`Simulator::reset`].
     rng: ChaCha12Rng,
     tables: Tables,
-    golden: Option<Box<GoldenLog>>,
-    /// Flight recorder, boxed behind an `Option` like golden capture:
-    /// the hot path pays one branch when no recorder is installed.
+    /// The one event recorder — a ring, or a transcript that golden
+    /// traces are projected from — boxed behind an `Option`: the hot
+    /// path pays one branch when none is installed.
     flight: Option<Box<FlightRecorder>>,
     /// A recorder that [`Simulator::reset`] or [`Simulator::set_obs`]
     /// removed, kept so that the next one installed reuses its ring: a
@@ -283,7 +273,6 @@ impl Simulator {
             arena,
             rng: ChaCha12Rng::seed_from_u64(seed),
             tables,
-            golden: None,
             flight: None,
             spare_flight: None,
             faulted: false,
@@ -296,7 +285,7 @@ impl Simulator {
     /// Empties this simulator in place and reseeds it: afterwards it is
     /// observably identical to `Simulator::new(seed)` — clock, event
     /// sequence, queue, arena, nodes, links, pending cancels, fault
-    /// state, golden log and flight recorder all start over — while its
+    /// state and flight recorder all start over — while its
     /// structures keep their capacity. Outstanding [`PayloadRef`]s are
     /// invalidated.
     pub fn reset(&mut self, seed: u64) {
@@ -312,7 +301,6 @@ impl Simulator {
         self.queue.reset();
         self.arena.reset();
         self.tables.reset();
-        self.golden = None;
         self.park_flight();
         self.faulted = false;
         self.node_down.clear();
@@ -322,25 +310,19 @@ impl Simulator {
 
     /// Installs a scenario's observability request: turns the
     /// process-wide metric registry on when asked (enabling is sticky —
-    /// see [`ObsConfig::metrics`]) and installs or removes the flight
-    /// recorder. Telemetry never changes behaviour: transcripts, RNG
-    /// draws and results are identical with or without it (pinned by
-    /// the flight-parity suite; overhead measured by bench E16).
+    /// see [`ObsConfig::metrics`]) and installs the flight recorder it
+    /// selects, or none. Telemetry never changes behaviour: RNG draws
+    /// and results are identical with or without it, and a ring records
+    /// what a transcript does less its digests (pinned by
+    /// `tests/flight_parity.rs`; overhead measured by bench E16).
     pub fn set_obs(&mut self, cfg: ObsConfig) {
         if cfg.metrics {
             netdsl_obs::set_metrics_enabled(true);
         }
         self.park_flight();
-        if cfg.flight {
-            let recorder = match self.spare_flight.take() {
-                Some(mut recorder) => {
-                    recorder.reset(cfg.flight_cap());
-                    recorder
-                }
-                None => Box::new(FlightRecorder::new(cfg.flight_cap())),
-            };
-            self.flight = Some(recorder);
-        }
+        self.flight = cfg
+            .flight
+            .map(|mode| FlightRecorder::for_mode(mode, self.spare_flight.take()));
     }
 
     /// Uninstalls the flight recorder, keeping it as the spare.
@@ -376,43 +358,29 @@ impl Simulator {
         }
     }
 
-    /// Switches golden-trace capture on or off (off by default, so the
-    /// zero-allocation hot path is untouched in normal runs). While on,
-    /// every frame event is logged with its full wire bytes; deliveries
-    /// can then be annotated with a verdict and endpoint digest via
-    /// [`Simulator::annotate_delivery`]. See [`crate::golden`].
-    pub fn record_golden(&mut self, on: bool) {
-        self.golden = on.then(Box::default);
+    /// Records a [`FlightKind::Digest`] of `node`'s endpoint, which has
+    /// just handled the latest delivery. `digest` runs only under a
+    /// transcript recorder, so the call costs one branch otherwise.
+    pub fn flight_digest(&mut self, node: NodeId, digest: impl FnOnce() -> u64) {
+        if self.flight.as_ref().is_some_and(|f| f.is_transcript()) {
+            self.flight_record(FlightKind::Digest, node.index() as u64, digest());
+        }
     }
 
-    /// Attaches the validation verdict and endpoint state digest that
-    /// `annotation` computes to the most recently delivered frame. Call
-    /// between a [`Simulator::step_ref`] that returned a frame and the
-    /// next step. `annotation` runs only when golden capture is on and
-    /// that delivery is still unannotated.
-    pub fn annotate_delivery(&mut self, annotation: impl FnOnce() -> (Verdict, u64)) {
-        let Some(golden) = &mut self.golden else {
-            return;
-        };
-        let Some(idx) = golden.last_delivery.take() else {
-            return;
-        };
-        let (verdict, digest) = annotation();
-        let ev = &mut golden.events[idx];
-        debug_assert_eq!(ev.kind, GoldenEventKind::Delivered);
-        ev.verdict = Some(verdict);
-        ev.digest = Some(digest);
-    }
-
-    /// Takes the captured golden events, leaving capture enabled with an
-    /// empty log.
-    pub fn take_golden_events(&mut self) -> Vec<GoldenEvent> {
-        match &mut self.golden {
-            Some(golden) => {
-                golden.last_delivery = None;
-                std::mem::take(&mut golden.events)
-            }
-            None => Vec::new(),
+    /// Records a `Send` or `Deliver` of the payload behind `frame`,
+    /// whose length is the event's detail (a transcript also keeps its
+    /// bytes).
+    #[inline]
+    fn flight_frame(&mut self, kind: FlightKind, link: LinkId, frame: &PayloadRef) {
+        if let Some(f) = &mut self.flight {
+            let wire = self.arena.get(frame);
+            let event = FlightEvent {
+                at: self.time,
+                kind,
+                subject: link.index() as u64,
+                detail: wire.len() as u64,
+            };
+            f.record_frame(event, wire);
         }
     }
 
@@ -565,22 +533,6 @@ impl Simulator {
         self.queue.push(at, seq, what);
     }
 
-    /// Appends one golden event (capture must be on) and returns its
-    /// index in the log.
-    fn push_golden(&mut self, kind: GoldenEventKind, link: LinkId, bytes: Vec<u8>) -> usize {
-        let at = self.time;
-        let golden = self.golden.as_mut().expect("golden capture enabled");
-        golden.events.push(GoldenEvent {
-            at,
-            kind,
-            link: link.index(),
-            bytes,
-            verdict: None,
-            digest: None,
-        });
-        golden.events.len() - 1
-    }
-
     /// Transmits `payload` over `link`, applying the link's
     /// impairments. Compatibility wrapper over [`Simulator::send_ref`]:
     /// adopts the buffer into the arena without copying.
@@ -615,19 +567,12 @@ impl Simulator {
         self.tables.links[link.0].stats.sent += 1;
         FRAMES_SENT.incr();
         FRAME_BYTES.observe(len as u64);
-        self.flight_record(FlightKind::Send, link.index() as u64, len as u64);
-        if self.golden.is_some() {
-            let wire = self.arena.get(&payload).to_vec();
-            self.push_golden(GoldenEventKind::Sent, link, wire);
-        }
+        self.flight_frame(FlightKind::Send, link, &payload);
 
         if self.rng.random_bool(loss) {
             self.tables.links[link.0].stats.lost += 1;
             FRAMES_DROPPED.incr();
             self.flight_record(FlightKind::Drop, link.index() as u64, 0);
-            if self.golden.is_some() {
-                self.push_golden(GoldenEventKind::Lost, link, Vec::new());
-            }
             self.arena.release(payload);
             return false;
         }
@@ -669,9 +614,6 @@ impl Simulator {
             self.tables.links[link.0].stats.corrupted += 1;
             FRAMES_CORRUPTED.incr();
             self.flight_record(FlightKind::Corrupt, link.index() as u64, 0);
-            if self.golden.is_some() {
-                self.push_golden(GoldenEventKind::Corrupted, link, Vec::new());
-            }
         }
         let extra = if jitter > 0 {
             self.rng.random_range(0..=jitter)
@@ -818,14 +760,11 @@ impl Simulator {
 
     /// Loss bookkeeping for a frame killed by a node crash — mirrors
     /// the loss path of [`Simulator::send_ref`] (stats, metrics,
-    /// flight, golden) and releases the payload.
+    /// flight) and releases the payload.
     fn note_crash_drop(&mut self, link: LinkId, payload: PayloadRef) {
         self.tables.links[link.0].stats.lost += 1;
         FRAMES_DROPPED.incr();
         self.flight_record(FlightKind::Drop, link.index() as u64, 0);
-        if self.golden.is_some() {
-            self.push_golden(GoldenEventKind::Lost, link, Vec::new());
-        }
         self.arena.release(payload);
     }
 
@@ -852,15 +791,9 @@ impl Simulator {
                         self.note_crash_drop(link, payload);
                         continue;
                     }
-                    let len = self.arena.get(&payload).len();
                     self.tables.links[link.0].stats.delivered += 1;
                     FRAMES_DELIVERED.incr();
-                    self.flight_record(FlightKind::Deliver, link.index() as u64, len as u64);
-                    if self.golden.is_some() {
-                        let wire = self.arena.get(&payload).to_vec();
-                        let idx = self.push_golden(GoldenEventKind::Delivered, link, wire);
-                        self.golden.as_mut().unwrap().last_delivery = Some(idx);
-                    }
+                    self.flight_frame(FlightKind::Deliver, link, &payload);
                     return Some(EventRef::Frame {
                         node: to,
                         link,
@@ -1248,31 +1181,42 @@ mod tests {
         assert_eq!(stats.payloads, 100);
     }
 
+    const TRANSCRIPT: ObsConfig = ObsConfig {
+        metrics: false,
+        flight: Some(netdsl_obs::FlightMode::Transcript),
+    };
+
     #[test]
     fn golden_capture_logs_wire_bytes_and_annotations() {
-        use crate::golden::{GoldenEventKind, Verdict};
+        // Golden capture is a transcript recorder: it keeps the wire
+        // bytes of sends and deliveries and takes the endpoint's digest.
         let mut sim = Simulator::new(0);
         let a = sim.add_node();
         let b = sim.add_node();
         let ab = sim.add_link(a, b, LinkConfig::reliable(2));
-        sim.record_golden(true);
+        sim.set_obs(TRANSCRIPT);
         sim.send(ab, vec![7, 8, 9]);
         let ev = sim.step_ref().unwrap();
         let EventRef::Frame { payload, .. } = ev else {
             panic!("expected a frame");
         };
         sim.release_payload(payload);
-        sim.annotate_delivery(|| (Verdict::Valid, 0x1234));
-        let events = sim.take_golden_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, GoldenEventKind::Sent);
-        assert_eq!(events[0].bytes, vec![7, 8, 9]);
-        assert_eq!(events[0].verdict, None);
-        assert_eq!(events[1].kind, GoldenEventKind::Delivered);
-        assert_eq!(events[1].at, 2);
-        assert_eq!(events[1].verdict, Some(Verdict::Valid));
-        assert_eq!(events[1].digest, Some(0x1234));
-        assert!(sim.take_golden_events().is_empty(), "log was drained");
+        sim.flight_digest(b, || 0x1234);
+        let rec = sim.take_flight().expect("recorder installed");
+        let events: Vec<_> = rec
+            .events
+            .iter()
+            .map(|e| (e.at, e.kind, e.subject, e.detail))
+            .collect();
+        assert_eq!(
+            events,
+            [
+                (0, FlightKind::Send, ab.index() as u64, 3),
+                (2, FlightKind::Deliver, ab.index() as u64, 3),
+                (2, FlightKind::Digest, b.index() as u64, 0x1234),
+            ]
+        );
+        assert_eq!(rec.wire, [7, 8, 9, 7, 8, 9], "sent, then delivered");
     }
 
     #[test]
@@ -1324,18 +1268,27 @@ mod tests {
         let plain = run(ObsConfig::off());
         assert_eq!(plain, run(ObsConfig::off().with_flight()));
         assert_eq!(plain, run(ObsConfig::off().with_flight_capacity(4)));
+        assert_eq!(plain, run(TRANSCRIPT));
     }
 
     #[test]
     fn golden_capture_off_records_nothing_and_annotation_is_inert() {
-        let mut sim = Simulator::new(0);
-        let a = sim.add_node();
-        let b = sim.add_node();
-        let ab = sim.add_link(a, b, LinkConfig::reliable(1));
-        sim.send(ab, vec![1]);
-        sim.step();
-        sim.annotate_delivery(|| unreachable!("capture is off"));
-        assert!(sim.take_golden_events().is_empty());
+        // Without a transcript recorder no digest is computed, and a
+        // ring keeps no wire bytes.
+        for obs in [ObsConfig::off(), ObsConfig::off().with_flight()] {
+            let mut sim = Simulator::new(0);
+            sim.set_obs(obs);
+            let a = sim.add_node();
+            let b = sim.add_node();
+            let ab = sim.add_link(a, b, LinkConfig::reliable(1));
+            sim.send(ab, vec![1]);
+            sim.step();
+            sim.flight_digest(b, || unreachable!("capture is off"));
+            if let Some(rec) = sim.take_flight() {
+                assert_eq!(rec.events.len(), 2);
+                assert!(rec.wire.is_empty());
+            }
+        }
     }
 
     /// Runs a lossy unidirectional workload and logs `(at, payload)` of
@@ -1424,11 +1377,11 @@ mod tests {
 
     /// A dirty owner: a node crashed and restarted (its crash watermark
     /// stays), a skewed clock, frames and timers still queued, a lazy
-    /// cancel pending, golden capture and a flight recorder on.
+    /// cancel pending, a transcript recorder on and a ring as spare.
     fn dirty_simulator() -> Simulator {
         let mut sim = Simulator::new(3);
-        sim.record_golden(true);
         sim.set_obs(ObsConfig::off().with_flight());
+        sim.set_obs(TRANSCRIPT);
         let a = sim.add_node();
         let b = sim.add_node();
         let (ab, ba) = sim.add_duplex(a, b, LinkConfig::harsh(5));
@@ -1459,7 +1412,6 @@ mod tests {
         assert_eq!(sim.node_count(), 0);
         assert_eq!(sim.total_stats(), LinkStats::default());
         assert!(sim.take_flight().is_none());
-        assert!(sim.take_golden_events().is_empty());
         assert!(sim.is_quiescent());
         assert_eq!(sim.now(), 0);
         assert_eq!(lossy_transcript(&mut sim), fresh, "reset leaks state");

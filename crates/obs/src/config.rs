@@ -3,13 +3,24 @@
 //! [`ObsConfig`] rides on `netdsl_netsim::scenario::EngineConfig` the
 //! way the engine axes do, but it is **not** a parity axis: turning
 //! telemetry on must never change a scenario's result or transcript
-//! (the E16 harness measures the overhead and the flight-parity suite
-//! pins the equivalence), so golden fixtures and `EngineConfig::label`
-//! ignore it.
+//! (the E16 harness measures the overhead, and `tests/flight_parity.rs`
+//! pins that a ring recording is the transcript recording less its
+//! digest events), so golden fixtures and `EngineConfig::label` ignore
+//! it.
 
-/// Flight-recorder ring capacity used when a scenario enables the
-/// recorder without choosing one.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
+/// Ring capacity of [`ObsConfig::with_flight`].
+pub const DEFAULT_FLIGHT_CAPACITY: u32 = 4096;
+
+/// Which flight recorder a scenario's simulator carries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FlightMode {
+    /// A ring keeping the newest `n` events, evicting the oldest.
+    Ring(u32),
+    /// Every event, never evicted, plus the wire bytes of every send
+    /// and delivery and one `Digest` event per delivery an endpoint has
+    /// handled: the recording a golden transcript is projected from.
+    Transcript,
+}
 
 /// What a scenario asks the engine to observe.
 ///
@@ -25,10 +36,9 @@ pub struct ObsConfig {
     /// nature, and concurrent scenarios without the flag must not turn
     /// it back off mid-run.
     pub metrics: bool,
-    /// Install a flight recorder on the scenario's simulator.
-    pub flight: bool,
-    /// Flight ring capacity; 0 selects [`DEFAULT_FLIGHT_CAPACITY`].
-    pub flight_capacity: u32,
+    /// The flight recorder to install on the scenario's simulator, if
+    /// any.
+    pub flight: Option<FlightMode>,
 }
 
 impl ObsConfig {
@@ -45,35 +55,19 @@ impl ObsConfig {
         self
     }
 
-    /// Installs a flight recorder at the default capacity (builder
+    /// Installs a ring of [`DEFAULT_FLIGHT_CAPACITY`] events (builder
     /// style).
     #[must_use]
-    pub fn with_flight(mut self) -> Self {
-        self.flight = true;
-        self
+    pub fn with_flight(self) -> Self {
+        self.with_flight_capacity(DEFAULT_FLIGHT_CAPACITY)
     }
 
-    /// Installs a flight recorder with an explicit ring capacity
-    /// (builder style; implies [`ObsConfig::with_flight`]).
+    /// Installs a ring of `capacity` events (builder style; 0 keeps
+    /// only the count).
     #[must_use]
     pub fn with_flight_capacity(mut self, capacity: u32) -> Self {
-        self.flight = true;
-        self.flight_capacity = capacity;
+        self.flight = Some(FlightMode::Ring(capacity));
         self
-    }
-
-    /// `true` if anything is enabled.
-    pub fn enabled(&self) -> bool {
-        self.metrics || self.flight
-    }
-
-    /// The effective flight ring capacity.
-    pub fn flight_cap(&self) -> usize {
-        if self.flight_capacity == 0 {
-            DEFAULT_FLIGHT_CAPACITY
-        } else {
-            self.flight_capacity as usize
-        }
     }
 }
 
@@ -84,18 +78,18 @@ mod tests {
     #[test]
     fn default_is_off() {
         let cfg = ObsConfig::default();
-        assert!(!cfg.enabled());
+        assert!(!cfg.metrics && cfg.flight.is_none());
         assert_eq!(cfg, ObsConfig::off());
     }
 
     #[test]
     fn builders_compose() {
         let cfg = ObsConfig::off().with_metrics().with_flight_capacity(64);
-        assert!(cfg.metrics && cfg.flight);
-        assert_eq!(cfg.flight_cap(), 64);
+        assert!(cfg.metrics);
+        assert_eq!(cfg.flight, Some(FlightMode::Ring(64)));
         assert_eq!(
-            ObsConfig::off().with_flight().flight_cap(),
-            DEFAULT_FLIGHT_CAPACITY
+            ObsConfig::off().with_flight().flight,
+            Some(FlightMode::Ring(DEFAULT_FLIGHT_CAPACITY))
         );
     }
 }

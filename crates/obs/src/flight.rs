@@ -1,33 +1,33 @@
-//! The flight recorder: a bounded, preallocated ring of tick-stamped
-//! structured events.
+//! The flight recorder: the simulator's one per-event trace, a stream
+//! of tick-stamped structured events, in one of two [`FlightMode`]s.
 //!
-//! A [`FlightRecorder`] answers "what was the engine doing just now"
-//! without unbounded memory: the ring is allocated once at install time
-//! and recording overwrites the oldest entry past capacity, counting
-//! what it evicted. It is the simulator's only per-event trace: frame
-//! totals live in the link counters and the `sim.*` metrics. Events are
-//! [`Copy`] and carry no heap data — recording a [`FlightEvent`] is a
-//! couple of stores, so a recorder on the simulator hot path does not
-//! disturb the `alloc_zero` invariant; with no recorder installed the
-//! hot path pays one branch on an `Option`.
+//! * A **ring** answers "what was the engine doing just now" without
+//!   unbounded memory: allocated once at install time, it overwrites
+//!   the oldest entry past capacity, counting what it evicted. Events
+//!   are [`Copy`] with no heap data, so recording is a couple of stores
+//!   and a ring keeps the `alloc_zero` invariant.
+//! * A **transcript** evicts nothing, keeps the wire bytes of every
+//!   `Send` and `Deliver` (each event's `detail` is their length), and
+//!   takes one [`FlightKind::Digest`] per delivery an endpoint handled.
+//!   A golden transcript (`netdsl_netsim::golden`) is its projection.
 //!
-//! A finished ring converts into a [`FlightRecording`] — the
-//! serializable dump (`netdsl-flight/1`) that `tools/obs_report`
-//! renders and the flight-parity suite replays against the golden
-//! corpus.
+//! With no recorder installed the hot path pays one branch on an
+//! `Option`. A finished recorder converts into a [`FlightRecording`] —
+//! the serializable dump (`netdsl-flight/1`) `tools/obs_report` renders.
 
 use std::fmt;
 
 use serde::json::Value;
+
+use crate::config::FlightMode;
 
 /// Schema identifier embedded in every serialized recording.
 pub const FLIGHT_SCHEMA: &str = "netdsl-flight/1";
 
 /// What one flight-recorder entry describes.
 ///
-/// The frame kinds (`Send`/`Deliver`/`Drop`/`Corrupt`) are recorded at
-/// the exact hook points golden capture uses, so their subsequence
-/// matches a fixture's golden event sequence one-for-one.
+/// The frame kinds (`Send`/`Deliver`/`Drop`/`Corrupt`) are the events a
+/// golden transcript keeps, in recording order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum FlightKind {
     /// A frame was handed to a link (`subject` = link, `detail` =
@@ -60,6 +60,10 @@ pub enum FlightKind {
     /// link index, `detail` = fault-action discriminant: 1 link
     /// reconfiguration, 2 crash, 3 restart, 4 clock skew).
     Fault,
+    /// The endpoint that has just handled the latest `Deliver` digested
+    /// its observable state (`subject` = node, `detail` = FNV digest).
+    /// Transcripts only.
+    Digest,
 }
 
 impl FlightKind {
@@ -77,11 +81,12 @@ impl FlightKind {
             FlightKind::Retransmit => "retransmit",
             FlightKind::CodecReject => "codec_reject",
             FlightKind::Fault => "fault",
+            FlightKind::Digest => "digest",
         }
     }
 
     /// Every kind, in serialization order (for report tables).
-    pub const ALL: [FlightKind; 11] = [
+    pub const ALL: [FlightKind; 12] = [
         FlightKind::Send,
         FlightKind::Deliver,
         FlightKind::Drop,
@@ -93,6 +98,7 @@ impl FlightKind {
         FlightKind::Retransmit,
         FlightKind::CodecReject,
         FlightKind::Fault,
+        FlightKind::Digest,
     ];
 
     fn from_str(s: &str) -> Option<Self> {
@@ -150,8 +156,9 @@ impl FlightEvent {
     }
 }
 
-/// The bounded ring itself. Created at an explicit capacity (the whole
-/// allocation happens here), recording is overwrite-past-capacity.
+/// The recorder itself. A ring is created at an explicit capacity (the
+/// whole allocation happens here) and overwrites past it; a transcript
+/// grows and keeps wire bytes.
 #[derive(Debug, Clone)]
 pub struct FlightRecorder {
     cap: usize,
@@ -159,10 +166,13 @@ pub struct FlightRecorder {
     /// Oldest entry once the ring has wrapped.
     head: usize,
     recorded: u64,
+    /// A transcript's wire bytes of every `Send` and `Deliver`, in
+    /// recording order; `None` for a ring.
+    wire: Option<Vec<u8>>,
 }
 
 impl FlightRecorder {
-    /// A recorder holding at most `capacity` events (0 keeps only the
+    /// A ring holding at most `capacity` events (0 keeps only the
     /// recorded count — every event is evicted immediately).
     #[must_use]
     pub fn new(capacity: usize) -> Self {
@@ -171,17 +181,41 @@ impl FlightRecorder {
             ring: Vec::with_capacity(capacity),
             head: 0,
             recorded: 0,
+            wire: None,
         }
     }
 
-    /// Empties the recorder for reuse at `capacity`, keeping the ring's
-    /// allocation: afterwards it behaves as `FlightRecorder::new(capacity)`.
+    /// The recorder `mode` asks for. A ring reuses `spare`'s
+    /// allocation when there is one.
+    #[must_use]
+    pub fn for_mode(mode: FlightMode, spare: Option<Box<Self>>) -> Box<Self> {
+        let mut recorder = spare.unwrap_or_else(|| Box::new(FlightRecorder::new(0)));
+        match mode {
+            FlightMode::Ring(capacity) => recorder.reset(capacity as usize),
+            FlightMode::Transcript => {
+                recorder.reset(0);
+                recorder.cap = usize::MAX;
+                recorder.wire = Some(Vec::new());
+            }
+        }
+        recorder
+    }
+
+    /// Empties the recorder for reuse as a ring of `capacity`, keeping
+    /// its allocation: afterwards it behaves as
+    /// `FlightRecorder::new(capacity)`.
     pub fn reset(&mut self, capacity: usize) {
         self.ring.clear();
         self.ring.reserve(capacity);
         self.cap = capacity;
         self.head = 0;
         self.recorded = 0;
+        self.wire = None;
+    }
+
+    /// `true` for a transcript recorder.
+    pub fn is_transcript(&self) -> bool {
+        self.wire.is_some()
     }
 
     /// Records one event, evicting the oldest past capacity.
@@ -195,54 +229,39 @@ impl FlightRecorder {
         }
     }
 
-    /// Events currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.ring.len()
+    /// Records a `Send` or `Deliver` of `wire` (its length is the
+    /// event's `detail`); a transcript also keeps the bytes.
+    pub fn record_frame(&mut self, event: FlightEvent, wire: &[u8]) {
+        if let Some(kept) = &mut self.wire {
+            kept.extend_from_slice(wire);
+        }
+        self.record(event);
     }
 
-    /// `true` if nothing was ever recorded or everything was evicted.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Total events ever recorded (retained + evicted).
-    pub fn recorded(&self) -> u64 {
-        self.recorded
-    }
-
-    /// Events evicted past capacity.
-    pub fn dropped(&self) -> u64 {
-        self.recorded - self.ring.len() as u64
-    }
-
-    /// The retained events in recording order (oldest first).
-    pub fn events(&self) -> Vec<FlightEvent> {
-        let mut out = Vec::with_capacity(self.ring.len());
-        out.extend_from_slice(&self.ring[self.head..]);
-        out.extend_from_slice(&self.ring[..self.head]);
-        out
-    }
-
-    /// Converts into the serializable dump.
+    /// Converts into the serializable dump: the retained events oldest
+    /// first. A transcript's capacity is the number of events it
+    /// recorded, all of them retained.
     #[must_use]
-    pub fn into_recording(self) -> FlightRecording {
+    pub fn into_recording(mut self) -> FlightRecording {
+        self.ring.rotate_left(self.head);
+        let held = self.ring.len() as u64;
         FlightRecording {
-            capacity: self.cap as u64,
+            capacity: self
+                .wire
+                .as_ref()
+                .map_or(self.cap as u64, |_| self.recorded),
             recorded: self.recorded,
-            dropped: self.dropped(),
-            events: self.events(),
+            dropped: self.recorded - held,
+            events: self.ring,
+            wire: self.wire.unwrap_or_default(),
         }
     }
 }
 
 /// A finished recording: ring bookkeeping plus the retained events in
 /// order. Serializes to the `netdsl-flight/1` JSON form rendered by
-/// `tools/obs_report`.
+/// `tools/obs_report`; the form carries the events only, so a
+/// transcript's wire bytes reach disk through its golden projection.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlightRecording {
     /// Ring capacity the recorder ran with.
@@ -253,6 +272,10 @@ pub struct FlightRecording {
     pub dropped: u64,
     /// Retained events, oldest first.
     pub events: Vec<FlightEvent>,
+    /// A transcript's wire bytes: those of every `Send` and `Deliver`,
+    /// in event order, each as long as its event's `detail`. Empty for a
+    /// ring.
+    pub wire: Vec<u8>,
 }
 
 impl FlightRecording {
@@ -338,6 +361,7 @@ impl FlightRecording {
             recorded,
             dropped,
             events,
+            wire: Vec::new(),
         })
     }
 
@@ -371,10 +395,9 @@ mod tests {
         for at in 0..5 {
             r.record(ev(at, FlightKind::Send));
         }
-        assert_eq!(r.len(), 3);
-        assert_eq!(r.recorded(), 5);
-        assert_eq!(r.dropped(), 2);
-        let ats: Vec<u64> = r.events().iter().map(|e| e.at).collect();
+        let rec = r.into_recording();
+        assert_eq!((rec.events.len(), rec.recorded, rec.dropped), (3, 5, 2));
+        let ats: Vec<u64> = rec.events.iter().map(|e| e.at).collect();
         assert_eq!(ats, vec![2, 3, 4], "oldest first, newest retained");
     }
 
@@ -385,8 +408,9 @@ mod tests {
             r.record(ev(at, FlightKind::Send));
         }
         r.reset(2);
-        assert!(r.is_empty());
-        assert_eq!((r.capacity(), r.recorded()), (2, 0));
+        let empty = r.clone().into_recording();
+        assert!(empty.events.is_empty());
+        assert_eq!((empty.capacity, empty.recorded), (2, 0));
         for at in 10..13 {
             r.record(ev(at, FlightKind::Deliver));
         }
@@ -398,13 +422,36 @@ mod tests {
     }
 
     #[test]
+    fn a_transcript_keeps_every_event_and_the_frames_wire_bytes() {
+        let mut t = FlightRecorder::for_mode(FlightMode::Transcript, None);
+        let mut ring = FlightRecorder::for_mode(FlightMode::Ring(2), Some(t.clone()));
+        assert!(t.is_transcript() && !ring.is_transcript());
+        for (at, wire) in [(0, &[1u8, 2][..]), (1, &[3][..]), (2, &[4, 5, 6][..])] {
+            let send = FlightEvent {
+                detail: wire.len() as u64,
+                ..ev(at, FlightKind::Send)
+            };
+            t.record_frame(send, wire);
+            ring.record_frame(send, wire);
+        }
+        let rec = t.into_recording();
+        assert_eq!((rec.capacity, rec.recorded, rec.dropped), (3, 3, 0));
+        assert_eq!(rec.wire, [1, 2, 3, 4, 5, 6]);
+        let back = FlightRecording::from_json_str(&rec.to_json_string()).unwrap();
+        assert_eq!(back.events, rec.events, "the dump keeps the events");
+        let rec = ring.into_recording();
+        assert_eq!((rec.capacity, rec.dropped), (2, 1));
+        assert!(rec.wire.is_empty(), "a ring keeps no bytes");
+    }
+
+    #[test]
     fn zero_capacity_only_counts() {
         let mut r = FlightRecorder::new(0);
         r.record(ev(1, FlightKind::Drop));
         r.record(ev(2, FlightKind::Drop));
-        assert!(r.is_empty());
-        assert_eq!(r.recorded(), 2);
-        assert_eq!(r.dropped(), 2);
+        let rec = r.into_recording();
+        assert!(rec.events.is_empty());
+        assert_eq!((rec.recorded, rec.dropped), (2, 2));
     }
 
     #[test]
@@ -436,6 +483,7 @@ mod tests {
             recorded: 2,
             dropped: 0,
             events: vec![ev(7, FlightKind::Send), ev(5, FlightKind::Deliver)],
+            wire: Vec::new(),
         };
         assert!(FlightRecording::from_json_str(&out_of_order.to_json_string()).is_err());
     }

@@ -16,11 +16,13 @@
 //!   [`MetricsSnapshot`] merges every shard deterministically (sorted
 //!   by metric name, thread-count invariant) and serializes to
 //!   canonical JSON via the serde shim.
-//! * [`flight`] — a bounded, preallocated ring of tick-stamped
-//!   [`FlightEvent`]s (sends, deliveries, drops, timer traffic, ARQ
-//!   timeouts/retransmits, codec rejects, faults). Recording is
-//!   allocation-free; when no recorder is installed the hot path pays a
-//!   single branch. Enabled per scenario through [`ObsConfig`] on
+//! * [`flight`] — the one recorder of tick-stamped [`FlightEvent`]s
+//!   (sends, deliveries, drops, timer traffic, ARQ timeouts/retransmits,
+//!   codec rejects, faults): a bounded, preallocated ring whose
+//!   recording is allocation-free, or a transcript that keeps every
+//!   event and frame byte, from which golden transcripts are projected.
+//!   When no recorder is installed the hot path pays a single branch.
+//!   Selected per scenario through [`ObsConfig`] on
 //!   `netdsl_netsim::scenario::EngineConfig`.
 //! * [`progress`] — a [`ProgressSink`] fed by streaming campaigns
 //!   (chunks done, cells/s, reservoir occupancy, per-worker session
@@ -45,7 +47,7 @@ pub mod flight;
 pub mod metrics;
 pub mod progress;
 
-pub use config::{ObsConfig, DEFAULT_FLIGHT_CAPACITY};
+pub use config::{FlightMode, ObsConfig, DEFAULT_FLIGHT_CAPACITY};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder, FlightRecording, FLIGHT_SCHEMA};
 pub use metrics::{
     metrics_enabled, reset_all, set_metrics_enabled, snapshot, Counter, Gauge, Histogram,

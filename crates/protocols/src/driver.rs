@@ -6,9 +6,9 @@
 //! to the application. Two endpoints joined by a duplex link form a
 //! session ([`SessionEndpoints`]), and every session in this crate runs
 //! through **one** event loop, the crate-private pump: [`Duplex`] (one
-//! session of any two endpoints), the suite's solo driver and golden
-//! recorder, and the batch driver, which runs its sessions back to back
-//! on one reset simulator, all call it. A scenario's faults are events
+//! session of any two endpoints), the suite's solo driver, which is
+//! also the golden recorder's run, and the batch driver, which runs its
+//! sessions back to back on one reset simulator, all call it. A scenario's faults are events
 //! in the same queue as its frames and timers, so each lands on its
 //! scheduled tick (`docs/FAULTS.md` §2).
 //!
@@ -19,7 +19,7 @@
 use netdsl_netsim::scenario::{
     apply_fault, FaultNode, FaultPlan, FaultWorld, PlannedFault, Scenario, TrafficPattern,
 };
-use netdsl_netsim::{EventRef, LinkConfig, LinkId, NodeId, Simulator, Tick, TimerToken, Verdict};
+use netdsl_netsim::{EventRef, LinkConfig, LinkId, NodeId, Simulator, Tick, TimerToken};
 
 /// I/O capabilities handed to an endpoint during a callback.
 #[derive(Debug)]
@@ -83,21 +83,21 @@ impl Io<'_> {
         self.sink.deliver(payload);
     }
 
-    /// Attaches a validation verdict and endpoint state digest to the
-    /// frame currently being dispatched; `annotation` sees what the
-    /// session has delivered so far. It runs only while the simulator
-    /// has golden-trace capture on (see
-    /// [`Simulator::record_golden`](netdsl_netsim::Simulator::record_golden)
+    /// Records the state digest of this endpoint, which has just
+    /// handled the frame being dispatched; `digest` sees what the
+    /// session has delivered so far. It runs only under a transcript
+    /// recorder (see
+    /// [`Simulator::flight_digest`](netdsl_netsim::Simulator::flight_digest)
     /// and [`crate::golden`]), so the call costs one branch otherwise.
-    pub fn annotate_golden(&mut self, annotation: impl FnOnce(&Sink) -> (Verdict, u64)) {
+    pub fn record_digest(&mut self, digest: impl FnOnce(&Sink) -> u64) {
         let sink = &*self.sink;
-        self.sim.annotate_delivery(|| annotation(sink));
+        self.sim.flight_digest(self.node, || digest(sink));
     }
 
     /// Records a protocol-level flight event (ARQ timeout, retransmit,
     /// codec reject, …) with this endpoint's node as the subject. A
-    /// no-op unless the scenario installed a flight recorder
-    /// ([`netdsl_netsim::ObsConfig`]), so endpoints call it
+    /// no-op unless the scenario installed a flight recorder, ring or
+    /// transcript ([`netdsl_netsim::ObsConfig`]), so endpoints call it
     /// unconditionally.
     pub fn flight_event(&mut self, kind: netdsl_netsim::FlightKind, detail: u64) {
         self.sim.flight_protocol_event(kind, self.node, detail);

@@ -1,30 +1,34 @@
 //! Golden-trace recorder for the pairwise protocol suite, plus the
 //! committed fixture corpus.
 //!
-//! [`record`] runs a scenario exactly as
+//! [`record_flight`] runs a scenario exactly as
 //! [`SuiteDriver`](crate::scenario::SuiteDriver) does — the same
 //! [`suite_session`](crate::scenario::suite_session) endpoints through
-//! the same pump — with the simulator's golden capture on. Every suite
-//! endpoint is [`Observable`], so each delivery gets a frame-validation
-//! [`Verdict`] and an FNV digest of the receiving endpoint's observable
-//! state attached. The resulting [`GoldenTrace`] serializes
-//! deterministically and — because verdicts are computed with the
-//! reference interpreted codec and digests cover only
-//! engine-independent state — every supported `FramePath` × `FsmPath`
-//! combination of the same scenario must produce the
-//! **byte-identical** transcript (`tests/golden_parity.rs`).
-//! Unsupported combinations refuse loudly with the same
-//! [`ScenarioError::Unsupported`] the driver raises.
+//! the same pump — under a flight recorder of the caller's choice, and
+//! returns the recording. [`record`] is that run under a transcript
+//! recorder ([`FlightMode::Transcript`]), which keeps every frame's
+//! wire bytes and, since every suite endpoint is [`Observable`], an FNV
+//! digest of the receiving endpoint's observable state after each
+//! delivery. The [`GoldenTrace`] is the recording's projection
+//! ([`golden::project`]), each delivery's [`Verdict`] computed from
+//! its bytes by the protocol's reference validator (its interpreted
+//! codec). Because verdicts and digests cover only engine-independent
+//! state, every supported `FramePath` × `FsmPath` combination of the
+//! same scenario must produce the **byte-identical** transcript
+//! (`tests/golden_parity.rs`). Unsupported combinations refuse loudly
+//! with the same [`ScenarioError::Unsupported`] the driver raises.
 //!
 //! [`corpus`] defines the committed fixture set under `tests/golden/`
 //! (regenerated by the `tools/golden` binary; `--check` gates CI).
+//!
+//! [`Verdict`]: netdsl_netsim::Verdict
 
-use netdsl_netsim::golden::Digest;
+use netdsl_netsim::golden::{self, Digest};
 use netdsl_netsim::scenario::{
-    EngineConfig, ProtocolSpec, Scenario, ScenarioError, TrafficPattern,
+    EngineConfig, ProtocolSpec, Scenario, ScenarioError, ScenarioResult, TrafficPattern,
 };
 use netdsl_netsim::{
-    FlightRecording, GoldenResult, GoldenScenario, GoldenTrace, LinkConfig, Simulator, Verdict,
+    FlightMode, FlightRecording, GoldenResult, GoldenScenario, GoldenTrace, LinkConfig,
 };
 
 use crate::arq::compiled::FsmSender;
@@ -37,49 +41,25 @@ use crate::scenario::{run_alone, BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND
 use crate::sr::{SrReceiver, SrSender};
 use crate::window::WindowFrame;
 
-/// A suite endpoint as the golden recorder sees it at each delivery.
+/// A suite endpoint as the golden recorder sees it after each delivery.
 ///
-/// The validator sees only wire bytes and the digest only the
-/// endpoint's public observable state — nothing engine-specific, which
-/// is what lets one fixture be the oracle for every engine combination.
+/// The digest sees only the endpoint's public observable state —
+/// nothing engine-specific, which is what lets one fixture be the
+/// oracle for every engine combination.
 pub trait Observable: Endpoint {
-    /// Whether the reference interpreted codec accepts `frame`.
-    fn frame_ok(frame: &[u8]) -> bool;
-
     /// FNV digest of the endpoint's observable state; a receiver's
     /// covers what its session has `delivered`.
     fn digest(&self, delivered: &Sink) -> u64;
-
-    /// The annotation of a frame this endpoint has just handled: the
-    /// validator's verdict on it and the post-dispatch state digest.
-    fn annotation(&self, frame: &[u8], delivered: &Sink) -> (Verdict, u64) {
-        let verdict = if Self::frame_ok(frame) {
-            Verdict::Valid
-        } else {
-            Verdict::Corrupt
-        };
-        (verdict, self.digest(delivered))
-    }
 }
 
 // ---------------------------------------------------------------------
-// Frame validators (reference interpreted codec, so verdicts are
-// engine-independent by construction) and state digests. Senders fold
-// their counters and outcome flags; receivers additionally fold every
-// payload the session's sink has taken, so a single mis-delivered byte
-// anywhere in the run shifts all subsequent digests. The typestate and
-// compiled stop-and-wait senders fold the same fields in the same order
-// — their behavioural equivalence is what makes one fixture the oracle
-// for both.
+// State digests. Senders fold their counters and outcome flags;
+// receivers additionally fold every payload the session's sink has
+// taken, so a single mis-delivered byte anywhere in the run shifts all
+// subsequent digests. The typestate and compiled stop-and-wait senders
+// fold the same fields in the same order — their behavioural
+// equivalence is what makes one fixture the oracle for both.
 // ---------------------------------------------------------------------
-
-fn arq_frame_ok(frame: &[u8]) -> bool {
-    ArqFrame::decode(frame).is_ok()
-}
-
-fn window_frame_ok(frame: &[u8]) -> bool {
-    WindowFrame::decode(frame).is_ok()
-}
 
 fn fold_delivered(d: Digest, delivered: &Sink) -> Digest {
     delivered.fold(d.u64(delivered.len() as u64), |d, m| {
@@ -98,9 +78,6 @@ fn sender_digest(sent: u64, retransmitted: u64, delivered: u64, ok: bool, failed
 }
 
 impl Observable for SwSender {
-    fn frame_ok(frame: &[u8]) -> bool {
-        arq_frame_ok(frame)
-    }
     fn digest(&self, _: &Sink) -> u64 {
         let s = self.stats();
         sender_digest(
@@ -116,9 +93,6 @@ impl Observable for SwSender {
 }
 
 impl Observable for FsmSender {
-    fn frame_ok(frame: &[u8]) -> bool {
-        arq_frame_ok(frame)
-    }
     fn digest(&self, _: &Sink) -> u64 {
         let s = self.stats();
         sender_digest(
@@ -134,9 +108,6 @@ impl Observable for FsmSender {
 }
 
 impl Observable for SwReceiver {
-    fn frame_ok(frame: &[u8]) -> bool {
-        arq_frame_ok(frame)
-    }
     fn digest(&self, delivered: &Sink) -> u64 {
         let d = Digest::new().u64(self.rejected()).u64(self.acks_sent());
         fold_delivered(d, delivered).finish()
@@ -144,9 +115,6 @@ impl Observable for SwReceiver {
 }
 
 impl Observable for GbnSender {
-    fn frame_ok(frame: &[u8]) -> bool {
-        window_frame_ok(frame)
-    }
     fn digest(&self, _: &Sink) -> u64 {
         let s = self.stats();
         sender_digest(
@@ -161,18 +129,12 @@ impl Observable for GbnSender {
 }
 
 impl Observable for GbnReceiver {
-    fn frame_ok(frame: &[u8]) -> bool {
-        window_frame_ok(frame)
-    }
     fn digest(&self, delivered: &Sink) -> u64 {
         fold_delivered(Digest::new().u64(self.out_of_order()), delivered).finish()
     }
 }
 
 impl Observable for SrSender {
-    fn frame_ok(frame: &[u8]) -> bool {
-        window_frame_ok(frame)
-    }
     fn digest(&self, _: &Sink) -> u64 {
         let s = self.stats();
         sender_digest(
@@ -187,18 +149,12 @@ impl Observable for SrSender {
 }
 
 impl Observable for SrReceiver {
-    fn frame_ok(frame: &[u8]) -> bool {
-        window_frame_ok(frame)
-    }
     fn digest(&self, delivered: &Sink) -> u64 {
         fold_delivered(Digest::new().u64(self.buffered_count()), delivered).finish()
     }
 }
 
 impl Observable for CSender {
-    fn frame_ok(frame: &[u8]) -> bool {
-        baseline_frame_ok(frame)
-    }
     fn digest(&self, _: &Sink) -> u64 {
         // The baseline sender keeps no counters (that is its point) —
         // the digest covers what little it observably exposes.
@@ -210,64 +166,78 @@ impl Observable for CSender {
 }
 
 impl Observable for CReceiver {
-    fn frame_ok(frame: &[u8]) -> bool {
-        baseline_frame_ok(frame)
-    }
     fn digest(&self, delivered: &Sink) -> u64 {
         fold_delivered(Digest::new(), delivered).finish()
     }
 }
 
-fn baseline_frame_ok(frame: &[u8]) -> bool {
-    let (mut kind, mut seq, mut payload) = (0u8, 0u8, Vec::new());
-    baseline::parse_frame(frame, &mut kind, &mut seq, &mut payload) == baseline::E_OK
+/// The reference validator of a suite protocol's frames: whether its
+/// interpreted codec accepts them, so verdicts are engine-independent
+/// by construction.
+fn validator(protocol: &str) -> fn(&[u8]) -> bool {
+    match protocol {
+        STOP_AND_WAIT => |frame| ArqFrame::decode(frame).is_ok(),
+        GO_BACK_N | SELECTIVE_REPEAT => |frame| WindowFrame::decode(frame).is_ok(),
+        BASELINE => |frame| {
+            let (mut kind, mut seq, mut payload) = (0u8, 0u8, Vec::new());
+            baseline::parse_frame(frame, &mut kind, &mut seq, &mut payload) == baseline::E_OK
+        },
+        other => unreachable!("{other} is not a suite protocol"),
+    }
 }
 
 // ---------------------------------------------------------------------
 // Recording
 // ---------------------------------------------------------------------
 
-/// Runs the scenario alone with golden capture on and folds the
-/// transcript and result into a trace; the simulator comes back for
-/// whatever else it recorded.
-fn capture(scenario: &Scenario) -> Result<(GoldenTrace, Simulator), ScenarioError> {
-    let (result, mut sim) = run_alone(scenario, true)?;
-    let trace = GoldenTrace {
+/// Runs `scenario` alone, as
+/// [`SuiteDriver`](crate::scenario::SuiteDriver) does, under the flight
+/// recorder `flight` in place of the one its
+/// [`ObsConfig`](netdsl_netsim::ObsConfig) selects, and returns its
+/// result and recording. It refuses what the driver refuses
+/// (non-duplex topologies;
+/// [`FsmPath::Compiled`](netdsl_netsim::scenario::FsmPath) outside
+/// stop-and-wait).
+pub fn record_flight(
+    scenario: &Scenario,
+    flight: FlightMode,
+) -> Result<(ScenarioResult, FlightRecording), ScenarioError> {
+    let mut scenario = scenario.clone();
+    scenario.protocol.obs.flight = Some(flight);
+    let (result, mut sim) = run_alone(&scenario)?;
+    let recording = sim.take_flight().expect("the scenario installs a recorder");
+    Ok((result, recording))
+}
+
+/// Records the canonical transcript of one scenario: its
+/// [`record_flight`] run under a transcript recorder, projected by
+/// [`trace_of`], so a recorded trace describes precisely what the
+/// driver does.
+pub fn record(scenario: &Scenario) -> Result<GoldenTrace, ScenarioError> {
+    let (result, recording) = record_flight(scenario, FlightMode::Transcript)?;
+    Ok(trace_of(scenario, &result, &recording))
+}
+
+/// The golden trace of a suite scenario's run, from its result and its
+/// transcript recording: the recording's frame events
+/// ([`golden::project`]), each delivery judged by the protocol's
+/// reference validator.
+///
+/// # Panics
+///
+/// Panics if `scenario` names no suite protocol, or if `recording` was
+/// not made in transcript mode.
+pub fn trace_of(
+    scenario: &Scenario,
+    result: &ScenarioResult,
+    recording: &FlightRecording,
+) -> GoldenTrace {
+    GoldenTrace {
         name: scenario.name.clone(),
         scenario: GoldenScenario::from_scenario(scenario),
-        events: sim.take_golden_events(),
-        result: GoldenResult::from_result(&result),
-    };
-    Ok((trace, sim))
-}
-
-/// Records the canonical transcript of one scenario.
-///
-/// This is [`SuiteDriver`](crate::scenario::SuiteDriver)'s own run —
-/// same endpoints, same pump, same refusals (non-duplex topologies;
-/// [`FsmPath::Compiled`](netdsl_netsim::scenario::FsmPath) outside
-/// stop-and-wait) — with capture on, so a recorded trace describes
-/// precisely what the driver does.
-pub fn record(scenario: &Scenario) -> Result<GoldenTrace, ScenarioError> {
-    capture(scenario).map(|(trace, _)| trace)
-}
-
-/// [`record`] with a flight recorder riding along: the run also
-/// captures the [`FlightRecording`] of engine-level events. The golden
-/// transcript must be unaffected by the recorder (telemetry is not a
-/// parity axis), and the flight `Send`/`Deliver`/`Drop`/`Corrupt`
-/// subsequence must mirror the golden `Sent`/`Delivered`/`Lost`/
-/// `Corrupted` events one-for-one — `tests/flight_parity.rs` pins both.
-pub fn record_with_flight(
-    scenario: &Scenario,
-) -> Result<(GoldenTrace, FlightRecording), ScenarioError> {
-    let mut scenario = scenario.clone();
-    scenario.protocol.obs = scenario.protocol.obs.with_flight();
-    let (trace, mut sim) = capture(&scenario)?;
-    let flight = sim
-        .take_flight()
-        .expect("the scenario asks for a flight recorder");
-    Ok((trace, flight))
+        events: golden::project(recording, validator(&scenario.protocol.name)),
+        result: GoldenResult::from_result(result),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -442,6 +412,7 @@ mod tests {
     use super::*;
     use crate::scenario::SuiteDriver;
     use netdsl_netsim::scenario::{FsmPath, ScenarioDriver, TopologySpec};
+    use netdsl_netsim::Verdict;
 
     #[test]
     fn corpus_is_large_and_uniquely_named() {
@@ -519,8 +490,7 @@ mod tests {
         for scenario in corpus() {
             let trace = record(&scenario).unwrap();
             for ev in &trace.events {
-                use netdsl_netsim::GoldenEventKind;
-                if ev.kind == GoldenEventKind::Delivered {
+                if ev.kind == netdsl_netsim::FlightKind::Deliver {
                     assert!(ev.verdict.is_some(), "{}: unannotated delivery", trace.name);
                     assert!(ev.digest.is_some(), "{}: missing digest", trace.name);
                     assert!(

@@ -153,16 +153,13 @@ pub(crate) fn run_session(
 }
 
 /// Runs one suite scenario alone on a simulator of its own and returns
-/// its result and simulator. The solo driver runs it with `golden` off;
-/// the golden recorder runs it with capture on and takes the transcript
-/// from the simulator.
-pub(crate) fn run_alone(
-    scenario: &Scenario,
-    golden: bool,
-) -> Result<(ScenarioResult, Simulator), ScenarioError> {
+/// its result and simulator, which holds the flight recorder the
+/// scenario's [`ObsConfig`](netdsl_netsim::ObsConfig) selected: how the
+/// solo driver runs it, and the golden recorder under a transcript
+/// recorder.
+pub(crate) fn run_alone(scenario: &Scenario) -> Result<(ScenarioResult, Simulator), ScenarioError> {
     let ends = suite_session(scenario)?;
     let mut sim = Simulator::new(scenario.seed);
-    sim.record_golden(golden);
     let result = run_session(&mut sim, scenario, ends);
     Ok((result, sim))
 }
@@ -222,9 +219,9 @@ pub trait SuiteSession: SessionEndpoints {
 
 /// The one [`SuiteSession`] implementation: two suite endpoints plus a
 /// plain-function outcome extractor (monomorphic per endpoint pair, no
-/// captures). Every frame it hands over is annotated for the golden
-/// recorder through [`Io::annotate_golden`], which costs one branch
-/// when capture is off.
+/// captures). After every frame it hands over, the endpoint's state
+/// digest goes to a transcript recorder through [`Io::record_digest`],
+/// which costs one branch under any other recorder or none.
 pub struct Pair<A, B> {
     a: A,
     b: B,
@@ -248,12 +245,12 @@ impl<A: Observable, B: Observable> SessionEndpoints for Pair<A, B> {
     fn frame_a(&mut self, frame: &[u8], io: &mut Io<'_>) {
         self.a.on_frame(frame, io);
         let a = &self.a;
-        io.annotate_golden(|delivered| a.annotation(frame, delivered));
+        io.record_digest(|delivered| a.digest(delivered));
     }
     fn frame_b(&mut self, frame: &[u8], io: &mut Io<'_>) {
         self.b.on_frame(frame, io);
         let b = &self.b;
-        io.annotate_golden(|delivered| b.annotation(frame, delivered));
+        io.record_digest(|delivered| b.digest(delivered));
     }
     fn timer_a(&mut self, token: TimerToken, io: &mut Io<'_>) {
         self.a.on_timer(token, io);
@@ -370,7 +367,7 @@ impl ScenarioDriver for SuiteDriver {
     }
 
     fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, ScenarioError> {
-        run_alone(scenario, false).map(|(result, _)| result)
+        run_alone(scenario).map(|(result, _)| result)
     }
 }
 

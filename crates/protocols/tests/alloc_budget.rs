@@ -9,9 +9,10 @@
 //! * generating a session's traffic allocates one table, whatever the
 //!   message count;
 //! * a warm clean-link session of any windowed suite protocol, fixed or
-//!   adaptive, allocates as often for 5,000 messages as for 500, and a
-//!   selective-repeat receiver on an impaired link adds at most one
-//!   window of reorder buffers;
+//!   adaptive, with or without a ring flight recorder, allocates as
+//!   often for 5,000 messages as for 500, and a selective-repeat
+//!   receiver on an impaired link adds at most one window of reorder
+//!   buffers;
 //! * go-back-N's adaptive RTO bookkeeping allocates no more per
 //!   cumulative ACK than the fixed policy.
 
@@ -23,7 +24,7 @@ use netdsl_netsim::scenario::{
     EngineConfig, FramePath, ProtocolSpec, Scenario, ScenarioDriver, ScenarioError, ScenarioResult,
     TrafficPattern,
 };
-use netdsl_netsim::{LinkConfig, RetransmitPolicy};
+use netdsl_netsim::{LinkConfig, ObsConfig, RetransmitPolicy};
 use netdsl_protocols::arq::ArqFrame;
 use netdsl_protocols::codec::{arq_codec, window_codec};
 use netdsl_protocols::multiplex::MultiSessionDriver;
@@ -220,21 +221,28 @@ fn warm_sessions_allocate_the_same_for_any_message_count() {
         (SELECTIVE_REPEAT, 4),
         (SELECTIVE_REPEAT, 16),
     ] {
-        for policy in [RetransmitPolicy::Fixed, ADAPTIVE] {
-            let spec = ProtocolSpec::new(name)
-                .with_window(window)
-                .with_timeout(150)
-                .with_retransmit(policy);
-            let clean = LinkConfig::reliable(3);
-            let (few, _) =
-                session_allocations(&spec, clean.clone(), TrafficPattern::messages(500, 64));
-            let (many, _) = session_allocations(&spec, clean, TrafficPattern::messages(5_000, 64));
-            assert_eq!(
-                few,
-                many,
-                "{name} window {window} {}: {few} allocations for 500 messages, {many} for 5,000",
-                policy.as_str()
-            );
+        // A ring of 4,096 events wraps long before 5,000 messages, so a
+        // recorder that grew per event would show here.
+        for obs in [ObsConfig::off(), ObsConfig::off().with_flight()] {
+            for policy in [RetransmitPolicy::Fixed, ADAPTIVE] {
+                let spec = ProtocolSpec::new(name)
+                    .with_window(window)
+                    .with_timeout(150)
+                    .with_retransmit(policy)
+                    .with_obs(obs);
+                let clean = LinkConfig::reliable(3);
+                let (few, _) =
+                    session_allocations(&spec, clean.clone(), TrafficPattern::messages(500, 64));
+                let (many, _) =
+                    session_allocations(&spec, clean, TrafficPattern::messages(5_000, 64));
+                assert_eq!(
+                    few,
+                    many,
+                    "{name} window {window} {} {obs:?}: {few} allocations for 500 messages, \
+                     {many} for 5,000",
+                    policy.as_str()
+                );
+            }
         }
     }
 }

@@ -13,9 +13,9 @@
 //! Run with: `cargo run --example observability`
 
 use netdsl::netsim::LinkConfig;
-use netdsl::netsim::ObsConfig;
-use netdsl::obs::{reset_all, snapshot, FlightKind};
-use netdsl::protocols::golden::record_with_flight;
+use netdsl::netsim::{FlightMode, ObsConfig};
+use netdsl::obs::{reset_all, snapshot, FlightKind, DEFAULT_FLIGHT_CAPACITY};
+use netdsl::protocols::golden::record_flight;
 use netdsl::protocols::scenario::{SuiteDriver, STOP_AND_WAIT};
 use netdsl::scenario::{
     Fault, FaultDirection, FaultNode, ProtocolSpec, Scenario, ScenarioDriver, TrafficPattern,
@@ -97,7 +97,8 @@ fn main() {
 
     // The flight recorder: a bounded ring of tick-stamped engine and
     // protocol events, captured per simulator.
-    let (_, flight) = record_with_flight(&scenario(ObsConfig::off())).unwrap();
+    let ring = FlightMode::Ring(DEFAULT_FLIGHT_CAPACITY);
+    let (_, flight) = record_flight(&scenario(ObsConfig::off()), ring).unwrap();
     println!(
         "\nflight recording: {} events (capacity {}, dropped {}):",
         flight.events.len(),
@@ -127,7 +128,7 @@ fn main() {
 
     // Faults are queue events: each lands on the tick it was scheduled
     // for, before any frame or timer due on that tick.
-    let (_, faulted) = record_with_flight(&faulted_scenario()).unwrap();
+    let (_, faulted) = record_flight(&faulted_scenario(), ring).unwrap();
     println!("\nfault events of a crash/skew/restart/link-fault transfer:");
     for e in faulted
         .events

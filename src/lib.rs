@@ -142,10 +142,11 @@ pub use netdsl_netsim as netsim;
 
 /// Homegrown telemetry: a static metric registry (counters, gauges,
 /// log-bucketed histograms; zero steady-state allocation, deterministic
-/// cross-thread snapshots), a bounded flight recorder of structured
-/// engine events, and campaign progress sinks. Scenarios opt in via
+/// cross-thread snapshots), the flight recorder of structured engine
+/// events (a bounded ring, or the transcript golden traces are projected
+/// from), and campaign progress sinks. Scenarios opt in via
 /// [`netsim::ObsConfig`] — telemetry is **not** a parity axis and never
-/// changes a transcript. See `docs/OBSERVABILITY.md`.
+/// changes a result. See `docs/OBSERVABILITY.md`.
 ///
 /// ```
 /// use netdsl::obs::{set_metrics_enabled, snapshot, Counter};

@@ -7,9 +7,9 @@
 //! same run shows it.
 
 use netdsl::campaign::BatchDriver;
-use netdsl::netsim::{FlightKind, LinkConfig, Simulator};
+use netdsl::netsim::{FlightKind, FlightMode, LinkConfig, Simulator};
 use netdsl::protocols::arq;
-use netdsl::protocols::golden::record_with_flight;
+use netdsl::protocols::golden::record_flight;
 use netdsl::protocols::multiplex::MultiSessionDriver;
 use netdsl::protocols::scenario::{SuiteDriver, BASELINE, STOP_AND_WAIT};
 use netdsl::scenario::{
@@ -98,7 +98,7 @@ fn crash_and_restart_one_tick_apart_kill_the_frame_in_flight() {
     assert!(r.success, "the restarted receiver completes: {r:?}");
     assert_eq!(r.link.lost, 1, "the frame in flight died with the crash");
     assert_eq!(r.retransmissions, 1);
-    let (_, flight) = record_with_flight(&scenario).unwrap();
+    let (_, flight) = record_flight(&scenario, FlightMode::Transcript).unwrap();
     let story: Vec<(u64, FlightKind)> = flight
         .events
         .iter()

@@ -29,8 +29,9 @@ use std::path::PathBuf;
 use proptest::prelude::*;
 
 use netdsl::campaign::{BatchDriver, Campaign, StreamOptions, Sweep};
-use netdsl::netsim::{FlightKind, GoldenTrace, LinkConfig};
-use netdsl::protocols::golden::{corpus, record, record_with_flight, with_combo};
+use netdsl::netsim::{FlightKind, FlightMode, GoldenTrace, LinkConfig};
+use netdsl::obs::DEFAULT_FLIGHT_CAPACITY;
+use netdsl::protocols::golden::{corpus, record, record_flight, with_combo};
 use netdsl::protocols::multiplex::MultiSessionDriver;
 use netdsl::protocols::scenario::{BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
 use netdsl::scenario::{
@@ -148,7 +149,8 @@ fn every_fixture_fault_lands_on_its_scheduled_tick() {
                 FaultAction::ClockSkew { .. } => vec![(planned.at, 4)],
             })
             .collect();
-        let (_, flight) = record_with_flight(&scenario).unwrap();
+        let (_, flight) =
+            record_flight(&scenario, FlightMode::Ring(DEFAULT_FLIGHT_CAPACITY)).unwrap();
         assert_eq!(
             flight.dropped, 0,
             "{}: flight ring overflowed",

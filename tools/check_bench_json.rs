@@ -80,30 +80,44 @@ fn parse_metric_floor(spec: &str) -> Result<MetricFloor, String> {
     })
 }
 
+/// What validating one artifact found.
+struct Validated {
+    /// The report, whenever the text parsed: the artifact is present
+    /// even if it fails a check.
+    report: Option<BenchReport>,
+    /// Human-readable confirmations of the gates it passed.
+    confirmations: Vec<String>,
+    /// Everything wrong with it.
+    problems: Vec<String>,
+}
+
 /// Validates one artifact's text end to end: schema parse, filename/id
-/// agreement, non-emptiness, and any matching metric floors. Returns the parsed report plus human-readable gate
-/// confirmations on success, or everything wrong with it.
-fn validate_artifact(
-    name: &str,
-    text: &str,
-    floors: &[MetricFloor],
-) -> Result<(BenchReport, Vec<String>), Vec<String>> {
+/// agreement, non-emptiness, and any matching metric floors.
+fn validate_artifact(name: &str, text: &str, floors: &[MetricFloor]) -> Validated {
+    let mut v = Validated {
+        report: None,
+        confirmations: Vec::new(),
+        problems: Vec::new(),
+    };
     let report = match BenchReport::from_json_str(text) {
         Ok(report) => report,
-        Err(e) => return Err(vec![format!("{name}: {e}")]),
+        Err(e) => {
+            v.problems.push(format!("{name}: {e}"));
+            return v;
+        }
     };
-    let mut problems: Vec<String> = Vec::new();
-    let mut confirmations: Vec<String> = Vec::new();
     if format!("BENCH_{}.json", report.id) != name {
-        problems.push(format!(
+        v.problems.push(format!(
             "{name}: id {:?} does not match file name",
             report.id
         ));
     }
     if report.metrics.is_empty() {
-        problems.push(format!("{name}: report carries no metrics"));
+        v.problems
+            .push(format!("{name}: report carries no metrics"));
     } else if report.metrics.iter().all(|m| m.samples.is_empty()) {
-        problems.push(format!("{name}: every metric is empty of samples"));
+        v.problems
+            .push(format!("{name}: every metric is empty of samples"));
     }
     for floor in floors.iter().filter(|f| f.id == report.id) {
         let means: Vec<f64> = report
@@ -113,7 +127,7 @@ fn validate_artifact(
             .map(|m| m.samples.iter().sum::<f64>() / m.samples.len() as f64)
             .collect();
         if means.is_empty() {
-            problems.push(format!(
+            v.problems.push(format!(
                 "{name}: gated metric {:?} is missing or empty",
                 floor.metric
             ));
@@ -121,12 +135,12 @@ fn validate_artifact(
             .iter()
             .find(|&&mean| !(mean.is_finite() && mean >= floor.min))
         {
-            problems.push(format!(
+            v.problems.push(format!(
                 "{name}: {} mean {low:.3} is below the required {:.3}",
                 floor.metric, floor.min
             ));
         } else {
-            confirmations.push(format!(
+            v.confirmations.push(format!(
                 "gate {name}: {} mean {:.3} ≥ {:.3}",
                 floor.metric,
                 means.iter().fold(f64::INFINITY, |a, &b| a.min(b)),
@@ -134,11 +148,54 @@ fn validate_artifact(
             ));
         }
     }
-    if problems.is_empty() {
-        Ok((report, confirmations))
-    } else {
-        Err(problems)
+    v.report = Some(report);
+    v
+}
+
+/// Checks a directory's artifacts, given as `(file name, text)`,
+/// against the schema, the `floors` and the `expected` ids. Returns the
+/// lines to print for what passed and every problem found. Each failure
+/// is reported once: an artifact that parsed is present, whatever check
+/// it fails.
+fn check(
+    artifacts: &[(String, String)],
+    expected: &[String],
+    floors: &[MetricFloor],
+) -> (Vec<String>, Vec<String>) {
+    let (mut lines, mut problems) = (Vec::new(), Vec::new());
+    let mut present: Vec<String> = Vec::new();
+    for (name, text) in artifacts {
+        let v = validate_artifact(name, text, floors);
+        let Some(report) = v.report else {
+            problems.extend(v.problems);
+            continue;
+        };
+        if v.problems.is_empty() {
+            lines.extend(v.confirmations);
+            let samples: usize = report.metrics.iter().map(|m| m.samples.len()).sum();
+            lines.push(format!(
+                "ok   {name}: {} mode, {} metrics, {samples} samples",
+                report.mode.as_str(),
+                report.metrics.len()
+            ));
+        }
+        problems.extend(v.problems);
+        present.push(report.id);
     }
+    for id in expected {
+        if !present.contains(id) {
+            problems.push(format!("expected artifact BENCH_{id}.json is missing"));
+        }
+    }
+    for floor in floors {
+        if !present.contains(&floor.id) && !expected.contains(&floor.id) {
+            problems.push(format!(
+                "gated artifact BENCH_{}.json was never validated",
+                floor.id
+            ));
+        }
+    }
+    (lines, problems)
 }
 
 fn main() -> ExitCode {
@@ -204,8 +261,6 @@ fn main() -> ExitCode {
     }
     let dir = dir.unwrap_or_else(|| PathBuf::from("bench-results"));
 
-    let mut problems: Vec<String> = Vec::new();
-    let mut seen: Vec<BenchReport> = Vec::new();
     let entries = match std::fs::read_dir(&dir) {
         Ok(entries) => entries,
         Err(e) => {
@@ -228,46 +283,20 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
 
+    let mut problems: Vec<String> = Vec::new();
+    let mut artifacts: Vec<(String, String)> = Vec::new();
     for path in &paths {
         let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("?");
-        let text = match std::fs::read_to_string(path) {
-            Ok(text) => text,
-            Err(e) => {
-                problems.push(format!("{name}: unreadable: {e}"));
-                continue;
-            }
-        };
-        match validate_artifact(name, &text, &floors) {
-            Ok((report, confirmations)) => {
-                for line in confirmations {
-                    println!("{line}");
-                }
-                let samples: usize = report.metrics.iter().map(|m| m.samples.len()).sum();
-                println!(
-                    "ok   {name}: {} mode, {} metrics, {samples} samples",
-                    report.mode.as_str(),
-                    report.metrics.len()
-                );
-                seen.push(report);
-            }
-            Err(mut found) => problems.append(&mut found),
+        match std::fs::read_to_string(path) {
+            Ok(text) => artifacts.push((name.to_string(), text)),
+            Err(e) => problems.push(format!("{name}: unreadable: {e}")),
         }
     }
-
-    for id in &expected {
-        if !seen.iter().any(|r| r.id == *id) {
-            problems.push(format!("expected artifact BENCH_{id}.json is missing"));
-        }
+    let (lines, found) = check(&artifacts, &expected, &floors);
+    for line in lines {
+        println!("{line}");
     }
-
-    for floor in &floors {
-        if !seen.iter().any(|r| r.id == floor.id) && !expected.contains(&floor.id) {
-            problems.push(format!(
-                "gated artifact BENCH_{}.json was never validated",
-                floor.id
-            ));
-        }
-    }
+    problems.extend(found);
 
     if problems.is_empty() {
         println!("all {} artifacts are schema-valid", paths.len());
@@ -326,21 +355,24 @@ mod tests {
 
     #[test]
     fn malformed_artifacts_are_rejected() {
-        assert!(validate_artifact("BENCH_x.json", "{ not json", &[]).is_err());
+        let v = validate_artifact("BENCH_x.json", "{ not json", &[]);
+        assert!(v.report.is_none() && !v.problems.is_empty());
         // Schema-invalid (truncated stats) text also fails.
         let text = fixture("x").to_json_string().replace("10.5", "99.5");
-        assert!(validate_artifact("BENCH_x.json", &text, &[]).is_err());
+        assert!(validate_artifact("BENCH_x.json", &text, &[])
+            .report
+            .is_none());
     }
 
     #[test]
     fn filename_id_mismatch_and_empty_reports_are_rejected() {
         let text = fixture("x").to_json_string();
-        let problems = validate_artifact("BENCH_y.json", &text, &[]).unwrap_err();
+        let problems = validate_artifact("BENCH_y.json", &text, &[]).problems;
         assert!(problems.iter().any(|p| p.contains("does not match")));
 
         let mut empty = fixture("x");
         empty.metrics.clear();
-        let problems = validate_artifact("BENCH_x.json", &empty.to_json_string(), &[]).unwrap_err();
+        let problems = validate_artifact("BENCH_x.json", &empty.to_json_string(), &[]).problems;
         assert!(problems.iter().any(|p| p.contains("no metrics")));
     }
 
@@ -348,13 +380,28 @@ mod tests {
     fn metric_floors_gate_means() {
         let text = fixture("x").to_json_string();
         let passing = parse_metric_floor("x:goodput:11").unwrap();
-        let (_, confirmations) = validate_artifact("BENCH_x.json", &text, &[passing]).unwrap();
-        assert_eq!(confirmations.len(), 1, "passing gate is confirmed");
+        let v = validate_artifact("BENCH_x.json", &text, &[passing]);
+        assert!(v.problems.is_empty());
+        assert_eq!(v.confirmations.len(), 1, "passing gate is confirmed");
         let failing = parse_metric_floor("x:goodput:12").unwrap();
-        let problems = validate_artifact("BENCH_x.json", &text, &[failing]).unwrap_err();
+        let problems = validate_artifact("BENCH_x.json", &text, &[failing]).problems;
         assert!(problems.iter().any(|p| p.contains("below the required")));
         let absent = parse_metric_floor("x:latency:1").unwrap();
-        let problems = validate_artifact("BENCH_x.json", &text, &[absent]).unwrap_err();
+        let problems = validate_artifact("BENCH_x.json", &text, &[absent]).problems;
         assert!(problems.iter().any(|p| p.contains("missing or empty")));
+    }
+
+    #[test]
+    fn an_expected_artifact_below_its_floor_is_reported_once() {
+        // Present and parsed, but under its floor: one problem, the
+        // floor's, and no claim that the file is missing.
+        let artifacts = [("BENCH_x.json".to_string(), fixture("x").to_json_string())];
+        let floors = [parse_metric_floor("x:goodput:12").unwrap()];
+        let (_, problems) = check(&artifacts, &["x".to_string()], &floors);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("below the required"), "{problems:?}");
+        let (lines, problems) = check(&artifacts, &["x".to_string(), "y".to_string()], &[]);
+        assert!(lines.iter().any(|l| l.starts_with("ok   BENCH_x.json")));
+        assert_eq!(problems, ["expected artifact BENCH_y.json is missing"]);
     }
 }
