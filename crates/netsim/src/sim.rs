@@ -26,6 +26,7 @@ use std::cell::RefCell;
 
 use netdsl_obs::{
     Counter, FlightEvent, FlightKind, FlightRecorder, FlightRecording, Histogram, ObsConfig,
+    DEFAULT_FLIGHT_CAPACITY,
 };
 use rand::Rng;
 use rand::SeedableRng;
@@ -177,14 +178,20 @@ enum Pending {
     },
 }
 
-/// What a simulator takes from and returns to [`CORE_POOL`].
-type PooledCore = (PayloadArena, TimerWheel<Pending>, Tables);
+/// What a simulator takes from and returns to [`CORE_POOL`]: its
+/// arena, wheel and tables, and its spare flight recorder.
+type PooledCore = (
+    PayloadArena,
+    TimerWheel<Pending>,
+    Tables,
+    Option<Box<FlightRecorder>>,
+);
 
 thread_local! {
-    /// Warm `(arena, wheel, tables)` cores recycled across the
-    /// simulators on this thread — how a campaign worker runs thousands
-    /// of scenarios without re-growing any of them. Capacities persist;
-    /// all contents are reset between owners.
+    /// Warm `(arena, wheel, tables, spare recorder)` cores recycled
+    /// across the simulators on this thread — how a campaign worker runs
+    /// thousands of scenarios without re-growing any of them. Capacities
+    /// persist; all contents are reset between owners.
     ///
     /// Checkout is a `pop` (exclusive ownership transfer), so any
     /// number of simulators alive on one thread at once — e.g. a
@@ -237,7 +244,8 @@ pub struct Simulator {
     flight: Option<Box<FlightRecorder>>,
     /// A recorder that [`Simulator::reset`] or [`Simulator::set_obs`]
     /// removed, kept so that the next one installed reuses its ring: a
-    /// batch that resets one simulator per session allocates it once.
+    /// batch that resets one simulator per session allocates it once,
+    /// and the core pool hands it to the next simulator on the thread.
     spare_flight: Option<Box<FlightRecorder>>,
     /// Fast-path flag for node-level fault state: `false` until the
     /// first crash or clock skew, so un-faulted runs pay exactly one
@@ -260,10 +268,11 @@ pub struct Simulator {
 
 impl Simulator {
     /// Creates a simulator whose randomness is fully determined by
-    /// `seed`. Its arena, wheel and node and link tables come from a
-    /// thread-local recycling pool, and go back to it, reset, on drop.
+    /// `seed`. Its arena, wheel, node and link tables and spare flight
+    /// recorder come from a thread-local recycling pool, and go back to
+    /// it, reset, on drop.
     pub fn new(seed: u64) -> Self {
-        let (arena, queue, tables) = CORE_POOL
+        let (arena, queue, tables, spare_flight) = CORE_POOL
             .with(|pool| pool.borrow_mut().pop())
             .unwrap_or_default();
         Simulator {
@@ -274,7 +283,7 @@ impl Simulator {
             rng: ChaCha12Rng::seed_from_u64(seed),
             tables,
             flight: None,
-            spare_flight: None,
+            spare_flight,
             faulted: false,
             node_down: Vec::new(),
             crash_floor: Vec::new(),
@@ -858,7 +867,14 @@ impl Drop for Simulator {
                 // leaves an empty wheel behind, not a fresh one.
                 let wheel = std::mem::replace(&mut self.queue, TimerWheel::empty());
                 let arena = std::mem::take(&mut self.arena);
-                pool.push((arena, wheel, std::mem::take(&mut self.tables)));
+                let tables = std::mem::take(&mut self.tables);
+                // A transcript that grew past a default ring is dropped,
+                // as oversized tables shrink back.
+                let spare = self
+                    .spare_flight
+                    .take()
+                    .filter(|r| r.allocated() <= DEFAULT_FLIGHT_CAPACITY as usize);
+                pool.push((arena, wheel, tables, spare));
             }
         });
     }
@@ -1439,6 +1455,39 @@ mod tests {
             pooled <= CORE_POOL_CAP,
             "pool holds {pooled} cores, cap is {CORE_POOL_CAP}"
         );
+    }
+
+    #[test]
+    fn the_core_pool_keeps_a_ring_empty_and_drops_a_grown_transcript() {
+        let ring = ObsConfig::off().with_flight();
+        let pooled_spare =
+            || CORE_POOL.with(|pool| pool.borrow().last().map(|core| core.3.is_some()));
+        let mut sim = Simulator::new(1);
+        sim.set_obs(ring);
+        assert!(!lossy_transcript(&mut sim).is_empty());
+        drop(sim);
+        assert_eq!(pooled_spare(), Some(true), "the ring is pooled");
+        let mut next = Simulator::new(1);
+        next.set_obs(ring);
+        let recording = next.take_flight().expect("a ring is installed");
+        assert_eq!(
+            (recording.recorded, recording.events.len()),
+            (0, 0),
+            "a pooled ring carries no events into its next owner"
+        );
+        drop(next);
+
+        let mut sim = Simulator::new(2);
+        sim.set_obs(TRANSCRIPT);
+        let a = sim.add_node();
+        let b = sim.add_node();
+        let ab = sim.add_link(a, b, LinkConfig::reliable(1));
+        for _ in 0..DEFAULT_FLIGHT_CAPACITY {
+            sim.send(ab, vec![0]);
+        }
+        while sim.step().is_some() {}
+        drop(sim);
+        assert_eq!(pooled_spare(), Some(false), "a grown transcript is dropped");
     }
 
     #[test]

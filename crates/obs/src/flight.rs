@@ -218,6 +218,12 @@ impl FlightRecorder {
         self.wire.is_some()
     }
 
+    /// Events the recorder's allocation holds: a ring's capacity, or as
+    /// many as a transcript grew to (what a pool of spares bounds).
+    pub fn allocated(&self) -> usize {
+        self.ring.capacity()
+    }
+
     /// Records one event, evicting the oldest past capacity.
     pub fn record(&mut self, event: FlightEvent) {
         self.recorded += 1;

@@ -16,8 +16,10 @@
 //! [`Io::deliver`] lands in the session's [`Sink`], which checks each
 //! payload as it arrives (`ChkPacket` at the application boundary).
 
+use std::cell::OnceCell;
+
 use netdsl_netsim::scenario::{
-    apply_fault, FaultNode, FaultPlan, FaultWorld, PlannedFault, Scenario, TrafficPattern,
+    apply_fault, FaultNode, FaultPlan, FaultWorld, Messages, PlannedFault, Scenario, TrafficPattern,
 };
 use netdsl_netsim::{EventRef, LinkConfig, LinkId, NodeId, Simulator, Tick, TimerToken};
 
@@ -114,6 +116,9 @@ impl Io<'_> {
 pub struct Sink {
     /// The traffic deliveries are checked against; `None` collects.
     expect: Option<TrafficPattern>,
+    /// `expect`'s offered messages, generated at the first
+    /// [`Sink::fold`] and kept for the session's later ones.
+    offered: OnceCell<Messages>,
     /// Leading deliveries, each the offered message at its position.
     matched: usize,
     /// Copies of every delivery after the matched ones.
@@ -167,10 +172,13 @@ impl Sink {
         &self.copies
     }
 
-    /// Folds `f` over every delivery, in order; a checking sink builds
-    /// its matched messages again for it (the golden digests' path).
+    /// Folds `f` over every delivery, in order; a checking sink reads
+    /// its matched messages from the offered table (the golden digests'
+    /// path).
     pub(crate) fn fold<T>(&self, init: T, f: impl FnMut(T, &[u8]) -> T) -> T {
-        let offered = self.expect.map(|t| t.generate());
+        let offered = self
+            .expect
+            .map(|t| self.offered.get_or_init(|| t.generate()));
         let matched = offered.iter().flat_map(|m| m.iter().take(self.matched));
         matched
             .chain(self.copies.iter().map(Vec::as_slice))

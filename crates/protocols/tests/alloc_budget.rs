@@ -4,8 +4,9 @@
 //!
 //! * a warm compiled encode of the suite wire formats allocates nothing;
 //! * one-message stop-and-wait sessions, run warm one at a time through
-//!   the solo driver or as one batch, stay within a pinned number of
-//!   allocations per session — the ones a session inherently owns;
+//!   the solo driver (with or without a ring flight recorder) or as one
+//!   batch, stay within a pinned number of allocations per session — the
+//!   ones a session inherently owns;
 //! * generating a session's traffic allocates one table, whatever the
 //!   message count;
 //! * a warm clean-link session of any windowed suite protocol, fixed or
@@ -13,6 +14,8 @@
 //!   often for 5,000 messages as for 500, and a selective-repeat
 //!   receiver on an impaired link adds at most one window of reorder
 //!   buffers;
+//! * a transcript session's receiver digests read the offered traffic
+//!   from one table per session, not one per delivery;
 //! * go-back-N's adaptive RTO bookkeeping allocates no more per
 //!   cumulative ACK than the fixed policy.
 
@@ -24,7 +27,7 @@ use netdsl_netsim::scenario::{
     EngineConfig, FramePath, ProtocolSpec, Scenario, ScenarioDriver, ScenarioError, ScenarioResult,
     TrafficPattern,
 };
-use netdsl_netsim::{LinkConfig, ObsConfig, RetransmitPolicy};
+use netdsl_netsim::{FlightMode, LinkConfig, ObsConfig, RetransmitPolicy};
 use netdsl_protocols::arq::ArqFrame;
 use netdsl_protocols::codec::{arq_codec, window_codec};
 use netdsl_protocols::multiplex::MultiSessionDriver;
@@ -121,14 +124,17 @@ fn warm_compiled_encode_allocates_nothing() {
 /// each delivery against the traffic without keeping it. Everything
 /// else — simulator tables, arena (including the buffer the receiver
 /// encodes its ACK into while the data frame is out for delivery),
-/// wheel, frame encoding and decoding — is recycled once warm; the
-/// batch's result vector adds well under one allocation per session.
+/// wheel, ring flight recorder, frame encoding and decoding — is
+/// recycled once warm; the batch's result vector adds well under one
+/// allocation per session.
 const ALLOCS_PER_SESSION: u64 = 2;
 
-/// 512 one-message stop-and-wait sessions on clean links.
-fn sessions() -> Vec<Scenario> {
+/// 512 one-message stop-and-wait sessions on clean links, observed as
+/// `obs` asks.
+fn sessions(obs: ObsConfig) -> Vec<Scenario> {
     let spec = ProtocolSpec::new(STOP_AND_WAIT).with_engine(EngineConfig {
         frame_path: FramePath::Compiled,
+        obs,
         ..EngineConfig::default()
     });
     (0..512)
@@ -157,7 +163,7 @@ fn assert_within_budget(path: &str, n: u64, sessions: usize) {
 
 #[test]
 fn warm_run_batch_stays_within_the_per_session_budget() {
-    let batch = sessions();
+    let batch = sessions(ObsConfig::off());
     let driver = MultiSessionDriver::new();
     check(driver.run_batch(&batch)); // warm-up: pools, codecs, scratch
     let mut results = Vec::new();
@@ -168,14 +174,18 @@ fn warm_run_batch_stays_within_the_per_session_budget() {
 
 #[test]
 fn warm_solo_runs_stay_within_the_per_session_budget() {
-    let batch = sessions();
-    let driver = SuiteDriver::new();
-    let run_all = || batch.iter().map(|s| driver.run(s)).collect::<Vec<_>>();
-    check(run_all()); // warm-up: the core pool, codecs, scratch
-    let mut results = Vec::with_capacity(batch.len());
-    let n = allocations_in(|| results.extend(batch.iter().map(|s| driver.run(s))));
-    check(results);
-    assert_within_budget("SuiteDriver::run", n, batch.len());
+    // The core pool hands a ring recorder on with the simulator's other
+    // structures, so a ring costs a warm solo session nothing.
+    for obs in [ObsConfig::off(), ObsConfig::off().with_flight()] {
+        let batch = sessions(obs);
+        let driver = SuiteDriver::new();
+        let run_all = || batch.iter().map(|s| driver.run(s)).collect::<Vec<_>>();
+        check(run_all()); // warm-up: the core pool, codecs, scratch
+        let mut results = Vec::with_capacity(batch.len());
+        let n = allocations_in(|| results.extend(batch.iter().map(|s| driver.run(s))));
+        check(results);
+        assert_within_budget(&format!("SuiteDriver::run under {obs:?}"), n, batch.len());
+    }
 }
 
 #[test]
@@ -245,6 +255,24 @@ fn warm_sessions_allocate_the_same_for_any_message_count() {
             }
         }
     }
+}
+
+#[test]
+fn a_transcript_session_generates_its_offered_traffic_once() {
+    // Each delivery's receiver digest folds over every message
+    // delivered so far. It reads them from one offered table per
+    // session: regenerating the table per digest cost one allocation
+    // per message. What remains is the transcript's own growth.
+    let spec = ProtocolSpec::new(STOP_AND_WAIT).with_obs(ObsConfig {
+        flight: Some(FlightMode::Transcript),
+        ..ObsConfig::off()
+    });
+    let traffic = TrafficPattern::messages(1_000, 64);
+    let (n, _) = session_allocations(&spec, LinkConfig::reliable(3), traffic);
+    assert!(
+        n < 64,
+        "a 1,000-message transcript session allocated {n} times"
+    );
 }
 
 #[test]

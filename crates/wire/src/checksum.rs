@@ -417,20 +417,18 @@ pub fn adler32(data: &[u8]) -> u32 {
     (b << 16) | a
 }
 
-/// The CRC-16/CCITT slicing tables (non-reflected, polynomial 0x1021),
-/// built at first use — shared by the one-shot [`crc16_ccitt`] and the
-/// streaming [`ChecksumEngine`]. `TABLES[k][v]` is the raw (zero-state)
-/// CRC of byte `v` followed by `k` zero bytes, which is what lets eight
-/// input bytes be processed per iteration: by linearity over GF(2) the
-/// running state folds into the first two bytes and the rest index
-/// independent tables (classic slicing-by-N). CRC-16 runs over every
-/// sliding-window frame, so this loop is a first-order term in campaign
-/// throughput (E11/E13); the bitwise reference
-/// ([`crc16_ccitt_bitwise`]) is kept and proptest-pinned equal.
-fn crc16_tables() -> &'static [[u16; 256]; 8] {
-    static TABLES: std::sync::OnceLock<[[u16; 256]; 8]> = std::sync::OnceLock::new();
+/// The sixteen CRC-16/CCITT slicing tables (non-reflected, polynomial
+/// 0x1021; 8 KiB), built at first use and read only by
+/// [`crc16_update`]. `TABLES[k][v]` is the raw (zero-state) CRC of
+/// byte `v` followed by `k` zero bytes, which is what lets sixteen
+/// input bytes be processed per step: by linearity over GF(2) the
+/// running state folds into the first two bytes and every byte indexes
+/// a table of its own (slicing-by-N; Kounavis and Berry, IEEE Trans.
+/// Computers 57(11), 2008).
+fn crc16_tables() -> &'static [[u16; 256]; 16] {
+    static TABLES: std::sync::OnceLock<[[u16; 256]; 16]> = std::sync::OnceLock::new();
     TABLES.get_or_init(|| {
-        let mut t = [[0u16; 256]; 8];
+        let mut t = [[0u16; 256]; 16];
         for (v, entry) in t[0].iter_mut().enumerate() {
             let mut crc = (v as u16) << 8;
             for _ in 0..8 {
@@ -442,7 +440,7 @@ fn crc16_tables() -> &'static [[u16; 256]; 8] {
             }
             *entry = crc;
         }
-        for k in 1..8 {
+        for k in 1..16 {
             let (done, rest) = t.split_at_mut(k);
             for (v, entry) in rest[0].iter_mut().enumerate() {
                 let prev = done[k - 1][v];
@@ -453,28 +451,57 @@ fn crc16_tables() -> &'static [[u16; 256]; 8] {
     })
 }
 
-/// One slicing step over up to 8 bytes plus the byte-at-a-time tail.
+/// The one CRC-16/CCITT kernel: advances the raw state `crc` over
+/// `data`. [`crc16_ccitt`] and the streaming [`ChecksumEngine`] (and
+/// through it both codec paths) call it. Slicing-by-16: each step
+/// reads sixteen bytes and XORs one lookup per byte.
+///
+/// The order of those XORs is the speed. Fourteen lookups do not depend
+/// on `crc`; they are combined first, in a balanced tree that overlaps
+/// with the previous step. The two that do (bytes 0 and 1, which the
+/// state folds into) are XORed last, so the chain from one step's `crc`
+/// to the next is one table load and two XORs. Folding the state
+/// lookups in first instead puts every lookup on that chain, and the
+/// wider slice then buys little.
+///
+/// The last `n < 16` bytes take one step of the same shape at width
+/// `n` (tables `n - 1` down to 0), or the byte step when `n` is 1, so a
+/// 15-byte frame costs one step rather than fifteen dependent ones.
+/// The bitwise reference ([`crc16_ccitt_bitwise`]) is the test oracle.
 fn crc16_update(mut crc: u16, data: &[u8]) -> u16 {
     let t = crc16_tables();
-    let mut chunks = data.chunks_exact(8);
+    let mut chunks = data.chunks_exact(16);
     for c in &mut chunks {
-        crc = t[7][usize::from(c[0] ^ (crc >> 8) as u8)]
-            ^ t[6][usize::from(c[1] ^ (crc & 0xFF) as u8)]
-            ^ t[5][usize::from(c[2])]
-            ^ t[4][usize::from(c[3])]
-            ^ t[3][usize::from(c[4])]
-            ^ t[2][usize::from(c[5])]
-            ^ t[1][usize::from(c[6])]
-            ^ t[0][usize::from(c[7])];
+        let b = |i: usize| usize::from(c[i]);
+        let free = ((t[13][b(2)] ^ t[12][b(3)]) ^ (t[11][b(4)] ^ t[10][b(5)]))
+            ^ ((t[9][b(6)] ^ t[8][b(7)]) ^ (t[7][b(8)] ^ t[6][b(9)]))
+            ^ (((t[5][b(10)] ^ t[4][b(11)]) ^ (t[3][b(12)] ^ t[2][b(13)]))
+                ^ (t[1][b(14)] ^ t[0][b(15)]));
+        crc = free
+            ^ t[15][usize::from(c[0] ^ (crc >> 8) as u8)]
+            ^ t[14][usize::from(c[1] ^ crc as u8)];
     }
-    for &byte in chunks.remainder() {
-        crc = (crc << 8) ^ t[0][usize::from((crc >> 8) as u8 ^ byte)];
+    match chunks.remainder() {
+        [] => {}
+        [byte] => crc = (crc << 8) ^ t[0][usize::from((crc >> 8) as u8 ^ byte)],
+        [c0, c1, rest @ ..] => {
+            let n = rest.len();
+            let mut free = 0;
+            for (i, &byte) in rest.iter().enumerate() {
+                free ^= t[n - 1 - i][usize::from(byte)];
+            }
+            crc = free
+                ^ t[n + 1][usize::from(c0 ^ (crc >> 8) as u8)]
+                ^ t[n][usize::from(c1 ^ crc as u8)];
+        }
     }
     crc
 }
 
 /// CRC-16/CCITT-FALSE: polynomial 0x1021, initial value 0xFFFF, no
-/// reflection, no final XOR. Table-driven (slicing-by-8).
+/// reflection, no final XOR. Table-driven, slicing-by-16 with the
+/// running-state lookups XORed last; [`ChecksumEngine`] runs the same
+/// kernel.
 pub fn crc16_ccitt(data: &[u8]) -> u16 {
     crc16_update(0xFFFF, data)
 }
@@ -720,6 +747,48 @@ mod tests {
                 kind.compute(b""),
                 "{kind:?} empty"
             );
+        }
+    }
+
+    /// Pins the CRC-16 kernel on one fixed pseudo-random buffer at every
+    /// length up to 96 bytes (every remainder width, up to six 16-byte
+    /// steps) and at the window frame sizes the benchmark's workloads
+    /// send: 7 (an ACK), 15, 23, 71 and 1,407 bytes.
+    #[test]
+    fn crc16_kernel_matches_bitwise_at_every_length_and_split() {
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let buf: Vec<u8> = (0..1407)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 32) as u8
+            })
+            .collect();
+        let kind = ChecksumKind::Crc16Ccitt;
+        for len in (0..=96).chain([7, 15, 23, 71, 1407]) {
+            let frame = &buf[..len];
+            let expected = crc16_ccitt_bitwise(frame);
+            assert_eq!(crc16_ccitt(frame), expected, "one-shot, {len} bytes");
+            if len >= 7 {
+                // The compiled decoder's shape: the CRC field, bytes
+                // 5..7 of a window frame, fed as zeros.
+                let mut e = ChecksumEngine::new(kind);
+                e.update(&frame[..5]);
+                e.update_zeros(2);
+                e.update(&frame[7..]);
+                let mut zeroed = frame.to_vec();
+                zeroed[5..7].fill(0);
+                let want = u64::from(crc16_ccitt_bitwise(&zeroed));
+                assert_eq!(e.finish(), want, "field zeroed, {len} bytes");
+            }
+            for cut in 0..=32.min(len) {
+                let mut e = ChecksumEngine::new(kind);
+                e.update(&frame[..cut]);
+                e.update(&frame[cut..]);
+                let want = u64::from(expected);
+                assert_eq!(e.finish(), want, "split at {cut}, {len} bytes");
+            }
         }
     }
 
