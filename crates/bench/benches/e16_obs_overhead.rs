@@ -1,18 +1,20 @@
 //! E16 — the cost of watching: instrumentation overhead, measured.
 //!
 //! The observability layer (`netdsl-obs`, `docs/OBSERVABILITY.md`)
-//! promises to be ignorable: metric sites self-gate on one relaxed
-//! atomic load, the flight recorder is one branch when absent, and a
-//! scenario that asks for telemetry must get the **same results** —
-//! telemetry is not a parity axis. This harness pins the price of the
-//! enabled path on the most instrumented workload we have, the batched
-//! session campaign of E15:
+//! promises to be ignorable: the simulator counts frames, timers and
+//! faults in plain fields and hands them to the metric registry once,
+//! when it drops; protocol counters self-gate on one relaxed atomic
+//! load; the flight recorder is one branch when absent; and a run with
+//! telemetry must get the **same results** — telemetry is not a parity
+//! axis. This harness pins the price of the enabled path on the most
+//! instrumented workload we have, the batched session campaign of E15:
 //!
 //! * **disabled arm** — the metric switch off, no flight recorder: the
 //!   exact configuration every other E-harness measures;
-//! * **enabled arm** — the metric registry on *and* a flight recorder
-//!   installed for every session: every engine counter, histogram and
-//!   ring write live.
+//! * **enabled arm** — the metric registry on (`set_metrics_enabled`)
+//!   *and* a flight recorder installed for every session: every
+//!   protocol counter, one publish per batch simulator and every ring
+//!   write live.
 //!
 //! Arms interleave within each rep so scheduler and thermal drift hit
 //! both alike, and the enabled arm's per-cell results are asserted
@@ -75,14 +77,14 @@ fn campaign() -> Campaign {
         .seeds(Sweep::seeds(SESSIONS / 8))
 }
 
-/// The grid with full telemetry requested per scenario: metric registry
-/// on, a flight recorder installed for every session.
+/// The grid with a flight recorder installed for every session; the
+/// enabled arm also turns the metric registry on around it.
 fn instrumented(scenarios: &[Scenario]) -> Vec<Scenario> {
     scenarios
         .iter()
         .map(|s| {
             let mut s = s.clone();
-            s.protocol.obs = ObsConfig::off().with_metrics().with_flight();
+            s.protocol.obs = ObsConfig::off().with_flight();
             s
         })
         .collect()
@@ -111,12 +113,11 @@ fn main() {
     let mux = MultiSessionDriver::new();
 
     // Equivalence first: telemetry must not change a single result.
-    // (Installing a scenario with `metrics: true` flips the sticky
-    // global switch, so the check runs instrumented-last and the
-    // switch is forced back off before the timed arms.)
     for (batch, obs_batch) in plain.chunks(CHUNK).zip(wired.chunks(CHUNK)) {
         let bare = mux.run_batch(batch);
+        netdsl_obs::set_metrics_enabled(true);
         let observed = mux.run_batch(obs_batch);
+        netdsl_obs::set_metrics_enabled(false);
         for ((b, o), scenario) in bare.iter().zip(&observed).zip(batch) {
             assert_eq!(b, o, "telemetry changed the result of {}", scenario.name);
         }
@@ -130,8 +131,8 @@ fn main() {
     let mut enabled_rates = Vec::with_capacity(reps);
     let mut ratios = Vec::with_capacity(reps);
     for _ in 0..reps {
-        netdsl_obs::set_metrics_enabled(false);
         let off = rate(&mux, &plain);
+        netdsl_obs::set_metrics_enabled(true);
         let on = rate(&mux, &wired);
         netdsl_obs::set_metrics_enabled(false);
         disabled_rates.push(off);
@@ -141,10 +142,9 @@ fn main() {
 
     // The enabled arm must actually have counted something, or the
     // ratio above measured nothing.
-    netdsl_obs::set_metrics_enabled(true);
-    let snap = netdsl_obs::snapshot();
-    netdsl_obs::set_metrics_enabled(false);
-    let frames = snap.counter("sim.frames_sent").unwrap_or(0);
+    let frames = netdsl_obs::snapshot()
+        .counter("sim.frames_sent")
+        .unwrap_or(0);
     assert!(frames > 0, "enabled arm recorded no frames");
 
     println!(
@@ -186,8 +186,9 @@ fn main() {
         );
     }
 
-    println!("\nexpected shape: overhead_ratio ≈ 1 — metric sites are one relaxed load when");
-    println!("disabled and a sharded atomic add when enabled; the flight ring is one branch");
+    println!("\nexpected shape: overhead_ratio ≈ 1 — the simulator counts in plain fields and");
+    println!("publishes once per simulator (once per batch here), a protocol counter is one");
+    println!("sharded atomic add per timeout or reject, and the flight ring is one branch");
     println!("plus a fixed-size slot write (docs/OBSERVABILITY.md).");
 
     out.write();

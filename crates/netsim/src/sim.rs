@@ -25,7 +25,7 @@
 use std::cell::RefCell;
 
 use netdsl_obs::{
-    Counter, FlightEvent, FlightKind, FlightRecorder, FlightRecording, Histogram, ObsConfig,
+    Counter, FlightEvent, FlightKind, FlightRecorder, FlightRecording, Histogram, ObsConfig, Tally,
     DEFAULT_FLIGHT_CAPACITY,
 };
 use rand::Rng;
@@ -208,10 +208,10 @@ thread_local! {
 /// simulators (nested helper simulations) still recycles all of them.
 const CORE_POOL_CAP: usize = 8;
 
-/// Engine metrics (`netdsl-obs`). The statics are inert until
-/// [`netdsl_obs::set_metrics_enabled`] turns the registry on — each
-/// update is then one thread-sharded relaxed add, so the hot path stays
-/// allocation-free (pinned by `tests/alloc_zero.rs`).
+/// Engine metrics (`netdsl-obs`). No frame or timer path touches them:
+/// a simulator counts into its links' [`LinkStats`] and its [`Counts`],
+/// and adds the totals here once, when it drops while
+/// [`netdsl_obs::set_metrics_enabled`] has the registry on.
 static FRAMES_SENT: Counter = Counter::new("sim.frames_sent");
 static FRAMES_DELIVERED: Counter = Counter::new("sim.frames_delivered");
 static FRAMES_DROPPED: Counter = Counter::new("sim.frames_dropped");
@@ -221,6 +221,46 @@ static TIMERS_FIRED: Counter = Counter::new("sim.timers_fired");
 static TIMERS_CANCELLED: Counter = Counter::new("sim.timers_cancelled");
 static FRAME_BYTES: Histogram = Histogram::new("sim.frame_bytes");
 static FAULTS_INJECTED: Counter = Counter::new("fault.injected");
+
+/// What a simulator counts for the metric registry beside its links'
+/// [`LinkStats`], as plain fields.
+#[derive(Debug, Default)]
+struct Counts {
+    /// Link counts of the sessions [`Simulator::reset`] has closed.
+    closed: LinkStats,
+    timers_set: u64,
+    timers_fired: u64,
+    timers_cancelled: u64,
+    faults_injected: u64,
+    /// Sizes of the frames sent.
+    frame_bytes: Tally,
+}
+
+impl Counts {
+    /// Adds these counts, with the open session's link counts `open`, to
+    /// the registry. Zeros are skipped, so a metric that no session
+    /// touched stays absent from snapshots.
+    fn publish(&self, open: LinkStats) {
+        let links = self.closed.merge(open);
+        for (counter, n) in [
+            (&FRAMES_SENT, links.sent),
+            (&FRAMES_DELIVERED, links.delivered),
+            (&FRAMES_DROPPED, links.lost),
+            (&FRAMES_CORRUPTED, links.corrupted),
+            (&TIMERS_SET, self.timers_set),
+            (&TIMERS_FIRED, self.timers_fired),
+            (&TIMERS_CANCELLED, self.timers_cancelled),
+            (&FAULTS_INJECTED, self.faults_injected),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
+        if self.frame_bytes.count() > 0 {
+            FRAME_BYTES.add(&self.frame_bytes);
+        }
+    }
+}
 
 /// A deterministic discrete-event network simulator.
 ///
@@ -264,6 +304,7 @@ pub struct Simulator {
     /// `node_skew[n]`: `(numer, denom)` tick-rate multiplier applied to
     /// node `n`'s timer delays at set time (`(1, 1)` = no skew).
     node_skew: Vec<(u32, u32)>,
+    counts: Counts,
 }
 
 impl Simulator {
@@ -288,6 +329,7 @@ impl Simulator {
             node_down: Vec::new(),
             crash_floor: Vec::new(),
             node_skew: Vec::new(),
+            counts: Counts::default(),
         }
     }
 
@@ -296,8 +338,10 @@ impl Simulator {
     /// sequence, queue, arena, nodes, links, pending cancels, fault
     /// state and flight recorder all start over — while its
     /// structures keep their capacity. Outstanding [`PayloadRef`]s are
-    /// invalidated.
+    /// invalidated. Only the counts this simulator publishes to the
+    /// metric registry when it drops carry over.
     pub fn reset(&mut self, seed: u64) {
+        self.counts.closed = self.counts.closed.merge(self.total_stats());
         self.clear();
         self.rng = ChaCha12Rng::seed_from_u64(seed);
     }
@@ -317,17 +361,15 @@ impl Simulator {
         self.node_skew.clear();
     }
 
-    /// Installs a scenario's observability request: turns the
-    /// process-wide metric registry on when asked (enabling is sticky —
-    /// see [`ObsConfig::metrics`]) and installs the flight recorder it
-    /// selects, or none. Telemetry never changes behaviour: RNG draws
-    /// and results are identical with or without it, and a ring records
-    /// what a transcript does less its digests (pinned by
-    /// `tests/flight_parity.rs`; overhead measured by bench E16).
+    /// Installs the flight recorder a scenario's [`ObsConfig`] selects,
+    /// or none. The metric registry is not per scenario:
+    /// [`netdsl_obs::set_metrics_enabled`] turns it on, and the
+    /// simulator publishes its counts when it drops. Telemetry never
+    /// changes behaviour: RNG draws and results are identical with or
+    /// without it, and a ring records what a transcript does less its
+    /// digests (pinned by `tests/flight_parity.rs`; overhead measured
+    /// by bench E16).
     pub fn set_obs(&mut self, cfg: ObsConfig) {
-        if cfg.metrics {
-            netdsl_obs::set_metrics_enabled(true);
-        }
         self.park_flight();
         self.flight = cfg
             .flight
@@ -574,13 +616,11 @@ impl Simulator {
         };
         let len = self.arena.get(&payload).len();
         self.tables.links[link.0].stats.sent += 1;
-        FRAMES_SENT.incr();
-        FRAME_BYTES.observe(len as u64);
+        self.counts.frame_bytes.record(len as u64);
         self.flight_frame(FlightKind::Send, link, &payload);
 
         if self.rng.random_bool(loss) {
             self.tables.links[link.0].stats.lost += 1;
-            FRAMES_DROPPED.incr();
             self.flight_record(FlightKind::Drop, link.index() as u64, 0);
             self.arena.release(payload);
             return false;
@@ -621,7 +661,6 @@ impl Simulator {
             frame = self.arena.make_unique(frame);
             self.arena.get_mut(&frame)[byte] ^= 1 << bit;
             self.tables.links[link.0].stats.corrupted += 1;
-            FRAMES_CORRUPTED.incr();
             self.flight_record(FlightKind::Corrupt, link.index() as u64, 0);
         }
         let extra = if jitter > 0 {
@@ -654,7 +693,7 @@ impl Simulator {
             delay
         };
         let at = self.time + delay;
-        TIMERS_SET.incr();
+        self.counts.timers_set += 1;
         self.flight_record(FlightKind::TimerSet, node.index() as u64, token);
         self.push(at, Pending::Timer { node, token });
     }
@@ -681,7 +720,7 @@ impl Simulator {
             cancels.resize_with(ix + 1, Vec::new);
         }
         cancels[ix].push(token);
-        TIMERS_CANCELLED.incr();
+        self.counts.timers_cancelled += 1;
         self.flight_record(FlightKind::TimerCancel, ix as u64, token);
     }
 
@@ -749,13 +788,14 @@ impl Simulator {
         self.faulted = true;
     }
 
-    /// Records one fault application in the observability layer: bumps
-    /// the `fault.injected` counter and logs a [`FlightKind::Fault`]
-    /// event (`subject` = node or link index, `detail` = fault-kind
+    /// Records one fault application in the observability layer: counts
+    /// it toward `fault.injected`, which the registry hears when the
+    /// simulator drops, and logs a [`FlightKind::Fault`] event
+    /// (`subject` = node or link index, `detail` = fault-kind
     /// discriminant). Called by [`crate::scenario::apply_fault`] so
     /// every driver reports faults identically.
     pub fn note_fault(&mut self, subject: u64, detail: u64) {
-        FAULTS_INJECTED.incr();
+        self.counts.faults_injected += 1;
         self.flight_record(FlightKind::Fault, subject, detail);
     }
 
@@ -768,11 +808,10 @@ impl Simulator {
     }
 
     /// Loss bookkeeping for a frame killed by a node crash — mirrors
-    /// the loss path of [`Simulator::send_ref`] (stats, metrics,
-    /// flight) and releases the payload.
+    /// the loss path of [`Simulator::send_ref`] (stats and flight) and
+    /// releases the payload.
     fn note_crash_drop(&mut self, link: LinkId, payload: PayloadRef) {
         self.tables.links[link.0].stats.lost += 1;
-        FRAMES_DROPPED.incr();
         self.flight_record(FlightKind::Drop, link.index() as u64, 0);
         self.arena.release(payload);
     }
@@ -801,7 +840,6 @@ impl Simulator {
                         continue;
                     }
                     self.tables.links[link.0].stats.delivered += 1;
-                    FRAMES_DELIVERED.incr();
                     self.flight_frame(FlightKind::Deliver, link, &payload);
                     return Some(EventRef::Frame {
                         node: to,
@@ -820,7 +858,7 @@ impl Simulator {
                     if self.faulted && self.event_is_dead(node, seq) {
                         continue;
                     }
-                    TIMERS_FIRED.incr();
+                    self.counts.timers_fired += 1;
                     self.flight_record(FlightKind::TimerFire, node.index() as u64, token);
                     return Some(EventRef::Timer { node, token });
                 }
@@ -859,6 +897,9 @@ impl Simulator {
 
 impl Drop for Simulator {
     fn drop(&mut self) {
+        if netdsl_obs::metrics_enabled() {
+            self.counts.publish(self.total_stats());
+        }
         CORE_POOL.with(|pool| {
             let mut pool = pool.borrow_mut();
             if pool.len() < CORE_POOL_CAP {
@@ -1198,7 +1239,6 @@ mod tests {
     }
 
     const TRANSCRIPT: ObsConfig = ObsConfig {
-        metrics: false,
         flight: Some(netdsl_obs::FlightMode::Transcript),
     };
 

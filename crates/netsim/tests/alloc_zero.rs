@@ -154,35 +154,77 @@ fn frame_hot_path_is_allocation_free_once_warm() {
 #[test]
 fn frame_hot_path_stays_allocation_free_with_metrics_enabled() {
     // Observability must not cost the alloc_zero invariant: with the
-    // global metric switch on, every hot-path update lands in a
-    // pre-sized thread-local shard cell. The only allocation metrics
-    // ever perform is lazy registration (one Vec push per metric,
-    // process-wide), which the warm-up pump absorbs here. Thread-count
-    // invariance of the cross-shard snapshot merge is pinned in the
-    // obs crate's own suite.
+    // global metric switch on, the hot path still counts into plain
+    // simulator fields, and a dropped simulator adds its totals to
+    // pre-sized thread-sharded cells. The only allocation metrics ever
+    // perform is lazy registration (one Vec push per metric,
+    // process-wide), which the first simulator's publish absorbs here;
+    // the window below covers a warm simulator's frames and its
+    // publish. Thread-count invariance of the cross-shard snapshot
+    // merge is pinned in the obs crate's own suite.
     let _serial = SERIAL
         .lock()
         .expect("counter tests never panic while locked");
     netdsl_obs::set_metrics_enabled(true);
-    let mut sim = Simulator::new(3);
-    let a = sim.add_node();
-    let b = sim.add_node();
-    let ab = sim.add_link(a, b, LinkConfig::reliable(5));
+    let warm_world = || {
+        let mut sim = Simulator::new(3);
+        let a = sim.add_node();
+        let b = sim.add_node();
+        let ab = sim.add_link(a, b, LinkConfig::reliable(5));
+        pump(&mut sim, ab, a, 200);
+        (sim, ab, a)
+    };
+    drop(warm_world());
 
-    pump(&mut sim, ab, a, 200);
-
+    let (mut sim, ab, a) = warm_world();
     let before = allocations();
     pump(&mut sim, ab, a, 1_000);
+    drop(sim);
     let after = allocations();
     assert_eq!(
         after - before,
         0,
-        "metrics-enabled hot path allocated {} times across 1000 frames",
+        "metrics-enabled hot path and publish allocated {} times across 1000 frames",
         after - before
     );
     let snap = netdsl_obs::snapshot();
     let sent = snap.counter("sim.frames_sent").unwrap_or(0);
-    assert!(sent >= 1_200, "counters should have observed the pump");
+    assert!(sent >= 1_400, "counters should have observed the pump");
+    // A publish skips zeros: no simulator in this binary loses or
+    // corrupts a frame, so those counters never registered.
+    assert_eq!(snap.counter("sim.frames_dropped"), None);
+    assert_eq!(snap.counter("sim.frames_corrupted"), None);
+}
+
+#[test]
+fn every_dropped_simulator_publishes_pooled_or_not() {
+    // A thread's core pool keeps only a few cores, so most of these
+    // simulators drop without returning theirs; each must still add
+    // its counts to the registry. (Here because it needs the registry
+    // on, which this binary's lock already serializes.)
+    let _serial = SERIAL
+        .lock()
+        .expect("counter tests never panic while locked");
+    netdsl_obs::set_metrics_enabled(true);
+    let sent = || netdsl_obs::snapshot().counter("sim.frames_sent");
+    let before = sent().unwrap_or(0);
+    let live: Vec<Simulator> = (0..64)
+        .map(|seed| {
+            let mut sim = Simulator::new(seed);
+            let a = sim.add_node();
+            let b = sim.add_node();
+            let ab = sim.add_link(a, b, LinkConfig::reliable(1));
+            sim.send(ab, vec![seed as u8]);
+            sim
+        })
+        .collect();
+    assert_eq!(
+        sent().unwrap_or(0),
+        before,
+        "live simulators publish nothing"
+    );
+    drop(live);
+    assert_eq!(sent(), Some(before + 64));
 }
 
 #[test]

@@ -22,37 +22,23 @@ pub enum FlightMode {
     Transcript,
 }
 
-/// What a scenario asks the engine to observe.
+/// What a scenario asks the engine to record.
 ///
-/// The default is everything off — the hot path pays one branch for the
-/// absent flight recorder and one relaxed load per metric site, which is
-/// what keeps the `alloc_zero` invariant and the E13/E14/E15 numbers
-/// untouched.
+/// The default is no recorder: the hot path then pays one branch per
+/// recording site. The metric registry is process-wide, not
+/// per-scenario: [`crate::set_metrics_enabled`] turns it on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct ObsConfig {
-    /// Enable the process-wide metric registry
-    /// ([`crate::set_metrics_enabled`]) when this scenario is installed
-    /// on a simulator. Enabling is sticky — the registry is global by
-    /// nature, and concurrent scenarios without the flag must not turn
-    /// it back off mid-run.
-    pub metrics: bool,
     /// The flight recorder to install on the scenario's simulator, if
     /// any.
     pub flight: Option<FlightMode>,
 }
 
 impl ObsConfig {
-    /// Everything off (the default).
+    /// No recorder (the default).
     #[must_use]
     pub fn off() -> Self {
         ObsConfig::default()
-    }
-
-    /// Turns the metric registry on (builder style).
-    #[must_use]
-    pub fn with_metrics(mut self) -> Self {
-        self.metrics = true;
-        self
     }
 
     /// Installs a ring of [`DEFAULT_FLIGHT_CAPACITY`] events (builder
@@ -78,14 +64,13 @@ mod tests {
     #[test]
     fn default_is_off() {
         let cfg = ObsConfig::default();
-        assert!(!cfg.metrics && cfg.flight.is_none());
+        assert!(cfg.flight.is_none());
         assert_eq!(cfg, ObsConfig::off());
     }
 
     #[test]
     fn builders_compose() {
-        let cfg = ObsConfig::off().with_metrics().with_flight_capacity(64);
-        assert!(cfg.metrics);
+        let cfg = ObsConfig::off().with_flight().with_flight_capacity(64);
         assert_eq!(cfg.flight, Some(FlightMode::Ring(64)));
         assert_eq!(
             ObsConfig::off().with_flight().flight,

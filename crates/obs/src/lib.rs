@@ -7,12 +7,14 @@
 //! invariants those engines are built on. Three pieces
 //! (`docs/OBSERVABILITY.md`):
 //!
-//! * [`metrics`] — a static registry of [`Counter`]s, [`Gauge`]s and
-//!   log-bucketed [`Histogram`]s with thread-sharded atomic cells.
-//!   Statics are `const`-constructed and register themselves lazily on
-//!   first touch (the one and only allocation); every update after
-//!   warm-up is a thread-local lookup plus one relaxed atomic add, so
-//!   the `alloc_zero` invariant holds with metrics enabled. A
+//! * [`metrics`] — a static registry of [`Counter`]s and log-bucketed
+//!   [`Histogram`]s with thread-sharded atomic cells. Statics are
+//!   `const`-constructed and register themselves lazily on first touch
+//!   (the one and only allocation); a counter update after warm-up is
+//!   a thread-local lookup plus one relaxed atomic add, so the
+//!   `alloc_zero` invariant holds with metrics enabled. A hot path
+//!   counts into plain fields and a [`Tally`] instead, and adds them to
+//!   the registry once (the simulator does so when it drops). A
 //!   [`MetricsSnapshot`] merges every shard deterministically (sorted
 //!   by metric name, thread-count invariant) and serializes to
 //!   canonical JSON via the serde shim.
@@ -50,7 +52,7 @@ pub mod progress;
 pub use config::{FlightMode, ObsConfig, DEFAULT_FLIGHT_CAPACITY};
 pub use flight::{FlightEvent, FlightKind, FlightRecorder, FlightRecording, FLIGHT_SCHEMA};
 pub use metrics::{
-    metrics_enabled, reset_all, set_metrics_enabled, snapshot, Counter, Gauge, Histogram,
-    HistogramSnapshot, MetricsSnapshot, METRICS_SCHEMA,
+    metrics_enabled, reset_all, set_metrics_enabled, snapshot, Counter, Histogram,
+    HistogramSnapshot, MetricsSnapshot, Tally, METRICS_SCHEMA,
 };
 pub use progress::{LogProgress, NullProgress, ProgressSink, ProgressUpdate};

@@ -1,26 +1,29 @@
-//! The static metric registry: counters, gauges and log-bucketed
-//! histograms with thread-sharded atomic cells.
+//! The static metric registry: counters and log-bucketed histograms
+//! with thread-sharded atomic cells.
 //!
 //! Metrics are `static` items constructed with `const fn`s — no
 //! registration boilerplate, no startup ordering:
 //!
 //! ```
-//! use netdsl_obs::metrics::{set_metrics_enabled, snapshot, Counter, Histogram};
+//! use netdsl_obs::metrics::{set_metrics_enabled, snapshot, Counter, Histogram, Tally};
 //!
 //! static FRAMES: Counter = Counter::new("doc.frames");
 //! static BYTES: Histogram = Histogram::new("doc.frame_bytes");
 //!
 //! set_metrics_enabled(true);
 //! FRAMES.incr();
-//! BYTES.observe(256);
+//! let mut sizes = Tally::default();
+//! sizes.record(256);
+//! BYTES.add(&sizes);
 //! assert_eq!(snapshot().counter("doc.frames"), Some(1));
 //! ```
 //!
 //! Every update first checks the process-wide enable flag (one relaxed
 //! atomic load — the whole cost of the disabled path), then registers
 //! the metric on first touch (the one allocation a metric ever makes,
-//! absorbed by warm-up) and bumps one thread-sharded relaxed atomic.
-//! After warm-up the hot path allocates nothing, which is what lets the
+//! absorbed by warm-up) and bumps thread-sharded relaxed atomics. A
+//! histogram hears whole [`Tally`]s, which their owner fills with plain
+//! adds. After warm-up no update allocates, which is what lets the
 //! simulator's `alloc_zero` invariant hold with metrics enabled.
 //!
 //! [`snapshot`] folds every shard of every registered metric into a
@@ -29,12 +32,12 @@
 //! updates (pinned by the thread-count-invariance test).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 use serde::json::Value;
 
 /// Schema identifier embedded in every serialized snapshot.
-pub const METRICS_SCHEMA: &str = "netdsl-metrics/1";
+pub const METRICS_SCHEMA: &str = "netdsl-metrics/2";
 
 /// Number of per-metric cell shards. Threads hash onto shards by a
 /// process-wide round-robin id, so contention stays low without
@@ -75,11 +78,30 @@ fn shard() -> usize {
 /// metric on its first recorded update.
 enum MetricRef {
     Counter(&'static Counter),
-    Gauge(&'static Gauge),
     Histogram(&'static Histogram),
 }
 
 static REGISTRY: Mutex<Vec<MetricRef>> = Mutex::new(Vec::new());
+
+/// Pushes `metric` to the registry the first time `registered` flips.
+fn register_once(registered: &AtomicBool, metric: MetricRef) {
+    // Steady state is the relaxed load; the CAS (an atomic RMW even
+    // when it fails) runs only until the first registration wins.
+    if registered.load(Ordering::Relaxed) {
+        return;
+    }
+    if registered
+        .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
+        .is_ok()
+    {
+        // A simulator registers from `Drop`, which must not panic; a
+        // push leaves the list valid, so a poisoned lock's list is too.
+        REGISTRY
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(metric);
+    }
+}
 
 /// A monotonically increasing count with thread-sharded cells.
 pub struct Counter {
@@ -110,7 +132,7 @@ impl Counter {
         if !metrics_enabled() {
             return;
         }
-        self.register_once();
+        register_once(&self.registered, MetricRef::Counter(self));
         self.cells[shard()].fetch_add(n, Ordering::Relaxed);
     }
 
@@ -122,97 +144,6 @@ impl Counter {
     /// The merged value across every shard.
     pub fn value(&self) -> u64 {
         self.cells.iter().map(|c| c.load(Ordering::Relaxed)).sum()
-    }
-
-    fn register_once(&'static self) {
-        // Steady state is the relaxed load; the CAS (an atomic RMW even
-        // when it fails) runs only until the first registration wins.
-        if self.registered.load(Ordering::Relaxed) {
-            return;
-        }
-        if self
-            .registered
-            .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            REGISTRY.lock().unwrap().push(MetricRef::Counter(self));
-        }
-    }
-
-    fn reset(&self) {
-        for c in &self.cells {
-            c.store(0, Ordering::Relaxed);
-        }
-    }
-}
-
-/// A signed level (things currently open/in flight) with thread-sharded
-/// cells; deltas sum exactly even when increments and decrements land on
-/// different threads' shards.
-pub struct Gauge {
-    name: &'static str,
-    registered: AtomicBool,
-    /// Two's-complement `i64` deltas stored in `u64` cells (wrapping
-    /// adds commute, so the shard sum reinterprets exactly).
-    cells: [AtomicU64; SHARDS],
-}
-
-impl Gauge {
-    /// A gauge static (see [`Counter::new`] for naming).
-    #[must_use]
-    pub const fn new(name: &'static str) -> Self {
-        Gauge {
-            name,
-            registered: AtomicBool::new(false),
-            cells: [const { AtomicU64::new(0) }; SHARDS],
-        }
-    }
-
-    /// The metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Moves the level by `delta` (no-op while the registry is
-    /// disabled).
-    pub fn add(&'static self, delta: i64) {
-        if !metrics_enabled() {
-            return;
-        }
-        self.register_once();
-        self.cells[shard()].fetch_add(delta as u64, Ordering::Relaxed);
-    }
-
-    /// Raises the level by one.
-    pub fn incr(&'static self) {
-        self.add(1);
-    }
-
-    /// Lowers the level by one.
-    pub fn decr(&'static self) {
-        self.add(-1);
-    }
-
-    /// The merged level across every shard.
-    pub fn value(&self) -> i64 {
-        self.cells
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .fold(0u64, u64::wrapping_add) as i64
-    }
-
-    fn register_once(&'static self) {
-        // See `Counter::register_once`: load first, CAS only pre-registration.
-        if self.registered.load(Ordering::Relaxed) {
-            return;
-        }
-        if self
-            .registered
-            .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            REGISTRY.lock().unwrap().push(MetricRef::Gauge(self));
-        }
     }
 
     fn reset(&self) {
@@ -247,6 +178,50 @@ fn bucket_of(v: u64) -> usize {
     }
 }
 
+/// A histogram's count, sum and log2 buckets as plain fields, for one
+/// owner to fill on its hot path and hand to [`Histogram::add`] once.
+/// Recording a value is three plain adds: no enable check, no shard
+/// lookup, no atomic.
+///
+/// ```
+/// use netdsl_obs::metrics::Tally;
+/// let mut sizes = Tally::default();
+/// sizes.record(3);
+/// sizes.record(900);
+/// assert_eq!(sizes.count(), 2);
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Tally {
+    count: u64,
+    sum: u64,
+    buckets: [u64; BUCKETS],
+}
+
+impl Default for Tally {
+    fn default() -> Self {
+        Tally {
+            count: 0,
+            sum: 0,
+            buckets: [0; BUCKETS],
+        }
+    }
+}
+
+impl Tally {
+    /// Counts one value into its bucket (see [`Histogram`]).
+    #[inline]
+    pub fn record(&mut self, v: u64) {
+        self.count += 1;
+        self.sum += v;
+        self.buckets[bucket_of(v)] += 1;
+    }
+
+    /// Values recorded so far.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+}
+
 impl Histogram {
     /// A histogram static (see [`Counter::new`] for naming).
     #[must_use]
@@ -269,16 +244,21 @@ impl Histogram {
         self.name
     }
 
-    /// Records one observation (no-op while the registry is disabled).
-    pub fn observe(&'static self, v: u64) {
+    /// Adds a whole [`Tally`] to this thread's shard in one call (no-op
+    /// while the registry is disabled).
+    pub fn add(&'static self, tally: &Tally) {
         if !metrics_enabled() {
             return;
         }
-        self.register_once();
+        register_once(&self.registered, MetricRef::Histogram(self));
         let s = &self.shards[shard()];
-        s.count.fetch_add(1, Ordering::Relaxed);
-        s.sum.fetch_add(v, Ordering::Relaxed);
-        s.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        s.count.fetch_add(tally.count, Ordering::Relaxed);
+        s.sum.fetch_add(tally.sum, Ordering::Relaxed);
+        for (cell, &n) in s.buckets.iter().zip(&tally.buckets) {
+            if n > 0 {
+                cell.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
     /// Observations recorded across every shard.
@@ -287,20 +267,6 @@ impl Histogram {
             .iter()
             .map(|s| s.count.load(Ordering::Relaxed))
             .sum()
-    }
-
-    fn register_once(&'static self) {
-        // See `Counter::register_once`: load first, CAS only pre-registration.
-        if self.registered.load(Ordering::Relaxed) {
-            return;
-        }
-        if self
-            .registered
-            .compare_exchange(false, true, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            REGISTRY.lock().unwrap().push(MetricRef::Histogram(self));
-        }
     }
 
     fn merged(&self) -> HistogramSnapshot {
@@ -371,8 +337,6 @@ impl HistogramSnapshot {
 pub struct MetricsSnapshot {
     /// Counter values, sorted by name.
     pub counters: Vec<(String, u64)>,
-    /// Gauge levels, sorted by name.
-    pub gauges: Vec<(String, i64)>,
     /// Histogram states, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
 }
@@ -382,21 +346,17 @@ pub struct MetricsSnapshot {
 pub fn snapshot() -> MetricsSnapshot {
     let registry = REGISTRY.lock().unwrap();
     let mut counters = Vec::new();
-    let mut gauges = Vec::new();
     let mut histograms = Vec::new();
     for m in registry.iter() {
         match m {
             MetricRef::Counter(c) => counters.push((c.name.to_string(), c.value())),
-            MetricRef::Gauge(g) => gauges.push((g.name.to_string(), g.value())),
             MetricRef::Histogram(h) => histograms.push(h.merged()),
         }
     }
     counters.sort();
-    gauges.sort();
     histograms.sort_by(|a, b| a.name.cmp(&b.name));
     MetricsSnapshot {
         counters,
-        gauges,
         histograms,
     }
 }
@@ -409,7 +369,6 @@ pub fn reset_all() {
     for m in registry.iter() {
         match m {
             MetricRef::Counter(c) => c.reset(),
-            MetricRef::Gauge(g) => g.reset(),
             MetricRef::Histogram(h) => h.reset(),
         }
     }
@@ -422,14 +381,6 @@ impl MetricsSnapshot {
             .binary_search_by(|(n, _)| n.as_str().cmp(name))
             .ok()
             .map(|i| self.counters[i].1)
-    }
-
-    /// Level of a gauge by name.
-    pub fn gauge(&self, name: &str) -> Option<i64> {
-        self.gauges
-            .binary_search_by(|(n, _)| n.as_str().cmp(name))
-            .ok()
-            .map(|i| self.gauges[i].1)
     }
 
     /// Histogram state by name.
@@ -448,14 +399,9 @@ impl MetricsSnapshot {
         for (name, v) in &self.counters {
             counters = counters.set(name.as_str(), *v as f64);
         }
-        let mut gauges = Value::object();
-        for (name, v) in &self.gauges {
-            gauges = gauges.set(name.as_str(), *v as f64);
-        }
         Value::object()
             .set("schema", METRICS_SCHEMA)
             .set("counters", counters)
-            .set("gauges", gauges)
             .set(
                 "histograms",
                 Value::Array(
@@ -519,17 +465,6 @@ impl MetricsSnapshot {
                     .ok_or_else(|| format!("counter {name} must be a number"))
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let gauges = v
-            .get("gauges")
-            .and_then(Value::as_object)
-            .ok_or("missing gauges")?
-            .iter()
-            .map(|(name, n)| {
-                n.as_f64()
-                    .map(|n| (name.clone(), n as i64))
-                    .ok_or_else(|| format!("gauge {name} must be a number"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
         let histograms = v
             .get("histograms")
             .and_then(Value::as_array)
@@ -573,7 +508,6 @@ impl MetricsSnapshot {
             .collect::<Result<Vec<_>, String>>()?;
         Ok(MetricsSnapshot {
             counters,
-            gauges,
             histograms,
         })
     }
@@ -617,22 +551,14 @@ mod tests {
     }
 
     #[test]
-    fn counters_and_gauges_merge_across_shards() {
+    fn counters_merge_across_shards() {
         static HITS: Counter = Counter::new("test.hits");
-        static LEVEL: Gauge = Gauge::new("test.level");
         let _on = enabled();
         let before_hits = HITS.value();
-        let before_level = LEVEL.value();
         HITS.add(5);
         HITS.incr();
-        LEVEL.incr();
-        LEVEL.incr();
-        LEVEL.decr();
         assert_eq!(HITS.value() - before_hits, 6);
-        assert_eq!(LEVEL.value() - before_level, 1);
-        let snap = snapshot();
-        assert_eq!(snap.counter("test.hits"), Some(HITS.value()));
-        assert_eq!(snap.gauge("test.level"), Some(LEVEL.value()));
+        assert_eq!(snapshot().counter("test.hits"), Some(HITS.value()));
     }
 
     #[test]
@@ -661,9 +587,13 @@ mod tests {
         static SIZES: Histogram = Histogram::new("test.sizes");
         let _on = enabled();
         let before = SIZES.count();
+        let mut tally = Tally::default();
         for v in [0, 1, 2, 3, 900] {
-            SIZES.observe(v);
+            tally.record(v);
         }
+        assert_eq!(tally.count(), 5);
+        SIZES.add(&tally);
+        SIZES.add(&Tally::default());
         assert_eq!(SIZES.count() - before, 5);
         let snap = snapshot();
         let h = snap.histogram("test.sizes").unwrap();
@@ -677,7 +607,9 @@ mod tests {
         static RT_H: Histogram = Histogram::new("test.roundtrip_sizes");
         let _on = enabled();
         RT.add(3);
-        RT_H.observe(100);
+        let mut tally = Tally::default();
+        tally.record(100);
+        RT_H.add(&tally);
         let snap = snapshot();
         let text = snap.to_json_string();
         let back = MetricsSnapshot::from_json_str(&text).unwrap();
@@ -699,7 +631,6 @@ mod tests {
         // is a shard sum and the serialization sorts by name, so the
         // thread topology cannot leak into the result.
         static INV_C: Counter = Counter::new("test.invariant_count");
-        static INV_G: Gauge = Gauge::new("test.invariant_level");
         static INV_H: Histogram = Histogram::new("test.invariant_sizes");
         let _on = enabled();
         const TOTAL: u64 = 4_000;
@@ -710,17 +641,23 @@ mod tests {
             std::thread::scope(|scope| {
                 for t in 0..threads {
                     scope.spawn(move || {
+                        // Each thread adds its tally in halves, so a
+                        // histogram hears several adds per shard.
+                        let mut tally = Tally::default();
                         for i in 0..per {
                             INV_C.incr();
-                            INV_G.add(if i % 2 == 0 { 2 } else { -1 });
-                            INV_H.observe(t * per + i);
+                            tally.record(t * per + i);
+                            if i == per / 2 {
+                                INV_H.add(&tally);
+                                tally = Tally::default();
+                            }
                         }
+                        INV_H.add(&tally);
                     });
                 }
             });
             let snap = snapshot();
             assert_eq!(snap.counter("test.invariant_count"), Some(TOTAL));
-            assert_eq!(snap.gauge("test.invariant_level"), Some(TOTAL as i64 / 2));
             let h = snap.histogram("test.invariant_sizes").unwrap();
             assert_eq!(h.count, TOTAL);
             assert_eq!(h.sum, TOTAL * (TOTAL - 1) / 2);
@@ -731,12 +668,6 @@ mod tests {
                     .counters
                     .iter()
                     .position(|(n, _)| n == "test.invariant_count")
-                    .unwrap()]
-                .clone()],
-                gauges: vec![snap.gauges[snap
-                    .gauges
-                    .iter()
-                    .position(|(n, _)| n == "test.invariant_level")
                     .unwrap()]
                 .clone()],
                 histograms: vec![h.clone()],

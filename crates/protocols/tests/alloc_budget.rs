@@ -265,7 +265,6 @@ fn a_transcript_session_generates_its_offered_traffic_once() {
     // per message. What remains is the transcript's own growth.
     let spec = ProtocolSpec::new(STOP_AND_WAIT).with_obs(ObsConfig {
         flight: Some(FlightMode::Transcript),
-        ..ObsConfig::off()
     });
     let traffic = TrafficPattern::messages(1_000, 64);
     let (n, _) = session_allocations(&spec, LinkConfig::reliable(3), traffic);

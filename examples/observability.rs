@@ -1,10 +1,11 @@
 //! The observability layer end to end: metric registry, flight
 //! recorder, and the triage views `tools/obs_report` renders from them.
 //!
-//! A stop-and-wait transfer runs over a lossy link with full telemetry
-//! requested via [`ObsConfig`] — the same scenario twice, once bare and
-//! once instrumented, to show the results are identical (telemetry is
-//! not a parity axis). Then the run's metric snapshot and flight
+//! A stop-and-wait transfer runs over a lossy link with full telemetry:
+//! the metric registry switched on with [`set_metrics_enabled`] and a
+//! flight recorder requested via [`ObsConfig`]. The same scenario runs
+//! twice, once bare and once instrumented, to show the results are
+//! identical (telemetry is not a parity axis). Then the run's metric snapshot and flight
 //! recording are printed as canonical JSON, the exact documents
 //! `obs_report` consumes (see `docs/OBSERVABILITY.md`), followed by the
 //! flight recording of a faulted transfer, whose fault timeline shows
@@ -14,7 +15,7 @@
 
 use netdsl::netsim::LinkConfig;
 use netdsl::netsim::{FlightMode, ObsConfig};
-use netdsl::obs::{reset_all, snapshot, FlightKind, DEFAULT_FLIGHT_CAPACITY};
+use netdsl::obs::{reset_all, set_metrics_enabled, snapshot, FlightKind, DEFAULT_FLIGHT_CAPACITY};
 use netdsl::protocols::golden::record_flight;
 use netdsl::protocols::scenario::{SuiteDriver, STOP_AND_WAIT};
 use netdsl::scenario::{
@@ -68,9 +69,11 @@ fn main() {
     // without the registry and recorder, bit-identical outcome.
     let bare = driver.run(&scenario(ObsConfig::off())).unwrap();
     reset_all();
+    set_metrics_enabled(true);
     let observed = driver
-        .run(&scenario(ObsConfig::off().with_metrics().with_flight()))
+        .run(&scenario(ObsConfig::off().with_flight()))
         .unwrap();
+    set_metrics_enabled(false);
     assert_eq!(bare, observed, "telemetry is not a parity axis");
     println!(
         "run: {} messages delivered in {} ticks, {} retransmissions",
@@ -79,7 +82,8 @@ fn main() {
     println!("     (identical with telemetry off — obs never changes results)\n");
 
     // The metric registry: every engine and protocol counter the run
-    // touched, merged across threads, sorted by name.
+    // touched, merged across threads, sorted by name. The simulator's
+    // own counts arrived once, when the run's simulator dropped.
     let snap = snapshot();
     println!("metric snapshot ({} counters):", snap.counters.len());
     for (name, value) in &snap.counters {

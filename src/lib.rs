@@ -140,12 +140,13 @@ pub use netdsl_core as core;
 /// ```
 pub use netdsl_netsim as netsim;
 
-/// Homegrown telemetry: a static metric registry (counters, gauges,
+/// Homegrown telemetry: a static metric registry (counters and
 /// log-bucketed histograms; zero steady-state allocation, deterministic
 /// cross-thread snapshots), the flight recorder of structured engine
 /// events (a bounded ring, or the transcript golden traces are projected
-/// from), and campaign progress sinks. Scenarios opt in via
-/// [`netsim::ObsConfig`] — telemetry is **not** a parity axis and never
+/// from), and campaign progress sinks. `set_metrics_enabled` turns the
+/// registry on for the process; scenarios ask for a recorder via
+/// [`netsim::ObsConfig`]. Telemetry is **not** a parity axis and never
 /// changes a result. See `docs/OBSERVABILITY.md`.
 ///
 /// ```

@@ -7,8 +7,8 @@
 //!
 //! Each file is dispatched on its `schema` field:
 //!
-//! * `netdsl-metrics/1` — a [`MetricsSnapshot`]: counters and gauges as
-//!   a name/value table, histograms with count, sum, mean and their
+//! * `netdsl-metrics/2` — a [`MetricsSnapshot`]: counters as a
+//!   name/value table, histograms with count, sum, mean and their
 //!   occupied log2 buckets rendered as value ranges;
 //! * `netdsl-flight/1` — a [`FlightRecording`]: ring header (capacity,
 //!   recorded, dropped), per-kind event counts, and the head and tail
@@ -56,21 +56,14 @@ fn render_histogram(h: &HistogramSnapshot) -> String {
 
 fn render_metrics(name: &str, snap: &MetricsSnapshot) -> String {
     let mut out = format!(
-        "{name}: metrics snapshot ({} counters, {} gauges, {} histograms)\n",
+        "{name}: metrics snapshot ({} counters, {} histograms)\n",
         snap.counters.len(),
-        snap.gauges.len(),
         snap.histograms.len()
     );
     if !snap.counters.is_empty() {
         out.push_str("\n  counter                    value\n");
         for (metric, value) in &snap.counters {
             out.push_str(&format!("  {metric:<26} {value}\n"));
-        }
-    }
-    if !snap.gauges.is_empty() {
-        out.push_str("\n  gauge                      level\n");
-        for (metric, level) in &snap.gauges {
-            out.push_str(&format!("  {metric:<26} {level}\n"));
         }
     }
     if !snap.histograms.is_empty() {
@@ -180,7 +173,7 @@ fn main() -> ExitCode {
     let files: Vec<String> = std::env::args().skip(1).collect();
     if files.is_empty() || files.iter().any(|a| a == "--help" || a == "-h") {
         println!("usage: obs_report <dump.json>...");
-        println!("renders netdsl-metrics/1 and netdsl-flight/1 dumps as triage tables");
+        println!("renders {METRICS_SCHEMA} and {FLIGHT_SCHEMA} dumps as triage tables");
         return if files.is_empty() {
             ExitCode::FAILURE
         } else {
