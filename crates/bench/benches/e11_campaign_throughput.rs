@@ -6,9 +6,9 @@
 //! engine itself, so the netsim hot-path work (payload moves instead of
 //! per-copy clones in `Simulator::send`, pre-sized event heap, batched
 //! per-cell stats merging) shows up as a number CI can watch.
-//! Series: raw frame throughput through `send` + `step`; end-to-end
-//! campaign scenario throughput on the protocol suite; and per-cell
-//! summary throughput over the resulting report.
+//! Series: raw frame throughput through `send` + `step`, and end-to-end
+//! campaign scenario throughput on the protocol suite (the campaign
+//! folds its report per cell as it runs).
 //! Expected shape: every throughput trending up across commits.
 
 use std::hint::black_box;
@@ -69,26 +69,6 @@ fn main() {
         mean(&scen_rates)
     );
 
-    // Per-cell summary construction over the report (the batched
-    // stats-merging path).
-    let summary_iters = report::scaled(400, 50);
-    let mut cell_rates = Vec::with_capacity(reps);
-    for _ in 0..reps {
-        let start = Instant::now();
-        let mut cells = 0;
-        for _ in 0..summary_iters {
-            cells += black_box(
-                campaign_report.group_by(|s| format!("{}|{}", s.labels.link, s.labels.protocol)),
-            )
-            .len();
-        }
-        cell_rates.push(cells as f64 / start.elapsed().as_secs_f64());
-    }
-    println!(
-        "summaries  (group_by link|protocol):      {:>12.0} cells/s",
-        mean(&cell_rates)
-    );
-
     let mut out = BenchReport::new(
         "e11_campaign_throughput",
         "engine throughput: simulator hot path and campaign layer",
@@ -106,22 +86,16 @@ fn main() {
             .with_axis("driver", "suite")
             .with_samples(scen_rates.iter().copied()),
     );
-    out.push(
-        Metric::new("summary_throughput", "cells/s")
-            .with_axis("group_by", "link|protocol")
-            .with_samples(cell_rates.iter().copied()),
-    );
 
     // Campaign-level correctness context rides along so throughput can
     // never silently trade away delivery.
-    let agg = campaign_report.aggregate();
-    assert_eq!(agg.errors, 0, "no sweep cell may error");
+    assert_eq!(campaign_report.errors, 0, "no sweep cell may error");
     out.push(
         Metric::new("campaign_success", "ratio")
-            .with_sample(agg.succeeded as f64 / agg.runs as f64),
+            .with_sample(campaign_report.succeeded as f64 / campaign_report.executed as f64),
     );
 
-    println!("\nexpected shape: frame, campaign and summary throughput trend up across commits.");
+    println!("\nexpected shape: frame and campaign throughput trend up across commits.");
 
     out.write();
 }

@@ -26,7 +26,7 @@ use netdsl_bench::codec_specs::{fill_values, frame_corpus, spec_set};
 use netdsl_bench::harnesses::e12_campaign;
 use netdsl_bench::report::{self, BenchReport, Metric};
 use netdsl_codec::lower;
-use netdsl_netsim::scenario::FramePath;
+use netdsl_netsim::scenario::{FramePath, ScenarioDriver};
 use netdsl_protocols::scenario::SuiteDriver;
 
 const PAYLOAD: usize = 64;
@@ -206,17 +206,14 @@ fn main() {
     );
 
     // End to end: the frame path selected per scenario, through the
-    // suite driver. Equivalence asserted cell-for-cell, then timed.
+    // suite driver. Equivalence asserted scenario by scenario, on every
+    // field of the result, then timed.
     let driver = SuiteDriver::new();
-    let ri = e12_campaign(quick, FramePath::Interpreted).run(&driver, THREADS);
-    let rc = e12_campaign(quick, FramePath::Compiled).run(&driver, THREADS);
-    assert_eq!(ri.runs.len(), rc.runs.len());
-    for (a, b) in ri.runs.iter().zip(rc.runs.iter()) {
-        assert_eq!(
-            a.outcome, b.outcome,
-            "scenario {} diverges",
-            a.scenario.name
-        );
+    let si = e12_campaign(quick, FramePath::Interpreted).scenarios();
+    let sc = e12_campaign(quick, FramePath::Compiled).scenarios();
+    assert_eq!(si.len(), sc.len());
+    for (a, b) in si.iter().zip(&sc) {
+        assert_eq!(driver.run(a), driver.run(b), "scenario {} diverges", a.name);
     }
     for (path_label, path) in [
         ("interpreted", FramePath::Interpreted),

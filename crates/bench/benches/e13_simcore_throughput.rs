@@ -91,11 +91,11 @@ fn main() {
     // Correctness first: every cell of the timed campaign succeeds.
     let driver = SuiteDriver::new();
     let campaign = e13_campaign(quick);
-    let agg = campaign.run(&driver, THREADS).aggregate();
-    assert_eq!(agg.errors, 0, "no sweep cell may error");
+    let run = campaign.run(&driver, THREADS);
+    assert_eq!(run.errors, 0, "no sweep cell may error");
     println!(
         "campaign: {} scenarios, {} succeeded\n",
-        agg.runs, agg.succeeded
+        run.executed, run.succeeded
     );
 
     let mut out = BenchReport::new(
@@ -139,7 +139,7 @@ fn main() {
     );
     out.push(
         Metric::new("campaign_success", "ratio")
-            .with_sample(agg.succeeded as f64 / agg.runs as f64),
+            .with_sample(run.succeeded as f64 / run.executed as f64),
     );
 
     println!("\nthe pooled core allocates nothing per frame (see netsim tests/alloc_zero.rs).");

@@ -19,11 +19,12 @@
 //!   the ratio shows only what resetting one simulator in place saves
 //!   over the pool checkout, the drop and the per-session result fold.
 //! * **Memory-bounded scale:** a 1 048 576-session sweep through
-//!   [`Campaign::run_streaming`] completes with the raw-sample
-//!   reservoir capped (asserted ≤ `raw_cap` on every aggregate) — the
-//!   million-session contract: memory stays O(chunk + raw_cap), not
-//!   O(sessions), where `Campaign::run` would keep a million
-//!   `ScenarioRun`s.
+//!   [`Campaign::run_streaming`] completes with every one of its 1 024
+//!   cells executing and succeeding its 1 024 sessions, and the raw
+//!   samples capped (asserted ≤ `raw_cap` per metric across the
+//!   report) — the million-session contract: memory stays
+//!   O(chunk + raw_cap + cells), not O(sessions), where `Campaign::run`
+//!   would keep a million samples per metric.
 //!
 //! Equivalence is asserted before anything is timed: the batched
 //! sessions must reproduce the solo results bit-for-bit across the whole
@@ -52,6 +53,9 @@ const HEAD_SESSIONS: u64 = 10_000;
 
 /// Sessions in the streaming smoke (2^20: the million-session bound).
 const STREAM_SESSIONS: usize = 1 << 20;
+
+/// Cells of the streaming smoke: 4 protocols × 256 links.
+const STREAM_CELLS: usize = 1 << 10;
 
 fn mean(v: &[f64]) -> f64 {
     v.iter().sum::<f64>() / v.len() as f64
@@ -99,7 +103,8 @@ fn head_campaign() -> Campaign {
 }
 
 /// The million-session streaming campaign: 4 protocols × 256 link
-/// delays × 1024 seed replicates of a 1-message session = 2^20 cells.
+/// delays (1024 cells) × 1024 seed replicates of a 1-message session
+/// = 2^20 sessions.
 /// Axes are split so the expanded label vectors stay O(thousands) even
 /// though the product is a million.
 fn stream_campaign() -> Campaign {
@@ -190,22 +195,43 @@ fn main() {
     let start = Instant::now();
     let streamed = stream.run_streaming_with(&mux, threads, opts, &progress);
     let stream_rate = STREAM_SESSIONS as f64 / start.elapsed().as_secs_f64();
-    assert_eq!(streamed.executed, STREAM_SESSIONS, "every cell executed");
-    assert_eq!(streamed.errors, 0, "no streaming cell may error");
+    assert_eq!(streamed.executed, STREAM_SESSIONS, "every session executed");
+    assert_eq!(streamed.errors, 0, "no streaming session may error");
     assert_eq!(
         streamed.succeeded, STREAM_SESSIONS,
         "every session completes"
     );
-    for (name, agg) in [
-        ("goodput", &streamed.goodput),
-        ("latency", &streamed.latency),
-        ("retransmits", &streamed.retransmits),
-        ("delivery", &streamed.delivery),
-    ] {
+    assert_eq!(
+        streamed.cells.len(),
+        STREAM_CELLS,
+        "one cell per protocol × link"
+    );
+    let mut retained = [0; 5];
+    for cell in &streamed.cells {
+        let per_cell = STREAM_SESSIONS / STREAM_CELLS;
+        assert_eq!(
+            (cell.executed, cell.succeeded),
+            (per_cell, per_cell),
+            "cell {}/{}: every session executes and completes",
+            cell.protocol,
+            cell.link
+        );
+        let metrics = [
+            &cell.goodput,
+            &cell.latency,
+            &cell.retransmits,
+            &cell.delivery,
+            &cell.success,
+        ];
+        for (kept, metric) in retained.iter_mut().zip(metrics) {
+            *kept += metric.samples().len();
+        }
+    }
+    let names = ["goodput", "latency", "retransmits", "delivery", "success"];
+    for (name, kept) in names.into_iter().zip(retained) {
         assert!(
-            agg.samples().len() <= opts.raw_cap,
-            "{name} reservoir exceeded the raw-sample cap: {} > {}",
-            agg.samples().len(),
+            kept <= opts.raw_cap,
+            "{name} reservoir exceeded the raw-sample cap: {kept} > {}",
             opts.raw_cap
         );
     }

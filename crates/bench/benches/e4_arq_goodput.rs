@@ -39,7 +39,12 @@ fn main() {
     );
 
     let run = campaign.run(&SuiteDriver::new(), THREADS);
-    let cells = run.group_by(|s| format!("{}|{}", s.labels.link, s.labels.protocol));
+    let cell = |link: &str, protocol: &str| {
+        let mut cells = run.cells.iter();
+        cells
+            .find(|c| c.link == link && c.protocol == protocol)
+            .expect("every link × protocol cell ran")
+    };
 
     println!(
         "{:>5} {:>10} {:>10} {:>10} {:>10} {:>10}",
@@ -48,7 +53,7 @@ fn main() {
     for p in workload::loss_sweep() {
         let row: Vec<f64> = E4_PROTOCOLS
             .iter()
-            .map(|proto| cells[&format!("{p:.2}|{proto}")].goodput.mean())
+            .map(|proto| cell(&format!("{p:.2}"), proto).goodput.mean())
             .collect();
         println!(
             "{p:>5.2} {:>10.1} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",

@@ -36,7 +36,12 @@ fn main() {
     );
 
     let run = campaign.run(&SuiteDriver::new(), THREADS);
-    let cells = run.group_by(|s| format!("{}|{}", s.labels.link, s.labels.protocol));
+    let cell = |link: &str, protocol: &str| {
+        let mut cells = run.cells.iter();
+        cells
+            .find(|c| c.link == link && c.protocol == protocol)
+            .expect("every link × protocol cell ran")
+    };
 
     for delay in E8_DELAYS {
         for loss in E8_LOSSES {
@@ -44,8 +49,8 @@ fn main() {
             let row: Vec<String> = E8_PROTOCOLS
                 .iter()
                 .map(|proto| {
-                    let s = &cells[&format!("{link}|{proto}")];
-                    if s.succeeded == s.runs {
+                    let s = cell(&link, proto);
+                    if s.succeeded == s.executed {
                         format!(
                             "{:.2} ({:.0})",
                             s.retransmits.mean(),

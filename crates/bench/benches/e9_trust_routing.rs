@@ -42,8 +42,15 @@ fn main() {
     );
 
     let run = campaign.run(&RelayDriver::new(), THREADS);
-    let cells = run.group_by(|s| format!("{}|{}", s.labels.topology, s.labels.protocol));
-    let ratio = |k: usize, proto: &str| cells[&format!("k={k}|{proto}")].delivery.mean();
+    let ratio = |k: usize, proto: &str| {
+        let mut cells = run.cells.iter();
+        let topology = format!("k={k}");
+        cells
+            .find(|c| c.topology == topology && c.protocol == proto)
+            .expect("every topology × protocol cell ran")
+            .delivery
+            .mean()
+    };
 
     let mut prev_trust = 1.0;
     for k in 0..=E9_PATHS {

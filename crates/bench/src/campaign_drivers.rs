@@ -9,15 +9,22 @@
 //! `RetransmitPolicy::AdaptiveRto`, see
 //! [`adaptive_stop_and_wait`](crate::adaptive_arq::adaptive_stop_and_wait).)
 //!
-//! Combine it with the protocol suite through
-//! [`DriverSet`](netdsl_netsim::scenario::DriverSet):
+//! A campaign runs it like any other driver:
 //!
 //! ```
-//! use netdsl_bench::campaign_drivers::RelayDriver;
-//! use netdsl_netsim::scenario::DriverSet;
-//! use netdsl_protocols::scenario::SuiteDriver;
+//! use netdsl_bench::campaign_drivers::{RelayDriver, TRUST_LEARNING};
+//! use netdsl_netsim::campaign::{Campaign, Sweep};
+//! use netdsl_netsim::scenario::{ProtocolSpec, TopologySpec, TrafficPattern};
+//! use netdsl_netsim::LinkConfig;
 //!
-//! let driver = DriverSet::new().with(SuiteDriver::new()).with(RelayDriver::new());
+//! let paths = TopologySpec::ParallelPaths { paths: 2, hops: 1, compromised: 0 };
+//! let report = Campaign::new("relay", 1)
+//!     .protocols(Sweep::single("trust", ProtocolSpec::new(TRUST_LEARNING)))
+//!     .links(Sweep::single("clean", LinkConfig::reliable(1)))
+//!     .topologies(Sweep::single("k=0", paths))
+//!     .traffic(Sweep::single("rounds", TrafficPattern::messages(20, 8)))
+//!     .run(&RelayDriver::new(), 1);
+//! assert_eq!(report.succeeded, 1);
 //! ```
 
 use netdsl_adapt::trust::{run_relay_session_over, Policy};
@@ -107,23 +114,21 @@ impl ScenarioDriver for RelayDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netdsl_netsim::scenario::{DriverSet, ProtocolSpec, TrafficPattern};
+    use netdsl_netsim::scenario::{ProtocolSpec, TrafficPattern};
     use netdsl_netsim::LinkConfig;
-    use netdsl_protocols::scenario::{SuiteDriver, STOP_AND_WAIT};
+    use netdsl_protocols::scenario::SuiteDriver;
 
     #[test]
     fn adaptive_driver_completes_a_lossy_transfer() {
-        // The composed set hands adaptive stop-and-wait to the suite.
+        // Adaptive stop-and-wait is the suite's, not the relay driver's.
         let s = Scenario::new(
             crate::adaptive_arq::adaptive_stop_and_wait(300, 100),
             LinkConfig::lossy(5, 0.2),
         )
         .with_traffic(TrafficPattern::messages(10, 16))
         .with_seed(3);
-        let set = DriverSet::new()
-            .with(SuiteDriver::new())
-            .with(RelayDriver::new());
-        let r = set.run(&s).unwrap();
+        assert!(!RelayDriver::new().supports(&s.protocol.name));
+        let r = SuiteDriver::new().run(&s).unwrap();
         assert!(r.success, "{r:?}");
         assert_eq!(r.messages_delivered, 10);
     }
@@ -152,17 +157,6 @@ mod tests {
             r.delivery_ratio() < 0.5,
             "all paths hostile → mostly lost: {r:?}"
         );
-    }
-
-    #[test]
-    fn driver_set_composes_suite_and_extensions() {
-        let set = DriverSet::new()
-            .with(SuiteDriver::new())
-            .with(RelayDriver::new());
-        for name in [STOP_AND_WAIT, TRUST_LEARNING] {
-            assert!(set.supports(name), "{name}");
-        }
-        assert!(!set.supports("nonesuch"));
     }
 
     #[test]

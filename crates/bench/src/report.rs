@@ -16,10 +16,9 @@
 //!
 //! Criterion-style harnesses (E1–E3) emit this schema through the
 //! criterion shim's JSON sink without touching this module; campaign
-//! harnesses (E4, E8, E9, E11) convert a
-//! [`CampaignReport`] with
-//! [`BenchReport::from_campaign`]; bespoke harnesses (E5–E7, E10) build
-//! [`Metric`]s directly.
+//! harnesses (E4, E8, E9) convert a [`CampaignReport`] with
+//! [`BenchReport::from_campaign`]; bespoke harnesses (E5–E7, E10–E17)
+//! build [`Metric`]s directly.
 
 use std::fmt;
 use std::io;
@@ -32,10 +31,6 @@ use serde::{Deserialize, Serialize};
 
 /// Schema identifier every report carries; bump on breaking changes.
 pub const SCHEMA: &str = "netdsl-bench/1";
-
-/// Non-seed axis labels (protocol, link, topology, traffic) keying one
-/// campaign cell in [`BenchReport::from_campaign`].
-type CellKey = (String, String, String, String);
 
 /// `true` when `BENCH_QUICK` asks harnesses to shrink their sweeps to
 /// CI-smoke size. Campaign sweeps must keep their axis label sets
@@ -328,64 +323,47 @@ impl BenchReport {
         self.metrics.push(metric);
     }
 
-    /// Converts a campaign run into report metrics: runs are grouped by
-    /// their non-seed axis labels (in expansion order) and each group
-    /// yields goodput / latency / retransmit / delivery / success
-    /// series whose samples are the per-replicate values. Semantics
-    /// mirror [`Summary`](netdsl_netsim::campaign::Summary): goodput,
-    /// latency and retransmits cover successful runs only; delivery
-    /// covers every executed run; success is 1/0 over all runs (driver
-    /// errors count as 0).
+    /// Converts a campaign run into report metrics: each cell (one
+    /// combination of the non-seed axes, in expansion order) yields
+    /// goodput / latency / retransmit / delivery / success series whose
+    /// samples are its per-replicate values, as the campaign's
+    /// [`Cell`](netdsl_netsim::campaign::Cell) folded them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the report did not keep every sample, as a capped
+    /// [`run_streaming`](netdsl_netsim::campaign::Campaign::run_streaming)
+    /// may not; [`Campaign::run`](netdsl_netsim::campaign::Campaign::run)
+    /// always does.
     pub fn from_campaign(
         id: impl Into<String>,
         title: impl Into<String>,
         report: &CampaignReport,
     ) -> BenchReport {
         let mut out = BenchReport::new(id, title);
-        // Grouping keyed on non-seed labels, preserving expansion order.
-        let mut groups: Vec<(CellKey, Vec<usize>)> = Vec::new();
-        for (i, run) in report.runs.iter().enumerate() {
-            let labels = &run.scenario.labels;
-            let key = (
-                labels.protocol.clone(),
-                labels.link.clone(),
-                labels.topology.clone(),
-                labels.traffic.clone(),
-            );
-            match groups.iter_mut().find(|(k, _)| *k == key) {
-                Some((_, indices)) => indices.push(i),
-                None => groups.push((key, vec![i])),
-            }
-        }
-        for ((protocol, link, topology, traffic), indices) in groups {
-            let metric = |name: &str, unit: &str| {
-                Metric::new(name, unit)
-                    .with_axis("protocol", protocol.clone())
-                    .with_axis("link", link.clone())
-                    .with_axis("topology", topology.clone())
-                    .with_axis("traffic", traffic.clone())
-            };
-            let mut goodput = metric("goodput", "bytes/1000ticks");
-            let mut latency = metric("latency", "ticks/msg");
-            let mut retransmits = metric("retransmits", "retx/msg");
-            let mut delivery = metric("delivery", "ratio");
-            let mut success = metric("success", "ratio");
-            for &i in &indices {
-                match &report.runs[i].outcome {
-                    Ok(r) => {
-                        delivery.samples.push(r.delivery_ratio());
-                        success.samples.push(if r.success { 1.0 } else { 0.0 });
-                        if r.success {
-                            goodput.samples.push(r.goodput());
-                            latency.samples.push(r.latency_per_message());
-                            retransmits.samples.push(r.retransmit_rate());
-                        }
-                    }
-                    Err(_) => success.samples.push(0.0),
-                }
-            }
-            for m in [goodput, latency, retransmits, delivery, success] {
-                out.push(m);
+        for cell in &report.cells {
+            for (name, unit, series) in [
+                ("goodput", "bytes/1000ticks", &cell.goodput),
+                ("latency", "ticks/msg", &cell.latency),
+                ("retransmits", "retx/msg", &cell.retransmits),
+                ("delivery", "ratio", &cell.delivery),
+                ("success", "ratio", &cell.success),
+            ] {
+                assert_eq!(
+                    series.samples().len() as u64,
+                    series.count(),
+                    "{name} of {}/{}: the report must keep every sample",
+                    cell.protocol,
+                    cell.link
+                );
+                out.push(
+                    Metric::new(name, unit)
+                        .with_axis("protocol", cell.protocol.clone())
+                        .with_axis("link", cell.link.clone())
+                        .with_axis("topology", cell.topology.clone())
+                        .with_axis("traffic", cell.traffic.clone())
+                        .with_samples(series.samples().iter().copied()),
+                );
             }
         }
         out

@@ -25,15 +25,10 @@
 
 use netdsl_core::packet::{PacketValue, Value};
 use netdsl_core::DslError;
-use netdsl_obs::Counter;
 use netdsl_wire::checksum::ChecksumEngine;
 use netdsl_wire::{BitReader, BitWriter, WireError};
 
 use crate::ir::{CompiledCodec, CoverageIr, FieldIx, Op};
-
-static FRAMES_DECODED: Counter = Counter::new("codec.frames_decoded");
-static FRAMES_ACCEPTED: Counter = Counter::new("codec.frames_accepted");
-static FRAMES_REJECTED: Counter = Counter::new("codec.frames_rejected");
 
 /// Reusable zero-copy decode output: per-field integer registers plus
 /// bit spans into the decoded frame. Create once, pass to
@@ -514,12 +509,6 @@ impl CompiledCodec {
                 }
             }
         }
-        // One update per batch, not per frame: the counters self-gate
-        // on the global metrics switch, so a disabled run pays three
-        // branches per batch.
-        FRAMES_DECODED.add(summary.frames as u64);
-        FRAMES_ACCEPTED.add(summary.accepted as u64);
-        FRAMES_REJECTED.add(summary.rejected as u64);
         summary
     }
 

@@ -20,16 +20,18 @@
 //!   bit-identical to a run on 1 (there is a property test for this in
 //!   `tests/campaign.rs`).
 //!
-//! One executor runs every campaign. Workers steal chunks of the
-//! expansion, generate each chunk's scenarios on demand
-//! ([`Campaign::scenario_at`]) and hand them to a [`BatchDriver`], which
-//! may run the chunk's sessions back to back on one simulator; every
-//! [`ScenarioDriver`] is one. Each outcome then goes to one fold, in
-//! expansion order. [`Campaign::run`] runs one-scenario chunks and keeps
-//! every [`ScenarioRun`] — right for sweeps you want to slice
-//! afterwards. [`Campaign::run_streaming`] folds outcomes into
-//! [`StreamAggregate`]s with a bounded raw-sample reservoir — right for
-//! 10⁶-scenario sweeps that must not hold 10⁶ results in memory.
+//! One executor runs every campaign, and every run returns one
+//! [`CampaignReport`]. Workers steal chunks of the expansion, generate
+//! each chunk's scenarios on demand ([`Campaign::scenario_at`]) and hand
+//! them to a [`BatchDriver`], which may run the chunk's sessions back to
+//! back on one simulator; every [`ScenarioDriver`] is one. Each outcome
+//! is then folded, in expansion order, into its [`Cell`]: one
+//! combination of the non-seed axes, whose seed replicates are a
+//! contiguous run of the expansion because seeds vary fastest.
+//! [`Campaign::run`] keeps every raw sample — right for sweeps you want
+//! to slice afterwards. [`Campaign::run_streaming`] keeps at most
+//! [`StreamOptions::raw_cap`] per metric — right for 10⁶-scenario sweeps
+//! that must not hold 10⁶ results in memory.
 //!
 //! ```
 //! use netdsl_netsim::campaign::{Campaign, Sweep};
@@ -58,10 +60,9 @@ use rand_chacha::ChaCha12Rng;
 
 use crate::link::LinkConfig;
 use crate::scenario::{
-    EngineConfig, Fault, ProtocolSpec, Scenario, ScenarioDriver, ScenarioError, ScenarioLabels,
-    ScenarioResult, TopologySpec, TrafficPattern,
+    Fault, ProtocolSpec, Scenario, ScenarioDriver, ScenarioError, ScenarioLabels, ScenarioResult,
+    TopologySpec, TrafficPattern,
 };
-use crate::stats::Aggregate;
 use crate::Tick;
 
 /// One labelled campaign axis: an ordered list of `(label, value)`.
@@ -137,18 +138,14 @@ pub fn derive_seed(base_seed: u64, axis_seed: u64) -> u64 {
     ChaCha12Rng::seed_from_u64(key).next_u64()
 }
 
-/// A declarative sweep over protocols × engines × links × topologies ×
-/// traffic × seeds. See the [module docs](self) for the determinism
-/// contract.
+/// A declarative sweep over protocols × links × topologies × traffic ×
+/// seeds. See the [module docs](self) for the determinism contract.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Campaign {
     name: String,
     base_seed: u64,
     deadline: Tick,
     protocols: Sweep<ProtocolSpec>,
-    /// `None` = engines not swept: scenarios keep whatever engine their
-    /// protocol spec carries, and the engine label is `"default"`.
-    engines: Option<Sweep<EngineConfig>>,
     links: Sweep<LinkConfig>,
     topologies: Sweep<TopologySpec>,
     traffic: Sweep<TrafficPattern>,
@@ -168,7 +165,6 @@ impl Campaign {
             protocols: Sweep {
                 entries: Vec::new(),
             },
-            engines: None,
             links: Sweep {
                 entries: Vec::new(),
             },
@@ -188,19 +184,6 @@ impl Campaign {
     #[must_use]
     pub fn protocols(mut self, protocols: Sweep<ProtocolSpec>) -> Self {
         self.protocols = protocols;
-        self
-    }
-
-    /// Sets the engine-configuration axis (builder style). Every
-    /// scenario cell then runs once per [`EngineConfig`] entry, with the
-    /// config applied over the protocol spec
-    /// ([`ProtocolSpec::with_engine`]) — so engine-product sweeps (e.g.
-    /// the golden-parity 4-combo loop over [`EngineConfig::all`]) stop
-    /// hand-rolling the cartesian product. Campaigns that never call
-    /// this keep their protocol specs' own engine settings untouched.
-    #[must_use]
-    pub fn engines(mut self, engines: Sweep<EngineConfig>) -> Self {
-        self.engines = Some(engines);
         self
     }
 
@@ -247,23 +230,34 @@ impl Campaign {
     }
 
     /// Number of scenarios the cartesian product expands to, without
-    /// materialising any of them (an unset engine axis counts as one
-    /// implicit entry).
+    /// materialising any of them.
     pub fn scenario_count(&self) -> usize {
-        self.protocols.len()
-            * self.engines.as_ref().map_or(1, Sweep::len)
-            * self.links.len()
-            * self.topologies.len()
-            * self.traffic.len()
-            * self.seeds.len()
+        self.cell_count() * self.seeds.len()
+    }
+
+    /// Number of combinations of the non-seed axes.
+    fn cell_count(&self) -> usize {
+        self.protocols.len() * self.links.len() * self.topologies.len() * self.traffic.len()
+    }
+
+    /// The protocol, link, topology and traffic entries of cell `c`, the
+    /// `c`-th combination of the non-seed axes (traffic varies fastest).
+    fn cell_axes(&self, c: usize) -> [usize; 4] {
+        let mut rest = c;
+        let traffic = rest % self.traffic.len();
+        rest /= self.traffic.len();
+        let topology = rest % self.topologies.len();
+        rest /= self.topologies.len();
+        let link = rest % self.links.len();
+        [rest / self.links.len(), link, topology, traffic]
     }
 
     /// Builds the `idx`-th scenario of the expansion on demand — the
     /// streaming counterpart of [`Campaign::scenarios`]. The order is
-    /// fixed (protocol-major, then engine, link, topology, traffic,
-    /// seed), and `scenario_at(i)` equals `scenarios()[i]` for every
-    /// in-range index, so [`Campaign::run_streaming`] can sweep 10⁶
-    /// scenarios while only ever holding one worker chunk in memory.
+    /// fixed (protocol-major, then link, topology, traffic, seed), and
+    /// `scenario_at(i)` equals `scenarios()[i]` for every in-range
+    /// index, so [`Campaign::run_streaming`] can sweep 10⁶ scenarios
+    /// while only ever holding one worker chunk in memory.
     ///
     /// # Panics
     ///
@@ -274,38 +268,20 @@ impl Campaign {
             "scenario index {idx} out of range ({} scenarios)",
             self.scenario_count()
         );
-        // Decompose innermost-axis-last: seeds vary fastest.
-        let mut rest = idx;
-        let si = rest % self.seeds.len();
-        rest /= self.seeds.len();
-        let tri = rest % self.traffic.len();
-        rest /= self.traffic.len();
-        let ti = rest % self.topologies.len();
-        rest /= self.topologies.len();
-        let li = rest % self.links.len();
-        rest /= self.links.len();
-        let engines_len = self.engines.as_ref().map_or(1, Sweep::len);
-        let ei = rest % engines_len;
-        rest /= engines_len;
-        let pi = rest;
-
-        let (proto_label, proto) = &self.protocols.entries[pi];
-        let engine = self.engines.as_ref().map(|e| &e.entries[ei]);
+        // Seeds vary fastest: scenario `idx` is replicate `idx % seeds`
+        // of cell `idx / seeds`.
+        let replicates = self.seeds.len();
+        let [pi, li, ti, tri] = self.cell_axes(idx / replicates);
+        let (proto_label, protocol) = &self.protocols.entries[pi];
         let (link_label, link) = &self.links.entries[li];
         let (topo_label, topo) = &self.topologies.entries[ti];
         let (traffic_label, traffic) = &self.traffic.entries[tri];
-        let (seed_label, axis_seed) = &self.seeds.entries[si];
-        let engine_label = engine.map_or("default", |(l, _)| l.as_str());
-        let protocol = match engine {
-            Some((_, config)) => proto.clone().with_engine(*config),
-            None => proto.clone(),
-        };
-        // `campaign/protocol/engine/link/topology/traffic/seed`, built in
-        // one allocation of exact size.
+        let (seed_label, axis_seed) = &self.seeds.entries[idx % replicates];
+        // `campaign/protocol/link/topology/traffic/seed`, built in one
+        // allocation of exact size.
         let parts = [
             self.name.as_str(),
             proto_label,
-            engine_label,
             link_label,
             topo_label,
             traffic_label,
@@ -321,7 +297,7 @@ impl Campaign {
         }
         Scenario {
             name,
-            protocol,
+            protocol: protocol.clone(),
             link: link.clone(),
             topology: *topo,
             traffic: *traffic,
@@ -330,7 +306,6 @@ impl Campaign {
             deadline: self.deadline,
             labels: ScenarioLabels {
                 protocol: proto_label.clone(),
-                engine: engine_label.to_string(),
                 link: link_label.clone(),
                 topology: topo_label.clone(),
                 traffic: traffic_label.clone(),
@@ -340,105 +315,129 @@ impl Campaign {
     }
 
     /// Expands the cartesian product into concrete scenarios, in a fixed
-    /// order (protocol-major, then engine, link, topology, traffic,
-    /// seed).
+    /// order (protocol-major, then link, topology, traffic, seed).
     pub fn scenarios(&self) -> Vec<Scenario> {
         (0..self.scenario_count())
             .map(|i| self.scenario_at(i))
             .collect()
     }
 
-    /// Executes every scenario on `threads` worker threads (clamped to
-    /// at least 1) and returns the per-scenario outcomes in expansion
-    /// order. This is the streaming executor with one scenario per chunk
-    /// and a fold that keeps every [`ScenarioRun`], so the report is a
-    /// pure function of the campaign and driver: thread count only
-    /// changes wall-clock time.
-    pub fn run(&self, driver: &dyn BatchDriver, threads: usize) -> CampaignReport {
-        let n = self.scenario_count();
-        let opts = StreamOptions {
-            chunk: 1,
-            raw_cap: n,
-        };
+    /// The report before anything ran: zero counts, and one empty
+    /// [`Cell`] per combination of the non-seed axes, in expansion
+    /// order.
+    fn empty_report(&self) -> CampaignReport {
+        let cells = (0..self.cell_count()).map(|c| {
+            let [pi, li, ti, tri] = self.cell_axes(c);
+            Cell::new(
+                &self.protocols.entries[pi].0,
+                &self.links.entries[li].0,
+                &self.topologies.entries[ti].0,
+                &self.traffic.entries[tri].0,
+            )
+        });
         CampaignReport {
             campaign: self.name.clone(),
-            runs: self.execute(driver, threads, opts, None, Vec::with_capacity(n)),
+            executed: 0,
+            succeeded: 0,
+            failed: 0,
+            errors: 0,
+            cells: cells.collect(),
+            error_sample: Vec::new(),
         }
+    }
+
+    /// Executes every scenario on `threads` worker threads (clamped to
+    /// at least 1) and returns the report with every raw sample kept.
+    /// This is the streaming executor with one scenario per chunk, no
+    /// sample cap, and workers that never wait for the fold, so one
+    /// slow early scenario does not idle the rest. The report is a pure
+    /// function of the campaign and driver: thread count only changes
+    /// wall-clock time.
+    pub fn run(&self, driver: &dyn BatchDriver, threads: usize) -> CampaignReport {
+        let opts = StreamOptions {
+            chunk: 1,
+            raw_cap: self.scenario_count(),
+        };
+        self.execute(driver, threads, opts, None, false)
     }
 
     /// Executes the whole expansion without ever materialising it:
     /// workers steal fixed-size chunks of scenario indices, generate
     /// each chunk's scenarios on demand via [`Campaign::scenario_at`],
     /// hand the chunk to the [`BatchDriver`], and fold every outcome
-    /// into the report's [`StreamAggregate`]s **strictly in expansion
-    /// order**, so the report is bit-identical across thread counts and
-    /// chunk sizes (f64 addition is folded in one fixed order).
+    /// into its cell **strictly in expansion order**, so the report is
+    /// bit-identical across thread counts and chunk sizes (f64 addition
+    /// is folded in one fixed order).
     ///
-    /// Peak memory is `O(threads × chunk + raw_cap)`: one chunk of
-    /// scenarios per worker, the samples of at most `2 × threads`
-    /// finished chunks waiting for a slower earlier one, and the
-    /// report's bounded sample reservoirs. A 10⁶-scenario sweep
-    /// therefore runs on all cores without holding 10⁶ results, names,
-    /// or samples.
+    /// Peak memory is `O(threads × chunk + raw_cap + cells)`: one chunk
+    /// of scenarios per worker, the digests of at most `2 × threads`
+    /// finished chunks waiting for a slower earlier one, at most
+    /// `raw_cap` raw samples per metric, and one small entry per cell.
+    /// A 10⁶-scenario sweep therefore runs on all cores without holding
+    /// 10⁶ results, names, or samples.
     pub fn run_streaming(
         &self,
         driver: &dyn BatchDriver,
         threads: usize,
         opts: StreamOptions,
-    ) -> StreamingReport {
-        let report = StreamingReport::empty(self.name.clone(), opts.raw_cap);
-        self.execute(driver, threads, opts, None, report)
+    ) -> CampaignReport {
+        self.execute(driver, threads, opts, None, true)
     }
 
     /// [`Campaign::run_streaming`] with a live [`ProgressSink`]: the
     /// executing worker reports after every finished chunk (chunks and
-    /// cells done, aggregate cells/s, reservoir bound, per-worker cell
-    /// counts), and one final `done` update follows the last fold.
-    /// Progress is observational only — the report is bit-identical to
-    /// [`Campaign::run_streaming`] whatever the sink does.
+    /// scenarios done, aggregate scenarios/s, reservoir bound,
+    /// per-worker scenario counts), and one final `done` update follows
+    /// the last fold. Progress is observational only — the report is
+    /// bit-identical to [`Campaign::run_streaming`] whatever the sink
+    /// does.
     pub fn run_streaming_with(
         &self,
         driver: &dyn BatchDriver,
         threads: usize,
         opts: StreamOptions,
         sink: &dyn ProgressSink,
-    ) -> StreamingReport {
-        let report = StreamingReport::empty(self.name.clone(), opts.raw_cap);
-        self.execute(driver, threads, opts, Some(sink), report)
+    ) -> CampaignReport {
+        self.execute(driver, threads, opts, Some(sink), true)
     }
 
     /// The one executor behind [`Campaign::run`] and
     /// [`Campaign::run_streaming_with`]. Workers steal chunks of
     /// `opts.chunk` scenario indices (atomic counter), build each
     /// chunk's scenarios into a buffer they keep across chunks, run it
-    /// through [`run_chunk`] and digest it ([`Fold::digest`]) outside
-    /// the lock. Digested chunks reach `fold` strictly in chunk-index
-    /// order: one that finishes early waits in the pending map. For a
-    /// [`Fold::BOUNDED`] fold no worker starts a chunk `2 × workers` or
-    /// more ahead of the fold, which bounds the pending map. `sink`, if
-    /// any, hears after every chunk and once at the end, and
+    /// through [`run_chunk`] and digest it ([`Digest::of`]) outside the
+    /// lock. Digests reach the [`Tally`] strictly in chunk-index order:
+    /// one that finishes early waits in the pending map. When `bounded`,
+    /// no worker starts a chunk `2 × workers` or more ahead of the fold,
+    /// which bounds the pending map; otherwise workers never wait.
+    /// `sink`, if any, hears after every chunk and once at the end, and
     /// `opts.raw_cap` is the retention bound those updates report.
-    fn execute<F: Fold>(
+    fn execute(
         &self,
         driver: &dyn BatchDriver,
         threads: usize,
         opts: StreamOptions,
         sink: Option<&dyn ProgressSink>,
-        fold: F,
-    ) -> F {
+        bounded: bool,
+    ) -> CampaignReport {
         let n = self.scenario_count();
         let (chunk, raw_cap) = (opts.chunk.max(1), opts.raw_cap);
         let chunks = n.div_ceil(chunk);
         let workers = threads.max(1).min(chunks.max(1));
         let merger = Merger {
             state: Mutex::new(Merge {
-                fold,
+                tally: Tally {
+                    report: self.empty_report(),
+                    replicates: self.seeds.len(),
+                    next: 0,
+                    room: [raw_cap; 5],
+                },
                 next: 0,
                 pending: BTreeMap::new(),
                 failed: false,
             }),
             merged: Condvar::new(),
-            lag: if F::BOUNDED { 2 * workers } else { chunks },
+            lag: bounded.then_some(2 * workers),
         };
         let next = AtomicUsize::new(0);
         let chunks_done = AtomicUsize::new(0);
@@ -491,7 +490,7 @@ impl Campaign {
                             return;
                         }
                         let outcomes = run_chunk(driver, &batch);
-                        merger.finish(c, F::digest(&mut batch, outcomes));
+                        merger.finish(c, Digest::of(&batch, &outcomes));
                         shard.fetch_add((hi - lo) as u64, Ordering::Relaxed);
                         let done_cells =
                             cells_done.fetch_add(hi - lo, Ordering::SeqCst) + (hi - lo);
@@ -504,120 +503,138 @@ impl Campaign {
 
         let m = merger.state.into_inner().expect("workers joined");
         assert_eq!(m.next, chunks, "every chunk folded");
-        update(chunks, n, m.fold.retained(), true);
-        m.fold
+        let report = m.tally.finish();
+        let retained = report.cells.iter().map(|c| c.success.samples().len());
+        update(chunks, n, retained.sum(), true);
+        report
     }
 }
 
 /// A scenario's result, or why no driver could execute it.
 type Outcome = Result<ScenarioResult, ScenarioError>;
 
-/// What the executor folds finished chunks into, in chunk order.
-trait Fold: Send {
-    /// `true` when the fold's memory is bounded, so the finished chunks
-    /// waiting for it must be bounded too. A fold that keeps every run
-    /// holds them all anyway, and its workers never wait.
-    const BOUNDED: bool;
-
-    /// What the fold keeps of one finished chunk: the worker builds it
-    /// outside the lock, and it is what waits in the pending map when
-    /// the chunk finishes early.
-    type Chunk: Send;
-
-    /// Takes what the fold needs from one chunk's outcomes, index for
-    /// index with `scenarios`. It may move the scenarios out; the
-    /// worker clears the buffer anyway.
-    fn digest(scenarios: &mut Vec<Scenario>, outcomes: Vec<Outcome>) -> Self::Chunk;
-
-    /// Folds one digested chunk; chunks arrive in chunk-index order.
-    fn fold(&mut self, chunk: Self::Chunk);
-
-    /// Raw samples (or runs) held so far, for the final progress update.
-    fn retained(&self) -> usize;
+/// One run as the report folds it. This is the one rule behind every
+/// campaign statistic: goodput, latency and retransmits come from
+/// successful runs, delivery from every executed run, and the success
+/// series from every run, with errors as 0.
+#[derive(Debug, Clone, Copy)]
+enum Run {
+    /// No driver could execute the scenario.
+    Error,
+    /// Executed without completing the workload.
+    Failed { delivery: f64 },
+    /// Completed the workload.
+    Succeeded {
+        delivery: f64,
+        goodput: f64,
+        latency: f64,
+        retransmits: f64,
+    },
 }
 
-/// [`Campaign::run`]'s fold: every scenario with its outcome.
-impl Fold for Vec<ScenarioRun> {
-    const BOUNDED: bool = false;
-    type Chunk = Vec<ScenarioRun>;
-
-    fn digest(scenarios: &mut Vec<Scenario>, outcomes: Vec<Outcome>) -> Self::Chunk {
-        let runs = scenarios.drain(..).zip(outcomes);
-        runs.map(|(scenario, outcome)| ScenarioRun { scenario, outcome })
-            .collect()
-    }
-
-    fn fold(&mut self, mut chunk: Self::Chunk) {
-        self.append(&mut chunk);
-    }
-
-    fn retained(&self) -> usize {
-        self.len()
+impl Run {
+    fn of(outcome: &Outcome) -> Run {
+        match outcome {
+            Err(_) => Run::Error,
+            Ok(r) if r.success => Run::Succeeded {
+                delivery: r.delivery_ratio(),
+                goodput: r.goodput(),
+                latency: r.latency_per_message(),
+                retransmits: r.retransmit_rate(),
+            },
+            Ok(r) => Run::Failed {
+                delivery: r.delivery_ratio(),
+            },
+        }
     }
 }
 
-/// [`Campaign::run_streaming`]'s fold: bounded aggregates, no records.
-impl Fold for StreamingReport {
-    const BOUNDED: bool = true;
-    /// The chunk's [`Tally`], and the names of its first 16 errors.
-    type Chunk = (Tally, Vec<(String, String)>);
+/// What the fold keeps of one finished chunk. The worker builds it
+/// outside the lock, and it is what waits in the pending map when the
+/// chunk finishes early.
+struct Digest {
+    /// Every run, in chunk order.
+    runs: Vec<Run>,
+    /// The names of the chunk's first 16 errors, with the errors.
+    errors: Vec<(String, String)>,
+}
 
-    fn digest(scenarios: &mut Vec<Scenario>, outcomes: Vec<Outcome>) -> Self::Chunk {
-        let errors = scenarios
+impl Digest {
+    /// Digests one chunk's outcomes, index for index with `batch`.
+    fn of(batch: &[Scenario], outcomes: &[Outcome]) -> Digest {
+        let errors = batch
             .iter()
-            .zip(&outcomes)
+            .zip(outcomes)
             .filter_map(|(scenario, outcome)| {
                 let e = outcome.as_ref().err()?;
                 Some((scenario.name.clone(), e.to_string()))
             });
-        let errors = errors.take(ERROR_SAMPLE_CAP).collect();
-        (Tally::of(outcomes.iter()), errors)
-    }
-
-    /// Adds the chunk's counts and pushes its samples one at a time, so
-    /// every sum is folded in expansion order.
-    fn fold(&mut self, (tally, errors): Self::Chunk) {
-        self.executed += tally.runs;
-        self.succeeded += tally.succeeded;
-        self.failed += tally.failed;
-        self.errors += tally.errors;
-        for (agg, samples) in [
-            (&mut self.goodput, tally.goodput),
-            (&mut self.latency, tally.latency),
-            (&mut self.retransmits, tally.retransmits),
-            (&mut self.delivery, tally.delivery),
-        ] {
-            samples.into_iter().for_each(|sample| agg.push(sample));
+        Digest {
+            runs: outcomes.iter().map(Run::of).collect(),
+            errors: errors.take(ERROR_SAMPLE_CAP).collect(),
         }
-        let room = ERROR_SAMPLE_CAP - self.error_sample.len();
-        self.error_sample.extend(errors.into_iter().take(room));
+    }
+}
+
+/// The report being folded: the next run's expansion index, the seed
+/// replicates per cell, and how many raw samples each metric may still
+/// keep (in [`Cell`] field order).
+struct Tally {
+    report: CampaignReport,
+    replicates: usize,
+    next: usize,
+    room: [usize; 5],
+}
+
+impl Tally {
+    /// Folds one digested chunk; chunks arrive in chunk-index order, so
+    /// every cell sees its runs, and every sum its samples, in expansion
+    /// order.
+    fn fold(&mut self, chunk: Digest) {
+        for run in chunk.runs {
+            self.report.cells[self.next / self.replicates].add(run, &mut self.room);
+            self.next += 1;
+        }
+        let room = ERROR_SAMPLE_CAP - self.report.error_sample.len();
+        self.report
+            .error_sample
+            .extend(chunk.errors.into_iter().take(room));
     }
 
-    fn retained(&self) -> usize {
-        self.delivery.samples().len()
+    /// The finished report, its totals summed over the cells.
+    fn finish(mut self) -> CampaignReport {
+        let r = &mut self.report;
+        for cell in &r.cells {
+            r.executed += cell.executed;
+            r.succeeded += cell.succeeded;
+            r.failed += cell.failed;
+            r.errors += cell.errors;
+        }
+        self.report
     }
 }
 
 /// The chunk-order fold the workers share.
-struct Merger<F: Fold> {
-    state: Mutex<Merge<F>>,
+struct Merger {
+    state: Mutex<Merge>,
     merged: Condvar,
     /// How many chunks a worker may run ahead of the oldest unfolded
-    /// one, which bounds the pending map.
-    lag: usize,
+    /// one, which bounds the pending map; `None` when workers never
+    /// wait.
+    lag: Option<usize>,
 }
 
-/// The fold so far, the next chunk it expects, digested chunks that
+/// The fold so far, the next chunk it expects, digests of chunks that
 /// finished ahead of it, and whether a worker has panicked.
-struct Merge<F: Fold> {
-    fold: F,
+struct Merge {
+    tally: Tally,
     next: usize,
-    pending: BTreeMap<usize, F::Chunk>,
+    pending: BTreeMap<usize, Digest>,
     failed: bool,
 }
 
-impl<F: Fold> Merger<F> {
-    fn lock(&self) -> MutexGuard<'_, Merge<F>> {
+impl Merger {
+    fn lock(&self) -> MutexGuard<'_, Merge> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
@@ -625,8 +642,10 @@ impl<F: Fold> Merger<F> {
     /// once a worker has panicked.
     fn start(&self, c: usize) -> bool {
         let mut m = self.lock();
-        while c >= m.next + self.lag && !m.failed {
-            m = self.merged.wait(m).unwrap_or_else(PoisonError::into_inner);
+        if let Some(lag) = self.lag {
+            while c >= m.next + lag && !m.failed {
+                m = self.merged.wait(m).unwrap_or_else(PoisonError::into_inner);
+            }
         }
         !m.failed
     }
@@ -634,22 +653,22 @@ impl<F: Fold> Merger<F> {
     /// Folds chunk `c` if it is next in order, then every pending chunk
     /// that now follows; a chunk that arrives early waits in the
     /// pending map.
-    fn finish(&self, c: usize, chunk: F::Chunk) {
+    fn finish(&self, c: usize, chunk: Digest) {
         let mut guard = self.lock();
         let m = &mut *guard;
         if c != m.next {
             m.pending.insert(c, chunk);
             return;
         }
-        m.fold.fold(chunk);
+        m.tally.fold(chunk);
         m.next += 1;
         while let Some(chunk) = m.pending.remove(&m.next) {
-            m.fold.fold(chunk);
+            m.tally.fold(chunk);
             m.next += 1;
         }
         drop(guard);
-        // Only a bounded fold's workers ever wait in `start`.
-        if F::BOUNDED {
+        // Only a bounded run's workers ever wait in `start`.
+        if self.lag.is_some() {
             self.merged.notify_all();
         }
     }
@@ -657,9 +676,9 @@ impl<F: Fold> Merger<F> {
 
 /// Stops the waiting workers if the worker holding it unwinds, so a
 /// panicking driver fails the run instead of stalling it.
-struct FailOnPanic<'a, F: Fold>(&'a Merger<F>);
+struct FailOnPanic<'a>(&'a Merger);
 
-impl<F: Fold> Drop for FailOnPanic<'_, F> {
+impl Drop for FailOnPanic<'_> {
     fn drop(&mut self) {
         if thread::panicking() {
             self.0.lock().failed = true;
@@ -734,8 +753,9 @@ pub struct StreamOptions {
     /// chunk is also the batch handed to [`BatchDriver::run_batch`], so
     /// it sets how many scenarios a worker holds at once.
     pub chunk: usize,
-    /// Maximum raw samples retained per metric across the whole run
-    /// (the [`StreamAggregate`] reservoir bound).
+    /// Maximum raw samples retained per metric across the whole report:
+    /// the first `raw_cap` in expansion order, wherever their cells
+    /// are. Every [`StreamAggregate`]'s moments stay exact.
     pub raw_cap: usize,
 }
 
@@ -748,41 +768,40 @@ impl Default for StreamOptions {
     }
 }
 
-/// Streaming counterpart of [`Aggregate`]: exact count / sum / mean /
-/// min / max over *every* sample, plus a bounded reservoir holding the
-/// first `cap` samples in scenario order, so a 10⁶-run sweep retains
-/// `O(cap)` memory instead of `O(runs)`.
+/// Streaming counterpart of [`Aggregate`](crate::stats::Aggregate):
+/// exact count / sum / mean / min / max over *every* sample, plus the
+/// raw samples the report had room for (see
+/// [`StreamOptions::raw_cap`]), in scenario order, so a 10⁶-run sweep
+/// retains `O(raw_cap)` memory instead of `O(runs)`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamAggregate {
     count: u64,
     sum: f64,
     min: f64,
     max: f64,
-    cap: usize,
-    reservoir: Vec<f64>,
+    samples: Vec<f64>,
 }
 
 impl StreamAggregate {
-    /// An empty aggregate retaining at most `cap` raw samples.
-    pub fn new(cap: usize) -> Self {
+    fn new() -> Self {
         StreamAggregate {
             count: 0,
             sum: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
-            cap,
-            reservoir: Vec::new(),
+            samples: Vec::new(),
         }
     }
 
-    /// Folds in one sample.
-    pub fn push(&mut self, sample: f64) {
+    /// Folds in one sample, and keeps it raw while `room` lasts.
+    fn push(&mut self, sample: f64, room: &mut usize) {
         self.count += 1;
         self.sum += sample;
         self.min = self.min.min(sample);
         self.max = self.max.max(sample);
-        if self.reservoir.len() < self.cap {
-            self.reservoir.push(sample);
+        if *room > 0 {
+            *room -= 1;
+            self.samples.push(sample);
         }
     }
 
@@ -815,24 +834,25 @@ impl StreamAggregate {
         (self.count > 0).then_some(self.max)
     }
 
-    /// The retained raw samples: the first `min(cap, count)` samples in
-    /// scenario order.
+    /// The retained raw samples, in scenario order: every sample when
+    /// the report came from [`Campaign::run`].
     pub fn samples(&self) -> &[f64] {
-        &self.reservoir
+        &self.samples
     }
 }
 
-/// How many failing scenario names a streaming report retains.
+/// How many failing scenario names a report retains.
 const ERROR_SAMPLE_CAP: usize = 16;
 
-/// What a [`Campaign::run_streaming`] sweep produced: exact counts and
-/// streaming distributions, but no per-scenario records — memory stays
-/// bounded no matter how many scenarios ran.
+/// What a campaign run produced: exact counts, and one [`Cell`] per
+/// combination of the non-seed axes, in expansion order. The same
+/// report comes from [`Campaign::run`] (every raw sample kept) and
+/// [`Campaign::run_streaming`] (at most `raw_cap` per metric).
 #[derive(Debug, Clone, PartialEq)]
-pub struct StreamingReport {
+pub struct CampaignReport {
     /// Name of the campaign that ran.
     pub campaign: String,
-    /// Scenarios executed (the full expansion).
+    /// Scenarios run (the full expansion), errors included.
     pub executed: usize,
     /// Runs whose workload completed correctly.
     pub succeeded: usize,
@@ -840,175 +860,97 @@ pub struct StreamingReport {
     pub failed: usize,
     /// Runs no driver could execute.
     pub errors: usize,
-    /// Goodput distribution over successful runs.
-    pub goodput: StreamAggregate,
-    /// Per-message latency distribution over successful runs.
-    pub latency: StreamAggregate,
-    /// Retransmit-rate distribution over successful runs.
-    pub retransmits: StreamAggregate,
-    /// Delivery-ratio distribution over all executed runs.
-    pub delivery: StreamAggregate,
+    /// One entry per combination of the non-seed axes.
+    pub cells: Vec<Cell>,
     /// Up to 16 `(scenario name, error)` pairs, in scenario order.
     pub error_sample: Vec<(String, String)>,
 }
 
-impl StreamingReport {
-    fn empty(campaign: String, raw_cap: usize) -> Self {
-        StreamingReport {
-            campaign,
-            executed: 0,
-            succeeded: 0,
-            failed: 0,
-            errors: 0,
-            goodput: StreamAggregate::new(raw_cap),
-            latency: StreamAggregate::new(raw_cap),
-            retransmits: StreamAggregate::new(raw_cap),
-            delivery: StreamAggregate::new(raw_cap),
-            error_sample: Vec::new(),
-        }
-    }
-}
-
-/// One scenario plus what running it produced.
+/// One combination of the non-seed axes, with its seed replicates
+/// folded: its labels, its run counts, and one [`StreamAggregate`] per
+/// metric. Goodput, latency and retransmits cover successful runs only
+/// (a failed run has no meaningful goodput); delivery covers every
+/// executed run (partial delivery is the interesting signal there);
+/// success is 1 or 0 for every run, with driver errors as 0.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioRun {
-    /// The scenario that ran.
-    pub scenario: Scenario,
-    /// Its result, or why no driver could execute it.
-    pub outcome: Result<ScenarioResult, ScenarioError>,
-}
-
-/// Everything a campaign run produced, in expansion order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CampaignReport {
-    /// Name of the campaign that ran.
-    pub campaign: String,
-    /// Per-scenario outcomes.
-    pub runs: Vec<ScenarioRun>,
-}
-
-impl CampaignReport {
-    /// Aggregate over every run.
-    pub fn aggregate(&self) -> Summary {
-        Summary::of(self.runs.iter())
-    }
-
-    /// Aggregates per group, keyed by `key(scenario)`; groups are sorted
-    /// by key. Typical keys join axis labels, e.g.
-    /// `|s| format!("{}/{}", s.labels.link, s.labels.protocol)`.
-    pub fn group_by<F>(&self, key: F) -> BTreeMap<String, Summary>
-    where
-        F: Fn(&Scenario) -> String,
-    {
-        let mut groups: BTreeMap<String, Vec<&ScenarioRun>> = BTreeMap::new();
-        for run in &self.runs {
-            groups.entry(key(&run.scenario)).or_default().push(run);
-        }
-        groups
-            .into_iter()
-            .map(|(k, runs)| (k, Summary::of(runs.into_iter())))
-            .collect()
-    }
-
-    /// The runs whose driver errored (unknown protocol, bad topology).
-    pub fn errors(&self) -> impl Iterator<Item = &ScenarioRun> {
-        self.runs.iter().filter(|r| r.outcome.is_err())
-    }
-}
-
-/// Cross-run statistics for a set of scenario runs.
-///
-/// The percentile distributions cover *successful* runs only (a run that
-/// failed has no meaningful goodput); `succeeded`/`failed`/`errors`
-/// count every run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Summary {
-    /// Total runs in the group.
-    pub runs: usize,
+pub struct Cell {
+    /// Protocol-axis label.
+    pub protocol: String,
+    /// Link-axis label.
+    pub link: String,
+    /// Topology-axis label.
+    pub topology: String,
+    /// Traffic-axis label.
+    pub traffic: String,
+    /// Seed replicates run, errors included.
+    pub executed: usize,
     /// Runs whose workload completed correctly.
     pub succeeded: usize,
     /// Runs that executed but did not complete the workload.
     pub failed: usize,
     /// Runs no driver could execute.
     pub errors: usize,
-    /// Goodput distribution (payload bytes / 1000 ticks).
-    pub goodput: Aggregate,
-    /// Per-message latency distribution (ticks per delivered message).
-    pub latency: Aggregate,
-    /// Retransmit-rate distribution (retransmissions per message).
-    pub retransmits: Aggregate,
-    /// Delivery-ratio distribution over *all* executed runs (including
-    /// failures — partial delivery is the interesting signal there).
-    pub delivery: Aggregate,
+    /// Goodput (payload bytes / 1000 ticks) over successful runs.
+    pub goodput: StreamAggregate,
+    /// Ticks per delivered message over successful runs.
+    pub latency: StreamAggregate,
+    /// Retransmissions per offered message over successful runs.
+    pub retransmits: StreamAggregate,
+    /// Delivery ratio over every executed run.
+    pub delivery: StreamAggregate,
+    /// 1 for a successful run and 0 otherwise, over every run.
+    pub success: StreamAggregate,
 }
 
-impl Summary {
-    /// Tallies `runs` ([`Tally::of`]) and sorts each metric's samples
-    /// into an [`Aggregate`].
-    fn of<'a>(runs: impl Iterator<Item = &'a ScenarioRun>) -> Summary {
-        let t = Tally::of(runs.map(|run| &run.outcome));
-        Summary {
-            runs: t.runs,
-            succeeded: t.succeeded,
-            failed: t.failed,
-            errors: t.errors,
-            goodput: Aggregate::from_samples(t.goodput),
-            latency: Aggregate::from_samples(t.latency),
-            retransmits: Aggregate::from_samples(t.retransmits),
-            delivery: Aggregate::from_samples(t.delivery),
-        }
-    }
-}
-
-/// Run counts and every sample of a sequence of outcomes, in order. It
-/// is the one rule behind every campaign statistic, which [`Summary`]
-/// and [`StreamingReport`] both fold through: goodput, latency and
-/// retransmits come from successful runs, delivery from every executed
-/// run, and errors are counted apart.
-struct Tally {
-    runs: usize,
-    succeeded: usize,
-    failed: usize,
-    errors: usize,
-    goodput: Vec<f64>,
-    latency: Vec<f64>,
-    retransmits: Vec<f64>,
-    delivery: Vec<f64>,
-}
-
-impl Tally {
-    /// Fills one pre-sized buffer per metric in a single pass: per-cell
-    /// summaries are built thousands of times per campaign report.
-    fn of<'a>(outcomes: impl Iterator<Item = &'a Outcome>) -> Tally {
-        let expected = outcomes.size_hint().0;
-        let mut t = Tally {
-            runs: 0,
+impl Cell {
+    fn new(protocol: &str, link: &str, topology: &str, traffic: &str) -> Cell {
+        Cell {
+            protocol: protocol.to_string(),
+            link: link.to_string(),
+            topology: topology.to_string(),
+            traffic: traffic.to_string(),
+            executed: 0,
             succeeded: 0,
             failed: 0,
             errors: 0,
-            goodput: Vec::with_capacity(expected),
-            latency: Vec::with_capacity(expected),
-            retransmits: Vec::with_capacity(expected),
-            delivery: Vec::with_capacity(expected),
-        };
-        for outcome in outcomes {
-            t.runs += 1;
-            match outcome {
-                Ok(r) => {
-                    t.delivery.push(r.delivery_ratio());
-                    if r.success {
-                        t.succeeded += 1;
-                        t.goodput.push(r.goodput());
-                        t.latency.push(r.latency_per_message());
-                        t.retransmits.push(r.retransmit_rate());
-                    } else {
-                        t.failed += 1;
-                    }
-                }
-                Err(_) => t.errors += 1,
-            }
+            goodput: StreamAggregate::new(),
+            latency: StreamAggregate::new(),
+            retransmits: StreamAggregate::new(),
+            delivery: StreamAggregate::new(),
+            success: StreamAggregate::new(),
         }
-        t
+    }
+
+    /// Folds one run; `room` holds the raw samples each metric may
+    /// still keep, in field order.
+    fn add(&mut self, run: Run, room: &mut [usize; 5]) {
+        let [goodput, latency, retransmits, delivery, success] = room;
+        self.executed += 1;
+        let ok = match run {
+            Run::Error => {
+                self.errors += 1;
+                0.0
+            }
+            Run::Failed { delivery: d } => {
+                self.failed += 1;
+                self.delivery.push(d, delivery);
+                0.0
+            }
+            Run::Succeeded {
+                delivery: d,
+                goodput: g,
+                latency: l,
+                retransmits: r,
+            } => {
+                self.succeeded += 1;
+                self.goodput.push(g, goodput);
+                self.latency.push(l, latency);
+                self.retransmits.push(r, retransmits);
+                self.delivery.push(d, delivery);
+                1.0
+            }
+        };
+        self.success.push(ok, success);
     }
 }
 
@@ -1055,9 +997,8 @@ mod tests {
     fn expansion_is_the_cartesian_product_in_fixed_order() {
         let scenarios = small_campaign().scenarios();
         assert_eq!(scenarios.len(), 2 * 2 * 3);
-        assert_eq!(scenarios[0].name, "t/p1/default/clean/duplex/default/s0");
-        assert_eq!(scenarios[11].name, "t/p2/default/dead/duplex/default/s2");
-        assert_eq!(scenarios[0].labels.engine, "default");
+        assert_eq!(scenarios[0].name, "t/p1/clean/duplex/default/s0");
+        assert_eq!(scenarios[11].name, "t/p2/dead/duplex/default/s2");
         // Common random numbers: same seed replicate → same derived seed
         // across protocols and links.
         assert_eq!(scenarios[0].seed, scenarios[3].seed);
@@ -1067,44 +1008,18 @@ mod tests {
     }
 
     #[test]
-    fn engine_axis_multiplies_the_expansion_and_rewrites_the_spec() {
-        use crate::scenario::FramePath;
-        let engines = Sweep::grid(
-            EngineConfig::all()
-                .into_iter()
-                .map(|cfg| (cfg.label(), cfg)),
-        );
-        let c = small_campaign().engines(engines);
-        let scenarios = c.scenarios();
-        assert_eq!(scenarios.len(), 2 * 4 * 2 * 3);
-        // The engine label sits between protocol and link, and the spec
-        // actually carries the swept config.
-        assert_eq!(
-            scenarios[0].name,
-            "t/p1/compiled/typestate/clean/duplex/default/s0"
-        );
-        assert_eq!(scenarios[0].labels.engine, "compiled/typestate");
-        assert_eq!(scenarios[0].protocol.engine(), EngineConfig::default());
-        let interpreted = scenarios
-            .iter()
-            .find(|s| s.labels.engine.starts_with("interpreted/"))
-            .expect("interpreted engine cells exist");
-        assert_eq!(
-            interpreted.protocol.engine().frame_path,
-            FramePath::Interpreted
-        );
-        // Engine is a non-seed axis: common random numbers hold across it.
-        assert_eq!(scenarios[0].seed, scenarios[6].seed);
-    }
-
-    #[test]
     fn scenario_at_matches_the_materialised_expansion() {
-        let engines = Sweep::grid(
-            EngineConfig::all()
-                .into_iter()
-                .map(|cfg| (cfg.label(), cfg)),
-        );
-        for c in [small_campaign(), small_campaign().engines(engines)] {
+        let wide = small_campaign()
+            .topologies(Sweep::grid([
+                ("duplex", TopologySpec::Duplex),
+                ("duplex-b", TopologySpec::Duplex),
+            ]))
+            .traffic(Sweep::grid([
+                ("one", TrafficPattern::messages(1, 8)),
+                ("two", TrafficPattern::messages(2, 8)),
+                ("three", TrafficPattern::messages(3, 8)),
+            ]));
+        for c in [small_campaign(), wide] {
             let all = c.scenarios();
             assert_eq!(all.len(), c.scenario_count());
             for (i, scenario) in all.iter().enumerate() {
@@ -1124,24 +1039,21 @@ mod tests {
     fn streaming_matches_the_materialised_run() {
         let c = small_campaign();
         let report = c.run(&Echo, 2);
-        let summary = report.aggregate();
-        let streamed = c.run_streaming(&Echo, 2, StreamOptions::default());
-        assert_eq!(streamed.executed, summary.runs);
-        assert_eq!(streamed.succeeded, summary.succeeded);
-        assert_eq!(streamed.failed, summary.failed);
-        assert_eq!(streamed.errors, summary.errors);
-        assert_eq!(streamed.goodput.count(), summary.goodput.count() as u64);
-        assert_eq!(streamed.delivery.count(), summary.delivery.count() as u64);
-        // With an uncapped reservoir the raw samples are exactly the
-        // materialised ones, in scenario order.
-        let goodput: Vec<f64> = report
-            .runs
-            .iter()
-            .filter_map(|r| r.outcome.as_ref().ok())
-            .filter(|r| r.success)
-            .map(|r| r.goodput())
-            .collect();
-        assert_eq!(streamed.goodput.samples(), &goodput[..]);
+        // With room for every sample the two entry points agree exactly.
+        assert_eq!(c.run_streaming(&Echo, 2, StreamOptions::default()), report);
+        // And a cell's raw samples are its replicates' results, in
+        // scenario order.
+        let scenarios = c.scenarios();
+        for (k, cell) in report.cells.iter().enumerate() {
+            let replicates = &scenarios[3 * k..3 * (k + 1)];
+            let goodput: Vec<f64> = replicates
+                .iter()
+                .map(|s| Echo.run(s).unwrap())
+                .filter(|r| r.success)
+                .map(|r| r.goodput())
+                .collect();
+            assert_eq!(cell.goodput.samples(), &goodput[..], "cell {k}");
+        }
     }
 
     #[test]
@@ -1176,9 +1088,10 @@ mod tests {
             c.scenario_count() as u64,
             "every cell is attributed to a worker shard"
         );
+        let retained = observed.cells.iter().map(|c| c.success.samples().len());
         assert_eq!(
             last.reservoir,
-            observed.delivery.samples().len(),
+            retained.sum::<usize>(),
             "final update carries exact reservoir occupancy"
         );
         assert!(updates.iter().rev().skip(1).all(|u| !u.done));
@@ -1266,7 +1179,7 @@ mod tests {
                 ScenarioDriver::supports(&Echo, protocol)
             }
             fn run_batch(&self, batch: &[Scenario]) -> Vec<Result<ScenarioResult, ScenarioError>> {
-                if batch[0].name == "t/p1/default/clean/duplex/default/s0" {
+                if batch[0].name == "t/p1/clean/duplex/default/s0" {
                     thread::sleep(std::time::Duration::from_millis(20));
                     panic!("driver failure");
                 }
@@ -1291,14 +1204,30 @@ mod tests {
             raw_cap: 2,
         };
         let capped = c.run_streaming(&Echo, 4, opts);
-        let full = c.run_streaming(&Echo, 1, StreamOptions::default());
-        assert_eq!(capped.delivery.count(), 12);
-        assert!(capped.delivery.samples().len() <= 2, "reservoir is bounded");
-        assert_eq!(capped.delivery.samples(), &full.delivery.samples()[..2]);
-        assert_eq!(capped.goodput.sum(), full.goodput.sum());
-        assert_eq!(capped.goodput.mean(), full.goodput.mean());
-        assert_eq!(capped.goodput.min(), full.goodput.min());
-        assert_eq!(capped.goodput.max(), full.goodput.max());
+        let full = c.run(&Echo, 1);
+        assert_eq!(capped.executed, 12);
+        // The cap spans the whole report: the first two samples of each
+        // metric in expansion order, wherever their cells are.
+        let delivery = |r: &CampaignReport| -> Vec<f64> {
+            let cells = r.cells.iter();
+            cells.flat_map(|c| c.delivery.samples()).copied().collect()
+        };
+        assert_eq!(delivery(&capped), delivery(&full)[..2]);
+        for (a, b) in capped.cells.iter().zip(&full.cells) {
+            assert_eq!(a.executed, b.executed);
+            assert_eq!(a.succeeded, b.succeeded);
+            for (x, y) in [
+                (&a.goodput, &b.goodput),
+                (&a.delivery, &b.delivery),
+                (&a.success, &b.success),
+            ] {
+                assert_eq!(x.count(), y.count());
+                assert_eq!(x.sum(), y.sum());
+                assert_eq!(x.mean(), y.mean());
+                assert_eq!(x.min(), y.min());
+                assert_eq!(x.max(), y.max());
+            }
+        }
     }
 
     #[test]
@@ -1311,10 +1240,7 @@ mod tests {
         assert_eq!(streamed.errors, 40);
         assert_eq!(streamed.executed, 40);
         assert_eq!(streamed.error_sample.len(), 16, "error sample is bounded");
-        assert_eq!(
-            streamed.error_sample[0].0,
-            "e/bad/default/clean/duplex/default/s0"
-        );
+        assert_eq!(streamed.error_sample[0].0, "e/bad/clean/duplex/default/s0");
     }
 
     #[test]
@@ -1334,24 +1260,94 @@ mod tests {
     }
 
     #[test]
-    fn summary_counts_and_distributions() {
+    fn report_counts_and_distributions() {
         let report = small_campaign().run(&Echo, 2);
-        let s = report.aggregate();
-        assert_eq!(s.runs, 12);
-        assert_eq!(s.succeeded, 6, "dead links fail");
-        assert_eq!(s.failed, 6);
-        assert_eq!(s.errors, 0);
-        assert_eq!(s.goodput.count(), 6);
-        assert_eq!(s.delivery.count(), 12);
+        assert_eq!(report.executed, 12);
+        assert_eq!(report.succeeded, 6, "dead links fail");
+        assert_eq!(report.failed, 6);
+        assert_eq!(report.errors, 0);
+        let count = |metric: fn(&Cell) -> &StreamAggregate| -> u64 {
+            report.cells.iter().map(|c| metric(c).count()).sum()
+        };
+        assert_eq!(count(|c| &c.goodput), 6, "successful runs only");
+        assert_eq!(count(|c| &c.delivery), 12, "every executed run");
+        assert_eq!(count(|c| &c.success), 12, "every run");
     }
 
     #[test]
-    fn group_by_splits_on_axis_labels() {
+    fn cells_follow_the_non_seed_axes_in_expansion_order() {
         let report = small_campaign().run(&Echo, 2);
-        let groups = report.group_by(|s| s.labels.link.clone());
-        assert_eq!(groups.len(), 2);
-        assert_eq!(groups["clean"].succeeded, 6);
-        assert_eq!(groups["dead"].succeeded, 0);
+        let labels: Vec<[&str; 4]> = report
+            .cells
+            .iter()
+            .map(|c| [&*c.protocol, &*c.link, &*c.topology, &*c.traffic])
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                ["p1", "clean", "duplex", "default"],
+                ["p1", "dead", "duplex", "default"],
+                ["p2", "clean", "duplex", "default"],
+                ["p2", "dead", "duplex", "default"],
+            ]
+        );
+        for cell in &report.cells {
+            let clean = cell.link == "clean";
+            assert_eq!(cell.executed, 3);
+            assert_eq!(cell.succeeded, if clean { 3 } else { 0 });
+            assert_eq!(cell.success.mean(), if clean { 1.0 } else { 0.0 });
+        }
+    }
+
+    #[test]
+    fn one_failing_cell_is_named_and_every_other_cell_stays_clean() {
+        // Every session of (p2, l1) fails; chunks of 5 straddle the
+        // 4-replicate cells, so each cell is folded from two chunks.
+        struct FailOne;
+        impl ScenarioDriver for FailOne {
+            fn supports(&self, _: &str) -> bool {
+                true
+            }
+            fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, ScenarioError> {
+                let broken = scenario.labels.protocol == "p2" && scenario.labels.link == "l1";
+                Echo.run(scenario).map(|r| ScenarioResult {
+                    success: !broken,
+                    messages_delivered: if broken { 0 } else { r.messages_delivered },
+                    ..r
+                })
+            }
+        }
+        let c = Campaign::new("f", 3)
+            .protocols(Sweep::grid([
+                ("p1", ProtocolSpec::new("a")),
+                ("p2", ProtocolSpec::new("a")),
+            ]))
+            .links(Sweep::grid(
+                (0..3).map(|k| (format!("l{k}"), LinkConfig::reliable(1))),
+            ))
+            .traffic(Sweep::single("four", TrafficPattern::messages(4, 8)))
+            .seeds(Sweep::seeds(4));
+        let opts = StreamOptions {
+            chunk: 5,
+            raw_cap: 3,
+        };
+        let streamed = c.run_streaming(&FailOne, 3, opts);
+        let full = c.run(&FailOne, 3);
+        for report in [&streamed, &full] {
+            assert_eq!((report.executed, report.failed), (24, 4));
+            assert_eq!(report.cells.len(), 6);
+            for cell in &report.cells {
+                let broken = cell.protocol == "p2" && cell.link == "l1";
+                let (succeeded, failed) = if broken { (0, 4) } else { (4, 0) };
+                let name = format!("{}/{}", cell.protocol, cell.link);
+                assert_eq!((cell.succeeded, cell.failed), (succeeded, failed), "{name}");
+                assert_eq!(cell.executed, 4, "{name}");
+                assert_eq!(cell.errors, 0, "{name}");
+                let delivered = if broken { 0.0 } else { 1.0 };
+                assert_eq!(cell.delivery.max(), Some(delivered), "{name}");
+                assert_eq!(cell.success.sum(), succeeded as f64, "{name}");
+            }
+        }
     }
 
     #[test]
@@ -1360,8 +1356,14 @@ mod tests {
             .protocols(Sweep::single("bad", ProtocolSpec::new("unknown")))
             .links(Sweep::single("clean", LinkConfig::reliable(1)));
         let report = c.run(&Echo, 1);
-        assert_eq!(report.errors().count(), 1);
-        assert_eq!(report.aggregate().errors, 1);
+        assert_eq!(report.errors, 1);
+        assert_eq!(report.cells[0].errors, 1);
+        assert_eq!(
+            report.cells[0].success.samples(),
+            [0.0],
+            "errors count as 0"
+        );
+        assert_eq!(report.error_sample.len(), 1);
     }
 
     #[test]
@@ -1370,6 +1372,7 @@ mod tests {
             .protocols(Sweep::single("p", ProtocolSpec::new("a")))
             .links(Sweep::single("l", LinkConfig::reliable(1)));
         let report = c.run(&Echo, 64);
-        assert_eq!(report.runs.len(), 1);
+        assert_eq!(report.executed, 1);
+        assert_eq!(report.cells.len(), 1);
     }
 }

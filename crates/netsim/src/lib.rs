@@ -60,8 +60,7 @@ mod wheel;
 
 pub use arena::{ArenaStats, PayloadArena, PayloadRef};
 pub use campaign::{
-    BatchDriver, Campaign, CampaignReport, StreamAggregate, StreamOptions, StreamingReport,
-    Summary, Sweep,
+    BatchDriver, Campaign, CampaignReport, Cell, StreamAggregate, StreamOptions, Sweep,
 };
 pub use golden::{GoldenEvent, GoldenResult, GoldenScenario, GoldenTrace, Verdict};
 pub use invariants::{check_result, InvariantReport};

@@ -7,8 +7,7 @@
 //! seed — as plain data. Execution is delegated to a [`ScenarioDriver`]:
 //! this crate knows nothing about concrete protocols, so drivers live in
 //! downstream crates (`netdsl-protocols` ships `SuiteDriver` for the
-//! pairwise ARQ family; `netdsl-bench` adds adaptive-timer and
-//! trust-relay drivers) and several drivers compose via [`DriverSet`].
+//! pairwise ARQ family; `netdsl-bench` adds the trust-relay driver).
 //!
 //! Scenarios are usually not written by hand but expanded from a
 //! [`Campaign`](crate::campaign::Campaign) sweep; see the
@@ -972,14 +971,11 @@ pub fn apply_fault(
 }
 
 /// Axis labels a scenario inherited from its campaign (empty strings for
-/// hand-built scenarios). Group-by helpers key off these.
+/// hand-built scenarios).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ScenarioLabels {
     /// Protocol-axis label.
     pub protocol: String,
-    /// Engine-axis label (`"default"` when the campaign did not sweep
-    /// engines).
-    pub engine: String,
     /// Link-axis label.
     pub link: String,
     /// Topology-axis label.
@@ -1206,78 +1202,9 @@ pub trait ScenarioDriver: Sync {
     fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, ScenarioError>;
 }
 
-/// Dispatches each scenario to the first member driver that supports its
-/// protocol — the way protocol-suite, adaptive-timer and relay drivers
-/// combine into one campaign.
-#[derive(Default)]
-pub struct DriverSet {
-    drivers: Vec<Box<dyn ScenarioDriver>>,
-}
-
-impl DriverSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        DriverSet::default()
-    }
-
-    /// Adds a driver (builder style); earlier drivers win ties.
-    #[must_use]
-    pub fn with(mut self, driver: impl ScenarioDriver + 'static) -> Self {
-        self.drivers.push(Box::new(driver));
-        self
-    }
-}
-
-impl ScenarioDriver for DriverSet {
-    fn supports(&self, protocol: &str) -> bool {
-        self.drivers.iter().any(|d| d.supports(protocol))
-    }
-
-    fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, ScenarioError> {
-        self.drivers
-            .iter()
-            .find(|d| d.supports(&scenario.protocol.name))
-            .ok_or_else(|| ScenarioError::UnknownProtocol(scenario.protocol.name.clone()))?
-            .run(scenario)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    struct Fixed(&'static str);
-
-    impl ScenarioDriver for Fixed {
-        fn supports(&self, protocol: &str) -> bool {
-            protocol == self.0
-        }
-        fn run(&self, scenario: &Scenario) -> Result<ScenarioResult, ScenarioError> {
-            Ok(ScenarioResult {
-                success: true,
-                elapsed: scenario.seed,
-                messages_offered: 1,
-                messages_delivered: 1,
-                payload_bytes: 1,
-                frames_sent: 1,
-                retransmissions: 0,
-                link: LinkStats::default(),
-            })
-        }
-    }
-
-    #[test]
-    fn driver_set_dispatches_by_protocol_name() {
-        let set = DriverSet::new().with(Fixed("a")).with(Fixed("b"));
-        assert!(set.supports("a") && set.supports("b") && !set.supports("c"));
-        let sa = Scenario::new(ProtocolSpec::new("a"), LinkConfig::default()).with_seed(7);
-        assert_eq!(set.run(&sa).unwrap().elapsed, 7);
-        let sc = Scenario::new(ProtocolSpec::new("c"), LinkConfig::default());
-        assert_eq!(
-            set.run(&sc),
-            Err(ScenarioError::UnknownProtocol("c".into()))
-        );
-    }
 
     #[test]
     fn engine_config_covers_the_full_product_without_duplicates() {

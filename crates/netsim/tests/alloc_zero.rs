@@ -256,10 +256,10 @@ fn owned_buffer_sends_allocate_per_frame_for_contrast() {
 
 #[test]
 fn streaming_memory_stays_flat_as_the_chunk_count_grows() {
-    // Run::run_streaming promises O(threads x chunk + raw_cap) memory:
-    // ten times the chunks on one thread must not raise the live-heap
-    // high-water mark. (Keeping every chunk's partial until the end made
-    // it grow with the chunk count.)
+    // Campaign::run_streaming promises O(threads x chunk + raw_cap +
+    // cells) memory: ten times the chunks of one cell on one thread must
+    // not raise the live-heap high-water mark. (Keeping every chunk's
+    // partial until the end made it grow with the chunk count.)
     let _serial = SERIAL
         .lock()
         .expect("counter tests never panic while locked");
@@ -295,7 +295,7 @@ fn streaming_memory_stays_flat_as_the_chunk_count_grows() {
     let run = |c: &Campaign| {
         let report = c.run_streaming(&Echo, 1, opts);
         assert_eq!(report.errors, 0);
-        assert_eq!(report.delivery.samples().len(), 256);
+        assert_eq!(report.cells[0].delivery.samples().len(), 256);
     };
     run(&few); // warm-up
     let few_peak = peak_live_bytes(|| run(&few));

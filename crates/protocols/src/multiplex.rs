@@ -23,13 +23,10 @@
 use netdsl_netsim::campaign::BatchDriver;
 use netdsl_netsim::scenario::{Scenario, ScenarioError, ScenarioResult};
 use netdsl_netsim::Simulator;
-use netdsl_obs::Counter;
 
 use crate::scenario::{
     run_session, suite_session, BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT,
 };
-
-static MUX_SESSIONS_RUN: Counter = Counter::new("mux.sessions_run");
 
 /// [`BatchDriver`] that runs a batch of duplex suite scenarios back to
 /// back on one reset simulator. Results come back in batch order,
@@ -60,7 +57,6 @@ impl BatchDriver for MultiSessionDriver {
             .map(|scenario| {
                 // Scenarios the solo driver would refuse error in place.
                 let ends = suite_session(scenario)?;
-                MUX_SESSIONS_RUN.incr();
                 let sim = match &mut warm {
                     Some(sim) => {
                         sim.reset(scenario.seed);

@@ -10,7 +10,7 @@
 
 use netdsl::netsim::campaign::{Campaign, Sweep};
 use netdsl::netsim::scenario::{ProtocolSpec, TrafficPattern};
-use netdsl::netsim::LinkConfig;
+use netdsl::netsim::{Aggregate, LinkConfig};
 use netdsl::protocols::scenario::{SuiteDriver, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT};
 
 fn main() {
@@ -52,16 +52,19 @@ fn main() {
         "{:<16} {:<11} {:>4} {:>12} {:>12} {:>10}",
         "protocol", "link", "ok", "goodput p50", "goodput p95", "retx/msg"
     );
-    for (cell, summary) in
-        report.group_by(|s| format!("{:<16} {:<11}", s.labels.protocol, s.labels.link))
-    {
+    // One cell per protocol × link, in expansion order; `run` keeps
+    // every replicate's sample, so percentiles come from the cell's own.
+    for cell in &report.cells {
+        let goodput = Aggregate::from_samples(cell.goodput.samples().iter().copied());
         println!(
-            "{cell} {:>2}/{:<2} {:>12.1} {:>12.1} {:>10.2}",
-            summary.succeeded,
-            summary.runs,
-            summary.goodput.median(),
-            summary.goodput.percentile(95.0),
-            summary.retransmits.mean(),
+            "{:<16} {:<11} {:>2}/{:<2} {:>12.1} {:>12.1} {:>10.2}",
+            cell.protocol,
+            cell.link,
+            cell.succeeded,
+            cell.executed,
+            goodput.median(),
+            goodput.percentile(95.0),
+            cell.retransmits.mean(),
         );
     }
 

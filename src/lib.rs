@@ -176,7 +176,8 @@ pub use netdsl_obs as obs;
 ///     .links(Sweep::single("lossy", LinkConfig::lossy(3, 0.2)))
 ///     .seeds(Sweep::seeds(2))
 ///     .run(&SuiteDriver::new(), 2);
-/// assert_eq!(report.aggregate().succeeded, 2);
+/// assert_eq!(report.succeeded, 2);
+/// assert_eq!(report.cells[0].goodput.count(), 2); // one cell, two seeds
 /// ```
 pub use netdsl_netsim::campaign;
 

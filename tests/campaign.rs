@@ -8,8 +8,8 @@ use proptest::prelude::*;
 
 use netdsl::bench::harnesses;
 use netdsl::bench::report::BenchReport;
-use netdsl::campaign::{Campaign, Sweep};
-use netdsl::netsim::LinkConfig;
+use netdsl::campaign::{Campaign, StreamAggregate, Sweep};
+use netdsl::netsim::{Aggregate, LinkConfig};
 use netdsl::protocols::scenario::{
     SuiteDriver, BASELINE, GO_BACK_N, SELECTIVE_REPEAT, STOP_AND_WAIT,
 };
@@ -58,18 +58,28 @@ fn acceptance_sweep_runs_and_parallel_matches_sequential() {
         "2-thread report bit-identical to 1-thread"
     );
 
-    let agg = parallel.aggregate();
-    assert_eq!(agg.runs, 36);
-    assert_eq!(agg.errors, 0);
-    assert_eq!(agg.succeeded, 36, "every cell completes its transfer");
-    assert!(agg.goodput.min() > 0.0);
+    assert_eq!(parallel.executed, 36);
+    assert_eq!(parallel.errors, 0);
+    assert_eq!(
+        parallel.succeeded, 36,
+        "every scenario completes its transfer"
+    );
+    assert_eq!(parallel.cells.len(), 9, "3 protocols × 3 links");
+    for cell in &parallel.cells {
+        assert_eq!(cell.succeeded, 4, "{}/{}", cell.protocol, cell.link);
+        assert!(cell.goodput.min().is_some_and(|g| g > 0.0));
+    }
 
-    // Aggregate percentile queries agree across the two reports too.
-    let (p, s) = (parallel.aggregate(), sequential.aggregate());
-    for q in [0.0, 25.0, 50.0, 95.0, 100.0] {
-        assert_eq!(p.goodput.percentile(q), s.goodput.percentile(q));
-        assert_eq!(p.latency.percentile(q), s.latency.percentile(q));
-        assert_eq!(p.retransmits.percentile(q), s.retransmits.percentile(q));
+    // Percentile queries over each cell's samples agree across the two
+    // reports too.
+    let percentiles = |agg: &StreamAggregate| {
+        let agg = Aggregate::from_samples(agg.samples().iter().copied());
+        [0.0, 25.0, 50.0, 95.0, 100.0].map(|q| agg.percentile(q))
+    };
+    for (p, s) in parallel.cells.iter().zip(&sequential.cells) {
+        assert_eq!(percentiles(&p.goodput), percentiles(&s.goodput));
+        assert_eq!(percentiles(&p.latency), percentiles(&s.latency));
+        assert_eq!(percentiles(&p.retransmits), percentiles(&s.retransmits));
     }
 }
 
@@ -133,19 +143,23 @@ fn frame_paths_produce_identical_campaign_reports() {
             .fault(Fault::repair(2_000, 3))
     };
     let driver = SuiteDriver::new();
-    let compiled = with_path(FramePath::Compiled).run(&driver, 2);
-    let interpreted = with_path(FramePath::Interpreted).run(&driver, 2);
-    // The reports differ only in the protocol specs they carry (the
-    // frame_path value); results must be identical cell-for-cell.
-    assert_eq!(compiled.runs.len(), interpreted.runs.len());
-    for (c, i) in compiled.runs.iter().zip(&interpreted.runs) {
-        assert_eq!(c.scenario.name, i.scenario.name);
+    let compiled = with_path(FramePath::Compiled);
+    let interpreted = with_path(FramePath::Interpreted);
+    // The scenarios differ only in the protocol specs they carry (the
+    // frame_path value); every field of every result must be identical.
+    let (cs, is) = (compiled.scenarios(), interpreted.scenarios());
+    assert_eq!(cs.len(), is.len());
+    for (c, i) in cs.iter().zip(&is) {
+        assert_eq!(c.name, i.name);
         assert_eq!(
-            c.outcome, i.outcome,
+            driver.run(c),
+            driver.run(i),
             "{} diverged across frame paths",
-            c.scenario.name
+            c.name
         );
     }
+    // And so, then, are the campaigns' reports.
+    assert_eq!(compiled.run(&driver, 2), interpreted.run(&driver, 2));
 }
 
 #[test]
@@ -295,9 +309,8 @@ fn declarative_fault_campaign_sweeps_protocols_through_an_outage() {
         .fault(Fault::repair(4_000, 3));
 
     let report = campaign.run(&SuiteDriver::new(), 2);
-    let agg = report.aggregate();
-    assert_eq!(agg.runs, 8);
-    assert_eq!(agg.succeeded, 8, "all protocols ride out the partition");
+    assert_eq!(report.executed, 8);
+    assert_eq!(report.succeeded, 8, "all protocols ride out the partition");
 }
 
 #[test]

@@ -1,17 +1,17 @@
 //! The metric registry's totals after a fixed campaign, value for
 //! value.
 //!
-//! The simulator, the ARQ endpoints, the RTO estimator and the batch
-//! driver all feed the process-wide registry. However they feed it —
-//! one update per event, or one per simulator — a snapshot taken after
-//! the same sessions must read the same: every counter present with
-//! the same value, and `sim.frame_bytes` with the same count, sum and
-//! buckets. The constants below were printed by the per-event
-//! implementation.
+//! The simulator, the ARQ endpoints and the RTO estimator feed the
+//! process-wide registry. However they feed it — one update per event,
+//! or one per simulator — a snapshot taken after the same sessions
+//! must read the same: every counter present with the same value, and
+//! `sim.frame_bytes` with the same count, sum and buckets. The
+//! constants below were printed by the per-event implementation.
 //!
 //! The campaign runs twice: solo (`Campaign::run` through
 //! `SuiteDriver`), then batched (`run_streaming` through
-//! `MultiSessionDriver`), with `reset_all` between them. It covers
+//! `MultiSessionDriver`), with `reset_all` between them, and both arms
+//! read the same counters. The session count is the reports'. It covers
 //! every suite protocol, the compiled control FSM, both retransmission
 //! policies where valid, a clean and an impaired link, and each fault
 //! family. The registry is process-global, so this binary holds one
@@ -159,7 +159,8 @@ fn assert_snapshot(
     assert_eq!(snap.histograms, [want], "{arm}: histograms");
 }
 
-const SOLO_COUNTERS: &[(&str, u64)] = &[
+/// Every counter, the same for both arms.
+const COUNTERS: &[(&str, u64)] = &[
     ("arq.frames_rejected", 810),
     ("arq.retransmissions", 615),
     ("arq.rto_backoffs", 545),
@@ -174,22 +175,10 @@ const SOLO_COUNTERS: &[(&str, u64)] = &[
     ("sim.timers_set", 3373),
 ];
 
-/// The solo counts plus the batch driver's own session counter.
-const BATCH_COUNTERS: &[(&str, u64)] = &[
-    ("arq.frames_rejected", 810),
-    ("arq.retransmissions", 615),
-    ("arq.rto_backoffs", 545),
-    ("arq.timeouts", 631),
-    ("fault.injected", 398),
-    ("mux.sessions_run", 288),
-    ("sim.frames_corrupted", 235),
-    ("sim.frames_delivered", 5468),
-    ("sim.frames_dropped", 666),
-    ("sim.frames_sent", 5958),
-    ("sim.timers_cancelled", 1601),
-    ("sim.timers_fired", 1732),
-    ("sim.timers_set", 3373),
-];
+/// Sessions each arm runs: six fault plans × 8 protocols × 2 links ×
+/// 3 seeds. The batch driver counted them in the registry too, as
+/// `mux.sessions_run`; the reports' `executed` is that count now.
+const SESSIONS: usize = 288;
 
 /// `sim.frame_bytes` as `(count, sum, buckets)`, the same for both
 /// arms (bucket `k > 0` counts sizes in `[2^(k-1), 2^k)`).
@@ -201,10 +190,13 @@ fn a_fixed_campaign_publishes_the_same_counts_solo_and_batched() {
     let campaigns = campaigns();
 
     reset_all();
+    let mut executed = 0;
     for c in &campaigns {
         let report = c.run(&SuiteDriver::new(), 2);
-        assert_eq!(report.errors().count(), 0, "{}", c.name());
+        assert_eq!(report.errors, 0, "{}", c.name());
+        executed += report.executed;
     }
+    assert_eq!(executed, SESSIONS, "solo sessions");
     let solo = snapshot();
 
     reset_all();
@@ -212,13 +204,16 @@ fn a_fixed_campaign_publishes_the_same_counts_solo_and_batched() {
         chunk: 16,
         raw_cap: 64,
     };
+    let mut executed = 0;
     for c in &campaigns {
         let report = c.run_streaming(&MultiSessionDriver::new(), 2, opts);
         assert_eq!(report.errors, 0, "{}", c.name());
+        executed += report.executed;
     }
+    assert_eq!(executed, SESSIONS, "batched sessions");
     let batched = snapshot();
     set_metrics_enabled(false);
 
-    assert_snapshot("solo", &solo, SOLO_COUNTERS, FRAME_BYTES);
-    assert_snapshot("batched", &batched, BATCH_COUNTERS, FRAME_BYTES);
+    assert_snapshot("solo", &solo, COUNTERS, FRAME_BYTES);
+    assert_snapshot("batched", &batched, COUNTERS, FRAME_BYTES);
 }
