@@ -441,28 +441,28 @@ impl Campaign {
         };
         let next = AtomicUsize::new(0);
         let chunks_done = AtomicUsize::new(0);
-        let cells_done = AtomicUsize::new(0);
-        let shard_cells: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
+        let scenarios_done = AtomicUsize::new(0);
+        let shard_scenarios: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
         let started = Instant::now();
         // Per chunk, `reservoir` is the fold-bound estimate; the final
         // update carries the exact occupancy. Without a sink no update is
         // built.
-        let update = |chunks_done, cells_done: usize, reservoir, done| {
+        let update = |chunks_done, scenarios_done: usize, reservoir, done| {
             let Some(sink) = sink else { return };
             let elapsed = started.elapsed().as_secs_f64();
             sink.progress(&ProgressUpdate {
                 chunks_done,
                 chunks_total: chunks,
-                cells_done,
-                cells_total: n,
-                cells_per_sec: if elapsed > 0.0 {
-                    cells_done as f64 / elapsed
+                scenarios_done,
+                scenarios_total: n,
+                scenarios_per_sec: if elapsed > 0.0 {
+                    scenarios_done as f64 / elapsed
                 } else {
                     0.0
                 },
                 reservoir,
                 raw_cap,
-                shard_cells: shard_cells
+                shard_scenarios: shard_scenarios
                     .iter()
                     .map(|s| s.load(Ordering::Relaxed))
                     .collect(),
@@ -471,9 +471,9 @@ impl Campaign {
         };
 
         thread::scope(|scope| {
-            for shard in &shard_cells {
+            for shard in &shard_scenarios {
                 let (merger, next, update) = (&merger, &next, &update);
-                let (chunks_done, cells_done) = (&chunks_done, &cells_done);
+                let (chunks_done, scenarios_done) = (&chunks_done, &scenarios_done);
                 scope.spawn(move || {
                     let _fail = FailOnPanic(merger);
                     let mut batch: Vec<Scenario> = Vec::with_capacity(chunk);
@@ -492,10 +492,10 @@ impl Campaign {
                         let outcomes = run_chunk(driver, &batch);
                         merger.finish(c, Digest::of(&batch, &outcomes));
                         shard.fetch_add((hi - lo) as u64, Ordering::Relaxed);
-                        let done_cells =
-                            cells_done.fetch_add(hi - lo, Ordering::SeqCst) + (hi - lo);
+                        let scenarios =
+                            scenarios_done.fetch_add(hi - lo, Ordering::SeqCst) + (hi - lo);
                         let done_chunks = chunks_done.fetch_add(1, Ordering::SeqCst) + 1;
-                        update(done_chunks, done_cells, done_cells.min(raw_cap), false);
+                        update(done_chunks, scenarios, scenarios.min(raw_cap), false);
                     }
                 });
             }
@@ -1081,12 +1081,12 @@ mod tests {
         assert_eq!(updates.len(), chunks + 1, "one per chunk plus the merge");
         let last = updates.last().unwrap();
         assert!(last.done, "final update closes the run");
-        assert_eq!(last.cells_done, c.scenario_count());
+        assert_eq!(last.scenarios_done, c.scenario_count());
         assert_eq!(last.chunks_done, chunks);
         assert_eq!(
-            last.shard_cells.iter().sum::<u64>(),
+            last.shard_scenarios.iter().sum::<u64>(),
             c.scenario_count() as u64,
-            "every cell is attributed to a worker shard"
+            "every scenario is attributed to a worker shard"
         );
         let retained = observed.cells.iter().map(|c| c.success.samples().len());
         assert_eq!(

@@ -66,8 +66,7 @@ pub use golden::{GoldenEvent, GoldenResult, GoldenScenario, GoldenTrace, Verdict
 pub use invariants::{check_result, InvariantReport};
 pub use link::LinkConfig;
 pub use netdsl_obs::{
-    FlightKind, FlightMode, FlightRecording, LogProgress, NullProgress, ObsConfig, ProgressSink,
-    ProgressUpdate,
+    FlightKind, FlightMode, FlightRecording, LogProgress, ObsConfig, ProgressSink, ProgressUpdate,
 };
 pub use scenario::{
     apply_fault, EngineConfig, EngineConfigError, Fault, FaultAction, FaultKind, FaultNode,

@@ -91,8 +91,7 @@ impl FsmPath {
 /// ([`EngineConfigError`]) instead of scattered ones. All engine
 /// configurations of a given scenario are **behaviourally identical**
 /// (bit-identical transcripts, pinned by `tests/golden_parity.rs`);
-/// they differ only in cost, which is exactly why campaigns sweep them
-/// ([`Campaign::engines`](crate::campaign::Campaign::engines)).
+/// they differ only in cost.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineConfig {
     /// Which frame codec path endpoints should use.

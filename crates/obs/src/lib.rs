@@ -55,4 +55,4 @@ pub use metrics::{
     metrics_enabled, reset_all, set_metrics_enabled, snapshot, Counter, Histogram,
     HistogramSnapshot, MetricsSnapshot, Tally, METRICS_SCHEMA,
 };
-pub use progress::{LogProgress, NullProgress, ProgressSink, ProgressUpdate};
+pub use progress::{LogProgress, ProgressSink, ProgressUpdate};

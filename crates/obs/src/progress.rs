@@ -17,20 +17,22 @@ pub struct ProgressUpdate {
     pub chunks_done: usize,
     /// Total chunks in the run.
     pub chunks_total: usize,
-    /// Scenario cells executed so far.
-    pub cells_done: usize,
-    /// Total cells in the run.
-    pub cells_total: usize,
-    /// Aggregate execution rate since the run started.
-    pub cells_per_sec: f64,
+    /// Scenarios executed so far.
+    pub scenarios_done: usize,
+    /// Total scenarios in the run.
+    pub scenarios_total: usize,
+    /// Aggregate execution rate since the run started, in scenarios
+    /// per second.
+    pub scenarios_per_sec: f64,
     /// Raw-sample reservoir occupancy. During the run this is the
-    /// merge-bound estimate `min(cells_done, raw_cap)`; the final
+    /// merge-bound estimate `min(scenarios_done, raw_cap)`; the final
     /// update (after the sequential merge) carries the exact count.
     pub reservoir: usize,
     /// Raw-sample reservoir capacity (`StreamOptions::raw_cap`).
     pub raw_cap: usize,
-    /// Cells executed by each worker shard so far (index = worker).
-    pub shard_cells: Vec<u64>,
+    /// Scenarios executed by each worker shard so far (index =
+    /// worker).
+    pub shard_scenarios: Vec<u64>,
     /// `true` on the one post-merge update that closes the run.
     pub done: bool,
 }
@@ -38,17 +40,21 @@ pub struct ProgressUpdate {
 impl ProgressUpdate {
     /// Completed fraction in percent.
     pub fn percent(&self) -> f64 {
-        if self.cells_total == 0 {
+        if self.scenarios_total == 0 {
             100.0
         } else {
-            self.cells_done as f64 * 100.0 / self.cells_total as f64
+            self.scenarios_done as f64 * 100.0 / self.scenarios_total as f64
         }
     }
 
     /// The lightest- and heaviest-loaded worker shards as
-    /// `(min, max)` cell counts (0, 0 when no worker reported yet).
+    /// `(min, max)` scenario counts (0, 0 when no worker reported
+    /// yet).
     pub fn shard_spread(&self) -> (u64, u64) {
-        match (self.shard_cells.iter().min(), self.shard_cells.iter().max()) {
+        match (
+            self.shard_scenarios.iter().min(),
+            self.shard_scenarios.iter().max(),
+        ) {
             (Some(&min), Some(&max)) => (min, max),
             _ => (0, 0),
         }
@@ -58,16 +64,16 @@ impl ProgressUpdate {
     pub fn one_line(&self) -> String {
         let (min, max) = self.shard_spread();
         format!(
-            "{}/{} chunks · {}/{} cells ({:.1}%) · {:.0} cells/s · reservoir {}/{} · shards {} ({min}..{max})",
+            "{}/{} chunks · {}/{} scenarios ({:.1}%) · {:.0} scenarios/s · reservoir {}/{} · shards {} ({min}..{max})",
             self.chunks_done,
             self.chunks_total,
-            self.cells_done,
-            self.cells_total,
+            self.scenarios_done,
+            self.scenarios_total,
             self.percent(),
-            self.cells_per_sec,
+            self.scenarios_per_sec,
             self.reservoir,
             self.raw_cap,
-            self.shard_cells.len(),
+            self.shard_scenarios.len(),
         )
     }
 }
@@ -78,16 +84,6 @@ pub trait ProgressSink: Sync {
     /// One update; called after every finished chunk and after the
     /// final merge (`update.done`).
     fn progress(&self, update: &ProgressUpdate);
-}
-
-/// Discards every update — the sink behind the plain
-/// `Campaign::run_streaming`, so the no-progress path stays exactly as
-/// it was.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NullProgress;
-
-impl ProgressSink for NullProgress {
-    fn progress(&self, _update: &ProgressUpdate) {}
 }
 
 /// Prints a throttled one-line progress log to stderr — the reporter
@@ -139,12 +135,12 @@ mod tests {
         ProgressUpdate {
             chunks_done: 2,
             chunks_total: 8,
-            cells_done: 1024,
-            cells_total: 4096,
-            cells_per_sec: 2048.0,
+            scenarios_done: 1024,
+            scenarios_total: 4096,
+            scenarios_per_sec: 2048.0,
             reservoir: 512,
             raw_cap: 512,
-            shard_cells: vec![512, 512],
+            shard_scenarios: vec![512, 512],
             done,
         }
     }
@@ -153,7 +149,8 @@ mod tests {
     fn one_line_carries_the_load_bearing_numbers() {
         let line = update(false).one_line();
         assert!(line.contains("2/8 chunks"), "{line}");
-        assert!(line.contains("1024/4096 cells (25.0%)"), "{line}");
+        assert!(line.contains("1024/4096 scenarios (25.0%)"), "{line}");
+        assert!(line.contains("2048 scenarios/s"), "{line}");
         assert!(line.contains("reservoir 512/512"), "{line}");
         assert!(line.contains("shards 2 (512..512)"), "{line}");
     }
@@ -161,9 +158,9 @@ mod tests {
     #[test]
     fn empty_run_is_one_hundred_percent() {
         let mut u = update(true);
-        u.cells_total = 0;
-        u.cells_done = 0;
-        u.shard_cells.clear();
+        u.scenarios_total = 0;
+        u.scenarios_done = 0;
+        u.shard_scenarios.clear();
         assert_eq!(u.percent(), 100.0);
         assert_eq!(u.shard_spread(), (0, 0));
     }

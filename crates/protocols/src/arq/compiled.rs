@@ -11,24 +11,25 @@
 //! the spec: they are deployment policy, not protocol control state.
 //!
 //! Behaviour is identical to [`SwSender`](super::session::SwSender)
-//! (same frames, same timers, same statistics) — a scenario replayed on
-//! either engine produces the same transcript, which
-//! `netdsl-netsim`'s [`FsmPath`](netdsl_netsim::scenario::FsmPath)
-//! axis and the suite driver's replay test
-//! turn into an end-to-end equivalence statement.
+//! (same frames, same timers, same statistics, and the same
+//! `ArqTimeout` and `Retransmit` flight events) — a scenario replayed
+//! on either engine produces the same transcript and the same flight
+//! recording, which `netdsl-netsim`'s
+//! [`FsmPath`](netdsl_netsim::scenario::FsmPath) axis, the suite
+//! driver's replay test and `tests/flight_parity.rs` turn into an
+//! end-to-end equivalence statement.
 
 use std::sync::OnceLock;
 
 use netdsl_core::fsm::{paper_sender_spec, EventId, StateId, VarId};
 use netdsl_core::fsm_compiled::{lower, CompiledFsm, Stepper};
 use netdsl_netsim::scenario::{FramePath, Messages};
-use netdsl_netsim::TimerToken;
+use netdsl_netsim::{FlightKind, TimerToken};
 
-use crate::driver::{Endpoint, Io};
+use crate::driver::{Endpoint, Io, SenderStats};
 
-use super::send_data;
-use super::session::SenderStats;
 use super::typestate::ValidAck;
+use super::ArqFrame;
 
 /// The lowered §3.4 sender artifact (8-bit sequence space), shared by
 /// every [`FsmSender`] — lowering happens once per process, like the
@@ -163,7 +164,7 @@ impl FsmSender {
             return;
         }
         let seq = self.seq();
-        send_data(io, self.path, seq, self.messages.get(self.next_msg));
+        ArqFrame::send_data(io, self.path, seq, self.messages.get(self.next_msg));
         self.step(self.ids.send);
         self.stats.frames_sent += 1;
         self.attempt += 1;
@@ -201,6 +202,7 @@ impl Endpoint for FsmSender {
             return;
         }
         self.step(self.ids.timeout); // Wait → Timeout
+        io.flight_event(FlightKind::ArqTimeout, self.attempt);
         if self.retries >= self.max_retries {
             self.failed = true;
             debug_assert_eq!(self.stepper.state(), self.ids.timeout_state);
@@ -209,6 +211,7 @@ impl Endpoint for FsmSender {
         self.step(self.ids.retry); // Timeout → Ready
         self.retries += 1;
         self.stats.retransmissions += 1;
+        io.flight_event(FlightKind::Retransmit, self.stats.retransmissions);
         self.launch(io);
     }
 

@@ -14,27 +14,17 @@ use netdsl_netsim::scenario::{FramePath, Messages};
 use netdsl_netsim::{FlightKind, RetransmitPolicy, TimerToken};
 use netdsl_obs::Counter;
 
-use crate::driver::{Endpoint, Io};
+use crate::codec::Frame;
+use crate::driver::{Duplex, Endpoint, Io, SenderStats, TransferOutcome};
 
 use super::typestate::{new_sender, Finish, Ok_, Retry, Send, Sender, Timeout, ValidAck};
-use super::{send_ack, send_data, typestate, ArqFrame, ArqRef};
+use super::{typestate, ArqFrame};
 
 /// ARQ-level metrics (`netdsl-obs`): inert until the registry is
 /// enabled, one sharded relaxed add each otherwise.
 static ARQ_TIMEOUTS: Counter = Counter::new("arq.timeouts");
 static ARQ_RETRANSMISSIONS: Counter = Counter::new("arq.retransmissions");
 static ARQ_FRAMES_REJECTED: Counter = Counter::new("arq.frames_rejected");
-
-/// Retransmission statistics for one run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SenderStats {
-    /// Data frames transmitted (including retransmissions).
-    pub frames_sent: u64,
-    /// Retransmissions only.
-    pub retransmissions: u64,
-    /// Messages acknowledged end-to-end.
-    pub delivered: u64,
-}
 
 /// The sender's control state, one arm per typestate.
 #[derive(Debug)]
@@ -142,7 +132,7 @@ impl SwSender {
         let seq = machine.data().seq;
         // The wire frame borrows the payload from the message store,
         // encoded straight into an arena buffer; SEND copies nothing.
-        send_data(io, self.path, seq, self.messages.get(self.next_msg));
+        ArqFrame::send_data(io, self.path, seq, self.messages.get(self.next_msg));
         let waiting = machine.step(Send);
         self.stats.frames_sent += 1;
         self.attempt += 1;
@@ -283,18 +273,18 @@ impl Endpoint for SwReceiver {
 
     fn on_frame(&mut self, frame: &[u8], io: &mut Io<'_>) {
         ArqFrame::decode_with(self.path, frame, |decoded| match decoded {
-            Ok(ArqRef::Data { seq, payload }) => {
+            Ok(Frame::Data { seq, payload }) => {
                 if seq == self.expected {
                     // In-order: deliver exactly once, ack, advance.
                     io.deliver(payload);
                     self.delivered += 1;
-                    send_ack(io, self.path, seq);
+                    ArqFrame::send_ack(io, self.path, seq);
                     self.acks_sent += 1;
                     self.expected = self.expected.wrapping_add(1);
                 } else if seq == self.expected.wrapping_sub(1) {
                     // Duplicate of the last delivered packet (its ack was
                     // lost): re-ack but do not re-deliver.
-                    send_ack(io, self.path, seq);
+                    ArqFrame::send_ack(io, self.path, seq);
                     self.acks_sent += 1;
                     self.rejected += 1;
                     ARQ_FRAMES_REJECTED.incr();
@@ -303,7 +293,7 @@ impl Endpoint for SwReceiver {
                     ARQ_FRAMES_REJECTED.incr();
                 }
             }
-            Ok(ArqRef::Ack { .. }) => {
+            Ok(Frame::Ack { .. }) => {
                 self.rejected += 1; // acks don't belong at the receiver
                 ARQ_FRAMES_REJECTED.incr();
             }
@@ -334,19 +324,6 @@ impl Endpoint for SwReceiver {
     }
 }
 
-/// Outcome of [`run_transfer`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TransferOutcome {
-    /// Did every message arrive (in order, exactly once)?
-    pub success: bool,
-    /// Virtual time consumed.
-    pub elapsed: u64,
-    /// Sender-side statistics.
-    pub sender: SenderStats,
-    /// Payloads the receiver delivered.
-    pub delivered: Vec<Vec<u8>>,
-}
-
 /// Convenience harness: runs a complete stop-and-wait transfer of
 /// `messages` over a link with the given configuration and seed.
 pub fn run_transfer(
@@ -359,7 +336,7 @@ pub fn run_transfer(
 ) -> TransferOutcome {
     let messages: Messages = messages.into();
     let n = messages.len();
-    let mut duplex = crate::driver::Duplex::new(
+    let mut duplex = Duplex::new(
         seed,
         config,
         SwSender::new(messages, timeout, max_retries),
@@ -369,11 +346,11 @@ pub fn run_transfer(
     // Compare the collected copies with the sender's own message store,
     // then move them out.
     let success = duplex.a().succeeded() && duplex.a().messages() == duplex.delivered().copies();
-    let sender = duplex.a().stats();
+    let stats = duplex.a().stats();
     TransferOutcome {
         success,
         elapsed,
-        sender,
+        stats,
         delivered: duplex.into_delivered(),
     }
 }
@@ -394,8 +371,8 @@ mod tests {
         let out = run_transfer(msgs(10), LinkConfig::reliable(2), 1, 50, 5, 10_000);
         assert!(out.success);
         assert_eq!(out.delivered.len(), 10);
-        assert_eq!(out.sender.retransmissions, 0);
-        assert_eq!(out.sender.frames_sent, 10);
+        assert_eq!(out.stats.retransmissions, 0);
+        assert_eq!(out.stats.frames_sent, 10);
     }
 
     #[test]
@@ -404,7 +381,7 @@ mod tests {
         assert!(out.success, "30% loss must be survivable: {out:?}");
         assert_eq!(out.delivered.len(), 20);
         assert!(
-            out.sender.retransmissions > 0,
+            out.stats.retransmissions > 0,
             "loss must have forced retries"
         );
     }
@@ -445,13 +422,13 @@ mod tests {
         assert!(!out.success);
         assert!(out.delivered.is_empty());
         // 1 initial + 3 retries on message 0:
-        assert_eq!(out.sender.frames_sent, 4);
+        assert_eq!(out.stats.frames_sent, 4);
     }
 
     #[test]
     fn harsh_channel_stress() {
         let out = run_transfer(msgs(30), LinkConfig::harsh(3), 11, 120, 50, 5_000_000);
-        assert!(out.success, "harsh channel: {:?}", out.sender);
+        assert!(out.success, "harsh channel: {:?}", out.stats);
         assert_eq!(out.delivered.len(), 30);
     }
 
@@ -466,7 +443,7 @@ mod tests {
             100,
         );
         assert!(out.success);
-        assert_eq!(out.sender.frames_sent, 0);
+        assert_eq!(out.stats.frames_sent, 0);
     }
 
     #[test]

@@ -18,8 +18,9 @@ use netdsl_adapt::PolicyRto;
 use netdsl_netsim::scenario::{FramePath, Messages};
 use netdsl_netsim::{LinkConfig, RetransmitPolicy, Tick, TimerToken};
 
-use crate::driver::{Duplex, Endpoint, Io};
-use crate::window::{send_ack, send_data, WindowFrame, WindowOutcome, WindowRef, WindowStats};
+use crate::codec::Frame;
+use crate::driver::{Duplex, Endpoint, Io, SenderStats, TransferOutcome};
+use crate::window::WindowFrame;
 
 /// Go-Back-N sending endpoint.
 #[derive(Debug)]
@@ -34,7 +35,7 @@ pub struct GbnSender {
     next: u32,
     attempt: u64,
     retries: u32,
-    stats: WindowStats,
+    stats: SenderStats,
     failed: bool,
     path: FramePath,
     policy: RetransmitPolicy,
@@ -63,7 +64,7 @@ impl GbnSender {
             next: 0,
             attempt: 0,
             retries: 0,
-            stats: WindowStats::default(),
+            stats: SenderStats::default(),
             failed: false,
             path: FramePath::default(),
             policy: RetransmitPolicy::Fixed,
@@ -90,7 +91,7 @@ impl GbnSender {
     }
 
     /// Statistics so far.
-    pub fn stats(&self) -> WindowStats {
+    pub fn stats(&self) -> SenderStats {
         self.stats
     }
 
@@ -113,7 +114,7 @@ impl GbnSender {
     fn transmit(&mut self, seq: u32, io: &mut Io<'_>) {
         // The payload is borrowed straight from the message store — a
         // retransmission costs no clone.
-        send_data(io, self.path, seq, self.messages.get(seq as usize));
+        WindowFrame::send_data(io, self.path, seq, self.messages.get(seq as usize));
         self.stats.frames_sent += 1;
     }
 
@@ -250,20 +251,20 @@ impl Endpoint for GbnReceiver {
 
     fn on_frame(&mut self, frame: &[u8], io: &mut Io<'_>) {
         WindowFrame::decode_with(self.path, frame, |decoded| {
-            let Ok(WindowRef::Data { seq, payload }) = decoded else {
+            let Ok(Frame::Data { seq, payload }) = decoded else {
                 return; // corrupt frames never reach protocol logic
             };
             if seq == self.expected {
                 io.deliver(payload);
                 self.delivered += 1;
                 self.expected += 1;
-                send_ack(io, self.path, seq);
+                WindowFrame::send_ack(io, self.path, seq);
             } else {
                 // Dropped without copying its payload.
                 self.out_of_order += 1;
                 // Re-ack the last in-order packet so the sender advances.
                 if self.expected > 0 {
-                    send_ack(io, self.path, self.expected - 1);
+                    WindowFrame::send_ack(io, self.path, self.expected - 1);
                 }
             }
         });
@@ -293,7 +294,7 @@ pub fn run_transfer(
     timeout: u64,
     max_retries: u32,
     deadline: u64,
-) -> WindowOutcome {
+) -> TransferOutcome {
     let messages: Messages = messages.into();
     let n = messages.len();
     let mut duplex = Duplex::new(
@@ -307,7 +308,7 @@ pub fn run_transfer(
     // then move them out.
     let success = duplex.a().succeeded() && duplex.a().messages() == duplex.delivered().copies();
     let stats = duplex.a().stats();
-    WindowOutcome {
+    TransferOutcome {
         success,
         elapsed,
         stats,

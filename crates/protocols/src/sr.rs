@@ -13,8 +13,9 @@ use netdsl_adapt::PolicyRto;
 use netdsl_netsim::scenario::{FramePath, Messages};
 use netdsl_netsim::{LinkConfig, RetransmitPolicy, Tick, TimerToken};
 
-use crate::driver::{Duplex, Endpoint, Io};
-use crate::window::{send_ack, send_data, WindowFrame, WindowOutcome, WindowRef, WindowStats};
+use crate::codec::Frame;
+use crate::driver::{Duplex, Endpoint, Io, SenderStats, TransferOutcome};
+use crate::window::WindowFrame;
 
 /// Selective Repeat sending endpoint.
 #[derive(Debug)]
@@ -31,7 +32,7 @@ pub struct SrSender {
     /// `seq % window` (`None` once acknowledged): that range never spans
     /// more than a window, so the slots are allocated once.
     outstanding: Vec<Option<u32>>,
-    stats: WindowStats,
+    stats: SenderStats,
     failed: bool,
     path: FramePath,
     policy: RetransmitPolicy,
@@ -58,7 +59,7 @@ impl SrSender {
             base: 0,
             next: 0,
             outstanding: vec![None; window as usize],
-            stats: WindowStats::default(),
+            stats: SenderStats::default(),
             failed: false,
             path: FramePath::default(),
             policy: RetransmitPolicy::Fixed,
@@ -85,7 +86,7 @@ impl SrSender {
     }
 
     /// Statistics so far.
-    pub fn stats(&self) -> WindowStats {
+    pub fn stats(&self) -> SenderStats {
         self.stats
     }
 
@@ -108,7 +109,7 @@ impl SrSender {
     fn transmit(&mut self, seq: u32, io: &mut Io<'_>) {
         // The payload is borrowed straight from the message store — a
         // retransmission costs no clone.
-        send_data(io, self.path, seq, self.messages.get(seq as usize));
+        WindowFrame::send_data(io, self.path, seq, self.messages.get(seq as usize));
         self.stats.frames_sent += 1;
         // Per-packet timer: token is the sequence number itself.
         io.set_timer(self.rto.rto(), u64::from(seq));
@@ -247,7 +248,7 @@ impl Endpoint for SrReceiver {
 
     fn on_frame(&mut self, frame: &[u8], io: &mut Io<'_>) {
         WindowFrame::decode_with(self.path, frame, |decoded| {
-            let Ok(WindowRef::Data { seq, payload }) = decoded else {
+            let Ok(Frame::Data { seq, payload }) = decoded else {
                 return;
             };
             if seq >= self.expected && seq < self.expected + self.window {
@@ -273,11 +274,11 @@ impl Endpoint for SrReceiver {
                     kept.clear();
                     kept.extend_from_slice(payload);
                 }
-                send_ack(io, self.path, seq);
+                WindowFrame::send_ack(io, self.path, seq);
             } else if seq < self.expected {
                 // Already delivered: the ack must have been lost; re-ack
                 // (no payload copy).
-                send_ack(io, self.path, seq);
+                WindowFrame::send_ack(io, self.path, seq);
             }
             // Beyond the window: drop silently (sender cannot legally be there).
         });
@@ -308,7 +309,7 @@ pub fn run_transfer(
     timeout: u64,
     max_retries: u32,
     deadline: u64,
-) -> WindowOutcome {
+) -> TransferOutcome {
     let messages: Messages = messages.into();
     let n = messages.len();
     let mut duplex = Duplex::new(
@@ -322,7 +323,7 @@ pub fn run_transfer(
     // then move them out.
     let success = duplex.a().succeeded() && duplex.a().messages() == duplex.delivered().copies();
     let stats = duplex.a().stats();
-    WindowOutcome {
+    TransferOutcome {
         success,
         elapsed,
         stats,

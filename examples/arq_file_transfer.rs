@@ -26,7 +26,7 @@ fn main() {
     assert!(sw.success, "stop-and-wait failed");
     println!(
         "{:<18} {:>10} {:>10} {:>14}",
-        "stop-and-wait", sw.elapsed, sw.sender.frames_sent, sw.sender.retransmissions
+        "stop-and-wait", sw.elapsed, sw.stats.frames_sent, sw.stats.retransmissions
     );
 
     let g = gbn::run_transfer(

@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let out = run_transfer(messages, LinkConfig::lossy(5, 0.2), 42, 100, 10, 1_000_000);
     println!(
         "transfer over 20% loss: success={} elapsed={} ticks, {} frames ({} retransmissions)",
-        out.success, out.elapsed, out.sender.frames_sent, out.sender.retransmissions
+        out.success, out.elapsed, out.stats.frames_sent, out.stats.retransmissions
     );
     assert!(out.success);
     Ok(())

@@ -10,7 +10,9 @@ use std::path::PathBuf;
 
 use netdsl::netsim::{FlightKind, FlightMode};
 use netdsl::obs::{FlightRecording, DEFAULT_FLIGHT_CAPACITY};
-use netdsl::protocols::golden::{corpus, record_flight, trace_of};
+use netdsl::protocols::golden::{corpus, record_flight, trace_of, with_combo};
+use netdsl::protocols::scenario::STOP_AND_WAIT;
+use netdsl::scenario::{EngineConfig, FsmPath};
 
 const RING: FlightMode = FlightMode::Ring(DEFAULT_FLIGHT_CAPACITY);
 
@@ -97,4 +99,29 @@ fn flight_recordings_are_timer_aware_and_roundtrip_canonically() {
         (back.capacity, back.recorded),
         (flight.capacity, flight.recorded)
     );
+}
+
+#[test]
+fn both_stop_and_wait_engines_record_the_same_flight() {
+    // Golden projections keep only frame events, so the fixtures alone
+    // cannot tell whether the compiled-FSM sender reports its timeouts
+    // and retransmissions; the ring recordings must match in full.
+    let mut compared = 0;
+    for scenario in corpus().iter().filter(|s| s.protocol.name == STOP_AND_WAIT) {
+        let [typestate, compiled] = [FsmPath::Typestate, FsmPath::Compiled].map(|fsm_path| {
+            let engine = EngineConfig {
+                fsm_path,
+                ..scenario.protocol.engine()
+            };
+            record_flight(&with_combo(scenario, engine), RING).unwrap()
+        });
+        assert_eq!(typestate.0, compiled.0, "{}: results differ", scenario.name);
+        assert_eq!(
+            typestate.1.events, compiled.1.events,
+            "{}: the FSM paths record different flights",
+            scenario.name
+        );
+        compared += 1;
+    }
+    assert!(compared > 0, "the corpus has stop-and-wait fixtures");
 }

@@ -29,7 +29,7 @@ proptest! {
             .with_corrupt(corrupt)
             .with_duplicate(duplicate);
         let out = arq::session::run_transfer(messages.clone(), cfg, seed, 60, 300, 500_000_000);
-        prop_assert!(out.success, "stats {:?}", out.sender);
+        prop_assert!(out.success, "stats {:?}", out.stats);
         prop_assert_eq!(out.delivered, messages);
     }
 
